@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import dataclasses
 import json
 import math
 import statistics
@@ -87,7 +88,8 @@ def _config_echo(cfg: SolverConfig) -> dict:
         "beta": cfg.beta, "nu": cfg.nu, "eps_stop": cfg.eps_stop,
         "max_iter": cfg.max_iter, "max_backtracks": cfg.max_backtracks,
         "tol_sub": cfg.tol_sub, "tol_group": cfg.tol_group,
-        "tol_order": cfg.tol_order, "c_curv": cfg.c_curv,
+        "tol_order": cfg.tol_order, "tol_armijo": cfg.tol_armijo,
+        "c_curv": cfg.c_curv, "max_inner": cfg.max_inner,
         "method": cfg.method, "seed": cfg.seed,
     }
 
@@ -184,8 +186,7 @@ def run_bench(ps: ProblemSpec, starts: int, methods, seed: int,
     result = BenchResult(problem=ps.name, starts=starts, seed=seed)
 
     def one(method_key, k):
-        run_cfg = SolverConfig(**{**_config_echo(cfg),
-                                  "method": METHOD_KEYS[method_key], "seed": seed})
+        run_cfg = dataclasses.replace(cfg, method=METHOD_KEYS[method_key], seed=seed)
         tick = time.perf_counter()
         trace = solver_mod.run(ps, x0s[k], run_cfg)
         secs = time.perf_counter() - tick

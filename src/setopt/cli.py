@@ -19,7 +19,7 @@ from . import problem as problem_mod
 from . import setorder as setorder_mod
 from . import solver as solver_mod
 from .cone import gerstewitz
-from .errors import DomainError, FormatError, SetoptError, UnknownProblem
+from .errors import DomainError, SetoptError, UnknownProblem
 from .solver import CONVERGED, LINE_SEARCH_FAILURE, MAX_ITERATIONS, SolverConfig
 
 EXIT_OK = 0
@@ -77,14 +77,13 @@ def _parse_box(text, n) -> np.ndarray:
 
 
 def _load_problem(name_or_path):
+    """Resolve a problem; every failure while reading a file is a file error."""
     try:
         return problem_mod.get(name_or_path)
     except UnknownProblem as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    except FormatError as exc:
-        raise CliError(str(exc), EXIT_IO)
-    except OSError as exc:
-        raise CliError(str(exc), EXIT_IO)
+    except (SetoptError, OSError) as exc:
+        raise CliError(f"{type(exc).__name__}: {exc}", EXIT_IO)
 
 
 def _config_from(args, method_key="qnm") -> SolverConfig:

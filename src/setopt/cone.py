@@ -111,7 +111,7 @@ def gerstewitz_batch(c: ConeSpec, Y) -> np.ndarray:
 
 def varsigma(c: ConeSpec, values) -> float:
     """Merit value of a finite image set: min over the set of gerstewitz."""
-    values = list(values)
-    if not values:
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
         raise EmptyInput("varsigma of an empty set")
-    return float(np.min(gerstewitz_batch(c, np.asarray(values, dtype=float))))
+    return float(np.min(gerstewitz_batch(c, values)))

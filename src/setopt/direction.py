@@ -61,38 +61,48 @@ class UpdateReport:
     skipped: list
 
 
+def _dots(a, b) -> np.ndarray:
+    """Row-wise dot products over the last axis.
+
+    Stacked (1 x n) @ (n x 1) products run one BLAS dot per row, so each
+    entry rounds exactly like the unbatched ``a_k @ b_k``.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def bfgs_update(store: HessianStore, s, y_all, c_curv: float = 1e-8) -> UpdateReport:
     """Cautious BFGS update of every (i, q) matrix.
 
     An update is applied only when s'y >= c_curv * ||s|| * ||y|| with s'y > 0;
     otherwise the matrix is left unchanged.  Applied updates satisfy the
-    secant equation B_new s = y exactly.
+    secant equation B_new s = y exactly.  All (i, q) pairs are tested and
+    updated in one batched step; a breakdown leaves the store untouched.
     """
     s = np.asarray(s, dtype=float).ravel()
     y_all = np.asarray(y_all, dtype=float)
     s_norm = np.linalg.norm(s)
     if s_norm == 0.0:
         raise NumericalBreakdown("BFGS update with a zero step")
-    report = UpdateReport(applied=[], skipped=[])
-    for i in range(store.p):
-        for q in range(store.Q):
-            y = y_all[i, q]
-            sy = float(s @ y)
-            if sy <= 0.0 or sy < c_curv * s_norm * np.linalg.norm(y):
-                report.skipped.append((i + 1, q + 1))
-                store.skipped += 1
-                continue
-            B = store.matrices[i, q]
-            Bs = B @ s
-            sBs = float(s @ Bs)
-            if sBs <= 0.0:
-                raise NumericalBreakdown(
-                    f"s'Bs = {sBs:g} <= 0 for component ({i + 1},{q + 1}); store corrupted"
-                )
-            store.matrices[i, q] = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
-            report.applied.append((i + 1, q + 1))
-            store.applied += 1
-    return report
+    sy = _dots(y_all, s)                                   # (p, Q)
+    y_norm = np.sqrt(_dots(y_all, y_all))
+    apply = ~((sy <= 0.0) | (sy < c_curv * s_norm * y_norm))
+    pairs = np.argwhere(apply) + 1                         # 1-based (i, q), row-major
+    B = store.matrices[apply]                              # (k, n, n)
+    Bs = B @ s
+    sBs = _dots(Bs, s)
+    bad = np.flatnonzero(sBs <= 0.0)
+    if bad.size:
+        i, q = pairs[bad[0]]
+        raise NumericalBreakdown(
+            f"s'Bs = {sBs[bad[0]]:g} <= 0 for component ({i},{q}); store corrupted")
+    y = y_all[apply]
+    store.matrices[apply] = (B - Bs[:, :, None] * Bs[:, None, :] / sBs[:, None, None]
+                             + y[:, :, None] * y[:, None, :] / sy[apply][:, None, None])
+    applied = [(int(i), int(q)) for i, q in pairs]
+    skipped = [(int(i), int(q)) for i, q in np.argwhere(~apply) + 1]
+    store.applied += len(applied)
+    store.skipped += len(skipped)
+    return UpdateReport(applied=applied, skipped=skipped)
 
 
 @dataclass
@@ -233,37 +243,43 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
     return u, phi, lam, gap, converged
 
 
-def terms_for_a(sc: ScalarizedComponents, store: Optional[HessianStore], x,
-                a: PartitionElement):
-    """Collect (g_t, H_t) over t = (j, q), j-major, for a selector a."""
-    idx = list(a.a)
-    grads = sc.gradients(x, idx)           # (w, Q, n)
-    w, Q, n = grads.shape
-    gs = grads.reshape(w * Q, n)
+def terms_for_a(grads, store: Optional[HessianStore], a: PartitionElement):
+    """Collect (g_t, H_t) over t = (j, q), j-major, for a selector a.
+
+    grads is the full (p, Q, n) array of scalarized gradients at the iterate.
+    """
+    sel = np.asarray(a.a, dtype=int) - 1
+    w = len(sel)
+    _, Q, n = grads.shape
+    gs = grads[sel].reshape(w * Q, n)
     if store is None:
         Hs = np.broadcast_to(np.eye(n), (w * Q, n, n)).copy()
     else:
-        sel = np.asarray(idx, dtype=int) - 1
-        Hs = store.matrices[sel].reshape(w * Q, n, n).copy()
+        Hs = store.matrices[sel].reshape(w * Q, n, n)
     return gs, Hs
 
 
-def solve_for_a(sc: ScalarizedComponents, store: Optional[HessianStore], x,
-                a: PartitionElement, tol_sub: float = 1e-10, max_inner: int = 500,
-                lam0=None):
+def solve_for_a(grads, store: Optional[HessianStore], a: PartitionElement,
+                tol_sub: float = 1e-10, max_inner: int = 500, lam0=None):
     """Direction subproblem for one selector; store=None means H_t = I."""
-    gs, Hs = terms_for_a(sc, store, x, a)
+    gs, Hs = terms_for_a(grads, store, a)
     return solve_minmax(gs, Hs, tol_sub=tol_sub, max_inner=max_inner, lam0=lam0)
 
 
 def solve_subproblem(sc: ScalarizedComponents, store: Optional[HessianStore], x,
                      ms: MinimalStructure, tol_sub: float = 1e-10,
-                     max_inner: int = 500, warm: Optional[dict] = None) -> SubproblemSolution:
-    """Minimize over the partition set; ties broken by the first (lexicographic) a."""
+                     max_inner: int = 500, warm: Optional[dict] = None,
+                     grads=None) -> SubproblemSolution:
+    """Minimize over the partition set; ties broken by the first (lexicographic) a.
+
+    grads, the (p, Q, n) scalarized gradients at x, defaults to sc.gradients(x).
+    """
+    if grads is None:
+        grads = sc.gradients(x)
     best = None
     for a in partition_iter(ms):
         lam0 = warm.get(a.a) if warm is not None else None
-        u, phi, lam, gap, ok = solve_for_a(sc, store, x, a, tol_sub, max_inner, lam0)
+        u, phi, lam, gap, ok = solve_for_a(grads, store, a, tol_sub, max_inner, lam0)
         if warm is not None:
             warm[a.a] = lam
         if best is None or phi < best.phi:

@@ -74,12 +74,15 @@ class ScalarizedComponents:
         c = self.cone
         return (F @ c.A.T) / c.Ae
 
-    def gradients(self, x, indices=None) -> np.ndarray:
-        """(len(indices), Q, n) array of grad h^{i,q}(x)."""
-        J = eval_jacobians(self.ps, x, indices)
-        c = self.cone
-        # (A @ J_i) scaled per row by 1/(Ae)_q
-        return np.einsum("qm,imn->iqn", c.A, J) / c.Ae[None, :, None]
+    def gradients(self, x) -> np.ndarray:
+        """(p, Q, n) array of grad h^{i,q}(x)."""
+        return scalarized_gradients(self.cone, eval_jacobians(self.ps, x))
+
+
+def scalarized_gradients(c: ConeSpec, J) -> np.ndarray:
+    """Map Jacobians (p, m, n) to the (p, Q, n) gradients of every h^{i,q}."""
+    # (A @ J_i) scaled per row by 1/(Ae)_q
+    return np.einsum("qm,imn->iqn", c.A, J) / c.Ae[None, :, None]
 
 
 def scalarize(ps: ProblemSpec) -> ScalarizedComponents:
@@ -307,6 +310,19 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def _number(text: str, kind, section: str, lineno):
+    """int(text) or float(text), with a malformed token reported as a FormatError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise FormatError(f"expected {'an integer' if kind is int else 'a decimal'}, "
+                          f"got {text!r}", section, lineno) from None
+
+
+def _numbers(text: str, section: str, lineno: int) -> list:
+    return [_number(v, float, section, lineno) for v in text.split()]
+
+
 def _parse_meta(text: str, lineno: int) -> dict:
     out = {}
     for part in text.split():
@@ -343,7 +359,7 @@ def load(path: str) -> ProblemSpec:
                 opts = _parse_meta(rest, no)
                 if "rows" not in opts:
                     raise FormatError("cone section needs rows=<Q>", "cone", no)
-                expect_rows = int(opts["rows"])
+                expect_rows = _number(opts["rows"], int, "cone", no)
                 cone_rows, cone_line = [], no
             elif section in ("box", "functions"):
                 if rest:
@@ -355,16 +371,16 @@ def load(path: str) -> ProblemSpec:
             meta.update(_parse_meta(text, no))
         elif section == "cone":
             if text.startswith("e="):
-                cone_e = [float(v) for v in text[2:].split()]
+                cone_e = _numbers(text[2:], "cone", no)
             else:
                 if len(cone_rows) >= expect_rows:
                     raise FormatError("more cone rows than declared", "cone", no)
-                cone_rows.append(([float(v) for v in text.split()], no))
+                cone_rows.append((_numbers(text, "cone", no), no))
         elif section == "box":
-            vals = text.split()
+            vals = _numbers(text, "box", no)
             if len(vals) != 2:
                 raise FormatError("box lines are 'lo hi'", "box", no)
-            box_rows.append((float(vals[0]), float(vals[1])))
+            box_rows.append(tuple(vals))
         elif section == "functions":
             exprs.append((no, text))
         else:
@@ -374,7 +390,7 @@ def load(path: str) -> ProblemSpec:
         raise FormatError("missing [meta] section")
     try:
         name = meta["name"]
-        n, m, p = int(meta["n"]), int(meta["m"]), int(meta["p"])
+        n, m, p = (_number(meta[key], int, "meta", None) for key in ("n", "m", "p"))
     except KeyError as exc:
         raise FormatError(f"meta is missing {exc.args[0]}", "meta") from None
     if p < 1 or n < 1 or m < 1:

@@ -37,16 +37,6 @@ class MinimalStructure:
         return out
 
 
-def _dominance_matrices(c: ConeSpec, values: np.ndarray, tol: float):
-    """leq[j,i] = (v_j <= v_i), lt[j,i] = (v_j < v_i), vectorized."""
-    # diff[j,i] = A @ (v_i - v_j); shape (Q, p, p)
-    AV = values @ c.A.T                      # (p, Q)
-    diff = AV[None, :, :] - AV[:, None, :]   # diff[j,i,q] = (A(v_i - v_j))_q
-    leq_mat = np.all(diff >= -tol, axis=2)
-    lt_mat = np.all(diff > tol, axis=2)
-    return leq_mat, lt_mat
-
-
 def _as_values(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
@@ -56,37 +46,50 @@ def _as_values(values) -> np.ndarray:
     return values
 
 
+def _order_gaps(c: ConeSpec, values: np.ndarray) -> np.ndarray:
+    """gaps[q, j, i] = (A (v_i - v_j))_q, the one dominance tensor (Q, p, p)."""
+    AV = np.ascontiguousarray((values @ c.A.T).T)    # (Q, p), C order keeps
+    return AV[:, None, :] - AV[:, :, None]           # the tensor C-contiguous
+
+
+def _minimal(values: np.ndarray, gaps: np.ndarray, tol: float) -> tuple:
+    """Indices i with no j such that v_j <= v_i (at tol) and v_j != v_i."""
+    leq = np.all(gaps >= -tol, axis=0)
+    cols = np.ascontiguousarray(values.T)
+    distinct = np.any(cols[:, :, None] != cols[:, None, :], axis=0)
+    dominated = np.any(leq & distinct, axis=0)
+    return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
+
+
+def _weakly_minimal(gaps: np.ndarray, tol: float) -> tuple:
+    """Indices i with no j such that v_j < v_i strictly (at tol)."""
+    dominated = np.any(np.all(gaps > tol, axis=0), axis=0)
+    return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
+
+
 def minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
     """Indices i with no j such that v_j <= v_i and v_j != v_i (1-based)."""
     values = _as_values(values)
-    leq_mat, _ = _dominance_matrices(c, values, tol)
-    distinct = np.any(values[:, None, :] != values[None, :, :], axis=2)
-    dominated = np.any(leq_mat & distinct, axis=0)
-    return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
+    return _minimal(values, _order_gaps(c, values), tol)
 
 
 def weakly_minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
     """Indices i with no j such that v_j < v_i strictly (1-based)."""
     values = _as_values(values)
-    _, lt_mat = _dominance_matrices(c, values, tol)
-    dominated = np.any(lt_mat, axis=0)
-    return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
+    return _weakly_minimal(_order_gaps(c, values), tol)
 
 
-def group_minimal_values(c: ConeSpec, values, minimal, tol_group: float = 1e-8) -> MinimalStructure:
-    """Cluster the minimal indices into classes of (numerically) equal value.
-
-    Classes are connected components of the graph linking indices whose
-    images differ by at most tol_group in the infinity norm; ordering is
-    deterministic by smallest member index.
-    """
-    values = _as_values(values)
+def _structure(values: np.ndarray, minimal, weak: tuple, tol_group: float) -> MinimalStructure:
+    """Body of group_minimal_values, given the weakly minimal indices."""
     minimal = sorted(minimal)
     if not minimal:
         raise EmptyInput("empty minimal index set")
-    sub = values[np.asarray(minimal, dtype=int) - 1]
+    sub = np.ascontiguousarray(values[np.asarray(minimal, dtype=int) - 1].T)
     k = len(minimal)
-    close = np.max(np.abs(sub[:, None, :] - sub[None, :, :]), axis=2) <= tol_group
+    close = np.max(np.abs(sub[:, :, None] - sub[:, None, :]), axis=0) <= tol_group
+    rows, cols = np.nonzero(close)
+    bounds = np.searchsorted(rows, np.arange(k + 1)).tolist()
+    cols = cols.tolist()                # neighbours of v: cols[bounds[v]:bounds[v + 1]]
 
     label = [-1] * k
     classes = []
@@ -99,14 +102,13 @@ def group_minimal_values(c: ConeSpec, values, minimal, tol_group: float = 1e-8) 
         while stack:
             v = stack.pop()
             comp.append(v)
-            for u in np.flatnonzero(close[v]):
+            for u in cols[bounds[v]:bounds[v + 1]]:
                 if label[u] < 0:
                     label[u] = len(classes)
-                    stack.append(int(u))
+                    stack.append(u)
         classes.append(tuple(minimal[v] for v in sorted(comp)))
 
-    reps = tuple(values[cls[0] - 1].copy() for cls in classes)
-    weak = weakly_minimal_elements(c, values)
+    reps = tuple(values[[cls[0] - 1 for cls in classes]])
     return MinimalStructure(
         minimal_indices=tuple(minimal),
         weakly_minimal_indices=weak,
@@ -116,10 +118,23 @@ def group_minimal_values(c: ConeSpec, values, minimal, tol_group: float = 1e-8) 
     )
 
 
+def group_minimal_values(c: ConeSpec, values, minimal, tol_group: float = 1e-8) -> MinimalStructure:
+    """Cluster the minimal indices into classes of (numerically) equal value.
+
+    Classes are connected components of the graph linking indices whose
+    images differ by at most tol_group in the infinity norm; ordering is
+    deterministic by smallest member index.
+    """
+    values = _as_values(values)
+    return _structure(values, minimal, _weakly_minimal(_order_gaps(c, values), 0.0), tol_group)
+
+
 def analyze(c: ConeSpec, values, tol_order: float = 0.0, tol_group: float = 1e-8) -> MinimalStructure:
-    """Minimal elements + grouping in one call (solver entry point)."""
-    mins = minimal_elements(c, values, tol_order)
-    return group_minimal_values(c, values, mins, tol_group)
+    """Minimal elements + grouping from one dominance tensor (solver entry point)."""
+    values = _as_values(values)
+    gaps = _order_gaps(c, values)
+    return _structure(values, _minimal(values, gaps, tol_order),
+                      _weakly_minimal(gaps, 0.0), tol_group)
 
 
 def partition_iter(ms: MinimalStructure) -> Iterator[PartitionElement]:

@@ -42,7 +42,6 @@ class SolverConfig:
     max_iter: int = 100
     max_backtracks: int = 60
     tol_sub: float = 1e-10
-    tol_stat: float = 1e-8
     tol_group: float = 1e-8
     tol_order: float = 0.0
     tol_armijo: float = 1e-12
@@ -100,22 +99,28 @@ class IterateTrace:
 
 
 def armijo_backtrack(ps: ProblemSpec, c: ConeSpec, x, a: PartitionElement, u,
-                     jacobians, cfg: SolverConfig):
+                     jacobians, cfg: SolverConfig, F=None):
     """Smallest backtrack count q such that t = nu^q satisfies the cone
-    Armijo inequality for every selected component."""
+    Armijo inequality for every selected component.
+
+    F is the image set at x (evaluated here when omitted).  Returns
+    (t, q, F_trial) with F_trial the full image set at x + t*u.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     sel = np.asarray(a.a, dtype=int) - 1
-    f_sel = problem_mod.eval_F(ps, x)[sel]             # (w, m)
+    if F is None:
+        F = problem_mod.eval_F(ps, x)
+    f_sel = F[sel]                                     # (w, m)
     slopes = jacobians @ u                             # (w, m)
     for q in range(cfg.max_backtracks + 1):
         t = cfg.nu ** q
-        trial = problem_mod.eval_F(ps, x + t * u)[sel]
+        F_trial = problem_mod.eval_F(ps, x + t * u)
         rhs = f_sel + cfg.beta * t * slopes
-        diff = (rhs - trial) @ c.A.T                   # (w, Q)
+        diff = (rhs - F_trial[sel]) @ c.A.T            # (w, Q)
         ok = np.all(diff >= -cfg.tol_armijo, axis=1)
         if np.all(ok):
-            return t, q
+            return t, q, F_trial
     bad = int(np.flatnonzero(~ok)[0]) + 1
     raise LineSearchFailure(
         f"no Armijo step within {cfg.max_backtracks} backtracks "
@@ -123,7 +128,10 @@ def armijo_backtrack(ps: ProblemSpec, c: ConeSpec, x, a: PartitionElement, u,
 
 
 def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
-    """Execute the main loop from x0 and record a full iterate trace."""
+    """Execute the main loop from x0 and record a full iterate trace.
+
+    F and J are evaluated at most once per accepted point and carried forward.
+    """
     x = np.asarray(x0, dtype=float).ravel().copy()
     if x.shape[0] != ps.n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {ps.n}")
@@ -136,16 +144,20 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
     snapshot = cfg.trace_images or ps.p * ps.m <= IMAGE_SNAPSHOT_LIMIT
 
     try:
+        F = problem_mod.eval_F(ps, x)
+        J = None
         for k in range(cfg.max_iter):
             tick = time.perf_counter()
-            F = problem_mod.eval_F(ps, x)
+            if J is None:
+                J = problem_mod.eval_jacobians(ps, x)
+                grads = problem_mod.scalarized_gradients(c, J)
             ms = setorder_mod.analyze(c, F, cfg.tol_order, cfg.tol_group)
             sol = direction_mod.solve_subproblem(
-                sc, store, x, ms, tol_sub=cfg.tol_sub, max_inner=cfg.max_inner, warm=warm)
+                sc, store, x, ms, tol_sub=cfg.tol_sub, max_inner=cfg.max_inner, warm=warm,
+                grads=grads)
             u_norm = float(np.linalg.norm(sol.u))
             varsig = cone_mod.varsigma(c, F)
-            jac_all = problem_mod.eval_jacobians(ps, x)
-            max_jac = float(max(np.linalg.norm(J, 2) for J in jac_all))
+            max_jac = float(np.linalg.norm(J, 2, axis=(1, 2)).max())
             rec = IterateRecord(
                 k=k, x=x.copy(), images=F.copy() if snapshot else None,
                 min_indices=ms.minimal_indices, w=ms.w,
@@ -160,22 +172,23 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
                 trace.status = CONVERGED
                 break
 
-            jac_sel = jac_all[np.asarray(sol.a.a, dtype=int) - 1]
-            t, q = armijo_backtrack(ps, c, x, sol.a, sol.u, jac_sel, cfg)
+            jac_sel = J[np.asarray(sol.a.a, dtype=int) - 1]
+            t, q, F_new = armijo_backtrack(ps, c, x, sol.a, sol.u, jac_sel, cfg, F=F)
             x_new = x + t * sol.u
+            J_new = grads_new = None
             skips = 0
             if qn:
-                grads_old = sc.gradients(x)
-                grads_new = sc.gradients(x_new)
+                J_new = problem_mod.eval_jacobians(ps, x_new)
+                grads_new = problem_mod.scalarized_gradients(c, J_new)
                 report = direction_mod.bfgs_update(
-                    store, x_new - x, grads_new - grads_old, cfg.c_curv)
+                    store, x_new - x, grads_new - grads, cfg.c_curv)
                 skips = len(report.skipped)
             rec.t = t
             rec.backtracks = q
             rec.bfgs_skips = skips
             rec.millis = (time.perf_counter() - tick) * 1e3
             trace.records.append(rec)
-            x = x_new
+            x, F, J, grads = x_new, F_new, J_new, grads_new
         else:
             trace.status = MAX_ITERATIONS
     except LineSearchFailure as exc:

@@ -1,5 +1,9 @@
+import dataclasses
 import json
+import os
 import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +104,26 @@ def test_bench_jobs_independent():
     p1 = bench.stats_payload(bench.run_bench(ps, 10, ["qnm", "sd"], 7, c, jobs=1), c)
     p8 = bench.stats_payload(bench.run_bench(ps, 10, ["qnm", "sd"], 7, c, jobs=8), c)
     assert json.dumps(p1, sort_keys=True) == json.dumps(p8, sort_keys=True)
+
+
+def test_run_bench_keeps_every_knob(monkeypatch):
+    seen = []
+    original = solver.run
+
+    def spy(ps, x0, run_cfg):
+        seen.append(run_cfg)
+        return original(ps, x0, run_cfg)
+
+    monkeypatch.setattr(solver, "run", spy)
+    knobs = solver.SolverConfig(tol_armijo=1e-9, max_inner=7, c_curv=1e-6, tol_sub=1e-9,
+                                max_backtracks=30, tol_group=1e-7, max_iter=40)
+    result = bench.run_bench(problem.builtin("ex5"), 2, ["qnm", "sd"], 4, knobs)
+    assert [r.method for r in seen] == ["quasi_newton"] * 2 + ["steepest_descent"] * 2
+    for run_cfg in seen:
+        assert run_cfg.seed == 4
+        assert dataclasses.replace(run_cfg, method=knobs.method, seed=knobs.seed) == knobs
+    echo = bench.stats_payload(result, knobs)["config"]
+    assert echo["tol_armijo"] == 1e-9 and echo["max_inner"] == 7
 
 
 def test_qnm_beats_sd_on_ex3():
@@ -204,3 +228,35 @@ def test_env_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SETOPT_OUT_DIR", str(tmp_path / "envout"))
     assert cli.main(["solve", "--problem", "ex5", "--x0", "4.0"]) == 0
     assert (tmp_path / "envout" / "ex5_qnm_trace.csv").exists()
+
+
+BAD_FILES = {
+    "rows": ("[meta] name=b n=1 m=2 p=1\n[cone] rows=x\n1 0\n0 1\ne=1 1\n"
+             "[box]\n-1 1\n[functions]\nx1\nx1^2\n", "FormatError"),
+    "box": ("[meta] name=b n=1 m=1 p=1\n[box]\n0 abc\n[functions]\nx1\n", "FormatError"),
+    "parse": ("[meta] name=b n=1 m=1 p=1\n[box]\n-1 1\n[functions]\nx1 +\n", "ParseError"),
+    "cone": ("[meta] name=b n=1 m=2 p=1\n[cone] rows=2\n1 0\n-1 0\ne=1 1\n"
+             "[box]\n-1 1\n[functions]\nx1\nx1^2\n", "RankDeficient"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_cli_bad_problem_file_is_a_file_error(case, tmp_path, capsys):
+    text, error = BAD_FILES[case]
+    prob = tmp_path / f"{case}.prob"
+    prob.write_text(text)
+    code = cli.main(["solve", "--problem", str(prob), "--x0", "0.5", "--out", str(tmp_path)])
+    assert code == 74
+    assert error in capsys.readouterr().err
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "setopt",
+                           "solve", "--problem", "ex5", "--x0", "4.0", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "ex5_qnm_summary.json").exists()

@@ -54,6 +54,79 @@ def test_bfgs_secant_and_spd_random():
     assert store.applied + store.skipped == 30 * 4
 
 
+def _reference_bfgs(store, s, y_all, c_curv=1e-8):
+    """Unbatched cautious BFGS: one (i, q) matrix at a time, in row-major order."""
+    s = np.asarray(s, dtype=float).ravel()
+    s_norm = np.linalg.norm(s)
+    if s_norm == 0.0:
+        raise NumericalBreakdown("BFGS update with a zero step")
+    report = direction.UpdateReport(applied=[], skipped=[])
+    for i in range(store.p):
+        for q in range(store.Q):
+            y = y_all[i, q]
+            sy = float(s @ y)
+            if sy <= 0.0 or sy < c_curv * s_norm * np.linalg.norm(y):
+                report.skipped.append((i + 1, q + 1))
+                store.skipped += 1
+                continue
+            B = store.matrices[i, q]
+            Bs = B @ s
+            sBs = float(s @ Bs)
+            if sBs <= 0.0:
+                raise NumericalBreakdown(f"s'Bs = {sBs:g} <= 0 for component ({i + 1},{q + 1})")
+            store.matrices[i, q] = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
+            report.applied.append((i + 1, q + 1))
+            store.applied += 1
+    return report
+
+
+def _twin_stores(n, p, Q, rng):
+    fast = direction.init_store(n, p, Q)
+    M = rng.standard_normal((p, Q, n, n))
+    fast.matrices[:] = M @ M.transpose(0, 1, 3, 2) + np.eye(n)
+    ref = direction.init_store(n, p, Q)
+    ref.matrices[:] = fast.matrices
+    return fast, ref
+
+
+@pytest.mark.parametrize("n, p, Q", [(1, 4, 2), (2, 7, 3), (10, 3, 4)])
+def test_bfgs_matches_reference_loop(n, p, Q):
+    rng = np.random.default_rng(n * 100 + p)
+    fast, ref = _twin_stores(n, p, Q, rng)
+    for k in range(25):
+        s = rng.standard_normal(n)
+        y_all = rng.standard_normal((p, Q, n))
+        if k % 5 == 0:
+            # nearly orthogonal pairs land on either side of the c_curv test
+            y_all -= 0.999999 * np.einsum("iqn,n->iq", y_all, s)[..., None] * s / (s @ s)
+        c_curv = 1e-8 if k % 2 else 1e-3
+        rep = direction.bfgs_update(fast, s, y_all, c_curv)
+        rep_ref = _reference_bfgs(ref, s, y_all, c_curv)
+        assert rep.applied == rep_ref.applied and rep.skipped == rep_ref.skipped
+        scale = np.abs(ref.matrices).max()
+        assert np.max(np.abs(fast.matrices - ref.matrices)) <= 1e-12 * scale
+    assert (fast.applied, fast.skipped) == (ref.applied, ref.skipped)
+    assert fast.applied > 0 and fast.skipped > 0
+
+
+def test_bfgs_breakdown_names_first_component_like_reference():
+    rng = np.random.default_rng(4)
+    fast, ref = _twin_stores(2, 3, 2, rng)
+    for store in (fast, ref):
+        store.matrices[2, 0] = -np.eye(2)
+        store.matrices[1, 1] = -np.eye(2)
+    s = np.array([1.0, 0.5])
+    y_all = np.broadcast_to(s, (3, 2, 2)).copy()           # s'y > 0 everywhere
+    with pytest.raises(NumericalBreakdown, match=r"\(2,2\)"):
+        direction.bfgs_update(fast, s, y_all)
+    with pytest.raises(NumericalBreakdown, match=r"\(2,2\)"):
+        _reference_bfgs(ref, s, y_all)
+    with pytest.raises(NumericalBreakdown, match="zero step"):
+        direction.bfgs_update(fast, np.zeros(2), y_all)
+    with pytest.raises(NumericalBreakdown, match="zero step"):
+        _reference_bfgs(ref, np.zeros(2), y_all)
+
+
 def test_solve_minmax_single_term():
     u, phi, lam, gap, ok = direction.solve_minmax(np.array([[2.0]]), np.array([[[1.0]]]))
     assert u == pytest.approx([-2.0], abs=1e-9)

@@ -96,3 +96,34 @@ def test_minimal_elements_hypothesis(points):
     c = cone.nonnegative_orthant(2)
     vals = np.asarray(points, dtype=float)
     assert setorder.minimal_elements(c, vals) == oracle.brute_min(c, vals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=30),
+       st.sampled_from([0.5, 1.0, 4.0, 12.0]),
+       st.sampled_from(["orthant", "slanted"]))
+def test_analyze_matches_separate_filters(points, tol_order, which):
+    """One shared dominance tensor gives what the separate public filters give.
+
+    Integer images on a small grid make exact ties common; integer cone rows
+    keep A(v_i - v_j) exact, so the brute-force oracles agree bit for bit.
+    """
+    c = (cone.nonnegative_orthant(2) if which == "orthant"
+         else cone.validate([[6.0, -2.0], [-7.0, 10.0]], [1.0, 1.0]))
+    vals = np.asarray(points, dtype=float)
+    mins = setorder.minimal_elements(c, vals, tol_order)
+    assert mins == oracle.brute_min(c, vals, tol_order)
+    if not mins:
+        # at tol_order > 0 near-equal images can dominate each other mutually
+        with pytest.raises(EmptyInput):
+            setorder.analyze(c, vals, tol_order=tol_order)
+        return
+    ms = setorder.analyze(c, vals, tol_order=tol_order)
+    assert ms.minimal_indices == mins
+    assert (ms.weakly_minimal_indices == setorder.weakly_minimal_elements(c, vals)
+            == oracle.brute_wmin(c, vals))
+    grouped = setorder.group_minimal_values(c, vals, mins)
+    assert ms.classes == grouped.classes
+    assert all(np.array_equal(a, b) for a, b in zip(ms.representatives, grouped.representatives))
+    for cls, rep in zip(ms.classes, ms.representatives):
+        assert all(np.array_equal(vals[i - 1], rep) for i in cls)   # exact ties

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,16 +27,16 @@ def test_config_validation():
 def test_armijo_hand_example():
     ps = make_scalar_problem(lambda t: t * t, lambda t: 2.0 * t)
     cfg = paper_cfg()
-    t, q = solver.armijo_backtrack(ps, ps.cone, [1.0], PartitionElement((1,)),
-                                   [-2.0], np.array([[[2.0]]]), cfg)
+    t, q, _ = solver.armijo_backtrack(ps, ps.cone, [1.0], PartitionElement((1,)),
+                                      [-2.0], np.array([[[2.0]]]), cfg)
     assert q == 2 and t == pytest.approx(0.36)
 
 
 def test_armijo_linear_accepts_full_step():
     c = 3.0
     ps = make_scalar_problem(lambda t: c * t, lambda t: c)
-    t, q = solver.armijo_backtrack(ps, ps.cone, [0.0], PartitionElement((1,)),
-                                   [-c], np.array([[[c]]]), paper_cfg())
+    t, q, _ = solver.armijo_backtrack(ps, ps.cone, [0.0], PartitionElement((1,)),
+                                      [-c], np.array([[[c]]]), paper_cfg())
     assert q == 0 and t == 1.0
 
 
@@ -46,6 +48,43 @@ def test_armijo_failure_on_ascent_direction():
         solver.armijo_backtrack(ps, ps.cone, [1.0], PartitionElement((1,)),
                                 [2.0], np.array([[[-2.0]]]),
                                 paper_cfg(max_backtracks=20))
+
+
+@pytest.mark.parametrize("method", solver.METHODS)
+@pytest.mark.parametrize("max_iter, status", [(100, solver.CONVERGED),
+                                              (2, solver.MAX_ITERATIONS)])
+def test_run_evaluates_each_point_once(method, max_iter, status):
+    """F once at x0 and once per Armijo trial; J once per iterate that uses it.
+
+    Every iterate's J feeds its subproblem; qnm also needs J at the last
+    accepted point for the BFGS secant pair, sd does not.
+    """
+    base = problem.builtin("ex3")
+    f_at, j_at = [], []
+
+    def values(x):
+        f_at.append(x.tobytes())
+        return base.values_fn(x)
+
+    def jacobians(x):
+        j_at.append(x.tobytes())
+        return base.jacobians_fn(x)
+
+    ps = dataclasses.replace(base, values_fn=values, jacobians_fn=jacobians)
+    x0 = np.array([2.0, 2.0])
+    trace = solver.run(ps, x0, paper_cfg(method=method, max_iter=max_iter))
+    assert trace.status == status
+    steps = [r for r in trace.records if r.t > 0.0]
+    assert len(steps) == trace.iterations - (status == solver.CONVERGED)
+
+    assert f_at[0] == x0.tobytes()
+    assert len(f_at) == 1 + sum(r.backtracks + 1 for r in steps)
+    assert len(set(f_at)) == len(f_at)
+
+    points = [r.x.tobytes() for r in trace.records]
+    if method == "quasi_newton" and status == solver.MAX_ITERATIONS:
+        points.append(trace.x_final.tobytes())
+    assert j_at == points
 
 
 def test_scalar_quadratic_reduces_to_bfgs():
