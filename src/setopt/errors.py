@@ -57,7 +57,9 @@ class VariableOutOfRange(ExprError):
 
 
 class DomainError(ExprError):
-    pass
+    """A failed domain check during evaluation."""
+
+    index = None   # the family index i it failed at; set by `expr.eval`/`eval_dual`
 
 
 # --- problem errors ---

@@ -2,7 +2,8 @@
 
 A problem is a finite family of p smooth vector functions R^n -> R^m ordered
 by a polyhedral cone.  Built-ins carry hand-coded analytic Jacobians; loaded
-problems evaluate parsed expressions with dual-number derivatives.
+problems evaluate compiled expressions with dual-number derivatives, one call
+per image component for all p family indices.
 """
 
 from __future__ import annotations
@@ -291,12 +292,8 @@ def builtin(name: str) -> ProblemSpec:
 
 
 def builtin_file(name: str) -> str:
-    """Path to the shipped problem-file encoding of a built-in (ex1..ex6).
-
-    ex7 is not expressible in the expression language (its shift grid needs
-    integer floor/mod of the family index) and has no file twin.
-    """
-    if name not in BUILTIN_NAMES or name == "ex7":
+    """Path to the shipped problem-file encoding of a built-in (ex1..ex7)."""
+    if name not in BUILTIN_NAMES:
         raise UnknownProblem(f"no problem file for {name!r}")
     return str(resources.files("setopt").joinpath(f"problems/{name}.prob"))
 
@@ -320,7 +317,10 @@ def _number(text: str, kind, section: str, lineno):
 
 
 def _numbers(text: str, section: str, lineno: int) -> list:
-    return [_number(v, float, section, lineno) for v in text.split()]
+    values = [_number(v, float, section, lineno) for v in text.split()]
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"expected finite decimals, got {text!r}", section, lineno)
+    return values
 
 
 def _parse_meta(text: str, lineno: int) -> dict:
@@ -335,8 +335,11 @@ def _parse_meta(text: str, lineno: int) -> dict:
 
 def load(path: str) -> ProblemSpec:
     """Load a problem from a text file (see the file-format docs in README)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
     lines = [(k + 1, _strip(s)) for k, s in enumerate(raw)]
     lines = [(no, s) for no, s in lines if s]
@@ -426,27 +429,30 @@ def load(path: str) -> ProblemSpec:
             exc.args = (f"line {no}: {exc}",)
             raise
 
-    def values(x):
-        out = np.empty((p, m))
-        for i in range(1, p + 1):
-            for comp, ast in enumerate(asts):
-                try:
-                    out[i - 1, comp] = expr_mod.eval(ast, x, i)
-                except DomainError as exc:
-                    exc.args = (f"f^{i} component {comp + 1}: {exc}",)
-                    raise
+    index = np.arange(1, p + 1)
+
+    def per_component(evaluate, out):
+        """out[:, c] = evaluate(component c) over all i; a domain error names
+        the lowest failing i, then the lowest component."""
+        first = None
+        for comp, ast in enumerate(asts):
+            try:
+                out[:, comp] = evaluate(ast)
+            except DomainError as exc:
+                if first is None or exc.index < first[0].index:
+                    first = exc, comp
+        if first is not None:
+            exc, comp = first
+            exc.args = (f"f^{exc.index} component {comp + 1}: {exc}",)
+            raise exc
         return out
 
+    def values(x):
+        return per_component(lambda ast: expr_mod.eval(ast, x, index), np.empty((p, m)))
+
     def jacobians(x):
-        out = np.empty((p, m, n))
-        for i in range(1, p + 1):
-            for comp, ast in enumerate(asts):
-                try:
-                    out[i - 1, comp] = expr_mod.eval_dual(ast, x, i).derivatives
-                except DomainError as exc:
-                    exc.args = (f"f^{i} component {comp + 1}: {exc}",)
-                    raise
-        return out
+        return per_component(lambda ast: expr_mod.eval_dual(ast, x, index).derivatives,
+                             np.empty((p, m, n)))
 
     return ProblemSpec(name, n, m, p, K, np.asarray(box_rows, dtype=float), values, jacobians)
 

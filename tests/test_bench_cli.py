@@ -237,6 +237,7 @@ BAD_FILES = {
     "parse": ("[meta] name=b n=1 m=1 p=1\n[box]\n-1 1\n[functions]\nx1 +\n", "ParseError"),
     "cone": ("[meta] name=b n=1 m=2 p=1\n[cone] rows=2\n1 0\n-1 0\ne=1 1\n"
              "[box]\n-1 1\n[functions]\nx1\nx1^2\n", "RankDeficient"),
+    "utf8": (b"\xff\xfe[meta] name=b n=1 m=1 p=1\n[box]\n-1 1\n[functions]\nx1\n", "FormatError"),
 }
 
 
@@ -244,7 +245,7 @@ BAD_FILES = {
 def test_cli_bad_problem_file_is_a_file_error(case, tmp_path, capsys):
     text, error = BAD_FILES[case]
     prob = tmp_path / f"{case}.prob"
-    prob.write_text(text)
+    prob.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = cli.main(["solve", "--problem", str(prob), "--x0", "0.5", "--out", str(tmp_path)])
     assert code == 74
     assert error in capsys.readouterr().err

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from expr_walk import walk_dual, walk_eval
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from setopt import expr
@@ -113,3 +114,129 @@ def test_error_positions():
     with pytest.raises(DomainError) as ei:
         expr.eval(expr.parse("1 + log(0 - x1)", 1), [1.0], 1)
     assert ei.value.column == 5
+
+
+# --- compiled evaluator against the reference walk ------------------------
+
+def _binary(children):
+    return st.tuples(children, st.sampled_from("+-*/^"), children).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})")
+
+
+_X_FREE = st.recursive(st.sampled_from(["i", "1", "2", "3", "0.5", "10"]), _binary, max_leaves=4)
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["x1", "x2", "x3", "i", "pi", "0", "1", "2", "3", "0.5", "2.5"]),
+    lambda children: st.one_of(
+        _binary(children),
+        children.map(lambda s: f"(-{s})"),
+        st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt", "abs"]),
+                  children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(children, children).map(lambda t: f"pow({t[0]}, {t[1]})"),
+        _X_FREE.map(lambda s: f"floor({s} / 3)"),
+        st.tuples(_X_FREE, _X_FREE).map(lambda t: f"mod({t[0]}, {t[1]})"),
+    ),
+    max_leaves=10,
+)
+
+
+def _walk_all(walk, ast, x, index):
+    """Walk every index in order: (results, None) or (results so far, error)."""
+    out = []
+    for i in index:
+        try:
+            out.append(walk(ast, x, i))
+        except DomainError as exc:
+            return out, (i, exc.line, exc.column)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            reject()   # untyped float failures of the walk are out of scope
+    return out, None
+
+
+def _close(got, want):
+    return np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=_EXPRESSIONS, p=st.integers(1, 6),
+       x=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-2.0, 2.0),
+                  min_size=3, max_size=3))
+def test_compiled_matches_walk(src, p, x):
+    ast = expr.parse(src, 3)
+    index = list(range(1, p + 1))
+    for compiled, walk in ((expr.eval, walk_eval), (expr.eval_dual, walk_dual)):
+        want, error = _walk_all(walk, ast, x, index)
+        if error is not None:
+            for i in (np.arange(1, p + 1), error[0]):
+                with pytest.raises(DomainError) as ei:
+                    compiled(ast, x, i)
+                assert (ei.value.index, ei.value.line, ei.value.column) == error
+            continue
+        if compiled is expr.eval:
+            values = np.array(want)
+            assume(np.all(np.isfinite(values)))
+            got = compiled(ast, x, np.arange(1, p + 1))
+            assert got.shape == (p,) and _close(got, values)
+            scalar = compiled(ast, x, p)
+            assert type(scalar) is float and _close(scalar, values[-1])
+        else:
+            values = np.array([d.value for d in want])
+            grads = np.array([d.derivatives for d in want])
+            assume(np.all(np.isfinite(values)) and np.all(np.isfinite(grads)))
+            got = compiled(ast, x, np.arange(1, p + 1))
+            assert got.derivatives.shape == (p, 3)
+            assert _close(got.value, values) and _close(got.derivatives, grads)
+            assert list(got.nondifferentiable) == [d.nondifferentiable for d in want]
+            scalar = compiled(ast, x, p)
+            assert _close(scalar.derivatives, grads[-1])
+            assert scalar.nondifferentiable == want[-1].nondifferentiable
+
+
+def test_index_array_returns_one_value_per_index():
+    ast = expr.parse("x1*i + sin(2*pi*(i-1)/50)", 1)
+    index = np.arange(1, 6)
+    values = expr.eval(ast, [0.7], index)
+    assert values.shape == (5,)
+    assert list(values) == [walk_eval(ast, [0.7], i) for i in index]
+    dual = expr.eval_dual(ast, [0.7], index)
+    assert dual.derivatives.shape == (5, 1) and list(dual.derivatives[:, 0]) == [1, 2, 3, 4, 5]
+    assert type(expr.eval(ast, [0.7], 3)) is float
+
+
+def test_x_free_domain_error_surfaces_at_evaluation():
+    ast = expr.parse("x1 + log(i - 1)", 1)        # parsing and compiling do not fail
+    assert expr.eval(ast, [1.0], 2) == 1.0
+    for i in (1, np.arange(1, 4)):
+        with pytest.raises(DomainError) as ei:
+            expr.eval(ast, [1.0], i)
+        assert (ei.value.index, ei.value.line, ei.value.column) == (1, 1, 6)
+
+
+def test_first_failing_index_wins_over_evaluation_order():
+    # the sqrt fails for i >= 3, the division (evaluated later) only at i = 2
+    ast = expr.parse("sqrt(2 - i + x1) + 1/(i - 2)", 1)
+    with pytest.raises(DomainError) as ei:
+        expr.eval(ast, [0.0], np.arange(1, 5))
+    assert (ei.value.index, ei.value.column) == (2, 21)
+
+
+def test_floor_and_mod():
+    ast = expr.parse("floor((i-1)/10) + 100*mod(i-1, 10) + x1", 1)
+    assert list(expr.eval(ast, [0.0], np.array([1, 10, 11, 37]))) == [0.0, 900.0, 1.0, 603.0]
+    assert expr.eval(expr.parse("mod(0 - 3, 10)", 1), [0.0], 1) == 7.0
+    with pytest.raises(DomainError) as ei:
+        expr.eval(expr.parse("x1 + mod(i, i - 2)", 1), [0.0], np.arange(1, 4))
+    assert (ei.value.index, ei.value.column) == (2, 6)
+
+
+@pytest.mark.parametrize("src, column", [("floor(x1)", 1), ("i + mod(i, 2*x2)", 5),
+                                         ("mod(floor(i + x1), 3)", 5)])
+def test_floor_and_mod_reject_x(src, column):
+    with pytest.raises(ParseError) as ei:
+        expr.parse(src, 2)
+    assert (ei.value.line, ei.value.column) == (1, column)
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError):
+        expr.parse("(" * 2000 + "x1" + ")" * 2000, 1)

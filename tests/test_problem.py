@@ -1,8 +1,15 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from expr_walk import walk_dual_lanes, walk_lanes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from setopt import cone, oracle, problem
-from setopt.errors import FormatError, RankDeficient, UnknownProblem
+from setopt import cone, expr, oracle, problem
+from setopt.errors import (DomainError, FormatError, RankDeficient, SetoptError,
+                           UnknownProblem)
 
 DIMS = {  # name -> (n, m, p)
     "ex1": (1, 2, 50), "ex2": (1, 3, 30), "ex3": (2, 2, 25),
@@ -70,7 +77,7 @@ def test_jacobians_match_finite_differences(name):
             assert np.all(np.abs(J[i - 1] - fd) <= 1e-5 * (1.0 + np.abs(fd)))
 
 
-@pytest.mark.parametrize("name", [n for n in problem.BUILTIN_NAMES if n != "ex7"])
+@pytest.mark.parametrize("name", problem.BUILTIN_NAMES)
 def test_builtin_matches_problem_file(name):
     b = problem.builtin(name)
     f = problem.load(problem.builtin_file(name))
@@ -148,3 +155,127 @@ def test_get_dispatch(tmp_path):
     assert problem.get("ex3").name == "ex3"
     path = _write(tmp_path, GOOD, "tiny.prob")
     assert problem.get(path).name == "tiny"
+
+
+@pytest.mark.parametrize("name", problem.BUILTIN_NAMES)
+def test_problem_file_matches_reference_walk(name, monkeypatch):
+    """F and J of each shipped twin are bit-identical to one walk per index."""
+    ps = problem.load(problem.builtin_file(name))
+    rng = np.random.default_rng(11)
+    points = rng.uniform(ps.sample_box[:, 0], ps.sample_box[:, 1], size=(40, ps.n))
+    compiled = [(problem.eval_F(ps, x), problem.eval_jacobians(ps, x)) for x in points]
+    monkeypatch.setattr(expr, "eval", walk_lanes)
+    monkeypatch.setattr(expr, "eval_dual",
+                        lambda ast, x, index: expr.DualNumber(None, walk_dual_lanes(ast, x, index)))
+    for x, (F, J) in zip(points, compiled):
+        assert np.array_equal(F, problem.eval_F(ps, x))
+        assert np.array_equal(J, problem.eval_jacobians(ps, x))
+
+
+def test_load_evaluates_each_component_once_per_call(monkeypatch):
+    ps = problem.load(problem.builtin_file("ex2"))    # m = 3, p = 30
+    calls = {"eval": 0, "eval_dual": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(expr, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(expr, name, counted)
+    problem.eval_F(ps, [0.3])
+    assert calls == {"eval": 3, "eval_dual": 0}
+    problem.eval_jacobians(ps, [0.3])
+    assert calls == {"eval": 3, "eval_dual": 3}
+
+
+@pytest.mark.parametrize("evaluate", [problem.eval_F, problem.eval_jacobians])
+def test_load_domain_error_names_first_index(tmp_path, evaluate):
+    text = GOOD.replace("p=3", "p=5").replace("-x1 + 2*i", "x1 + 1/(i-3)")
+    ps = problem.load(_write(tmp_path, text))
+    with pytest.raises(DomainError) as ei:
+        evaluate(ps, [0.5])
+    assert (ei.value.index, ei.value.line, ei.value.column) == (3, 1, 7)
+    assert str(ei.value).startswith("f^3 component 2: 1:7: division by zero")
+
+
+def test_load_domain_error_prefers_lowest_index_over_component(tmp_path):
+    # component 1 fails from i = 4 on, component 2 only at i = 2
+    text = GOOD.replace("p=3", "p=5").replace("x1^2 + i", "log(4 - i)")
+    ps = problem.load(_write(tmp_path, text.replace("-x1 + 2*i", "1/(i - 2)")))
+    with pytest.raises(DomainError, match=r"^f\^2 component 2: "):
+        problem.eval_F(ps, [0.0])
+
+
+def test_load_x_free_domain_error_surfaces_at_evaluation(tmp_path):
+    ps = problem.load(_write(tmp_path, GOOD.replace("-x1 + 2*i", "x1 + log(i - 1)")))
+    with pytest.raises(DomainError, match=r"^f\^1 component 2: 1:6: log"):
+        problem.eval_F(ps, [0.0])
+
+
+def test_load_non_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "bin.prob"
+    path.write_bytes(b"\xff\xfe" + GOOD.encode())
+    with pytest.raises(FormatError, match="UTF-8"):
+        problem.load(str(path))
+
+
+# mostly well-formed entries, so that the fuzz reaches the later checks
+_FUZZ_SIZES = st.sampled_from([1, 2, 3, 1, 2, 3, 0, -1])
+_FUZZ_NUMBERS = st.sampled_from(["-1", "0", "1", "2", "2.5", "-1", "1", "3",
+                                 "nan", "inf", "1e400", "x", ""])
+_FUZZ_EXPRESSIONS = st.sampled_from(["x1^2 + i", "log(i - 1)", "1/(i - 3)", "x2 + x1", "x1 +",
+                                     "floor(x1)", "mod(i, 0)", "sqrt(x1)", "x9", "((x1)",
+                                     "exp(x1*i)", "abs(x1 - i)"])
+_FUZZ_LINES = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(["n", "m", "p", "name", "q"]), _FUZZ_NUMBERS),
+    st.sampled_from(["[meta]", "[box]", "[functions]", "[cone]", "[cone] rows=2", "[other]",
+                     "[box] x", "e= 1 1", "e=", "# comment", ""]),
+    st.lists(_FUZZ_NUMBERS, max_size=3).map(" ".join),
+    _FUZZ_EXPRESSIONS,
+    st.text(alphabet="x1i2+-*/^(), .#=[]e", max_size=16),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def _fuzz_text(draw):
+    """A problem file in the documented layout with fuzzed entries."""
+    n, m, p = (draw(_FUZZ_SIZES) for _ in range(3))
+    lines = [f"[meta] name=fuzz n={n} m={m} p={p}"]
+    row = st.lists(_FUZZ_NUMBERS, min_size=max(m, 0), max_size=max(m, 0)).map(" ".join)
+    if draw(st.booleans()):
+        rows = draw(st.integers(0, 3))
+        lines.append(f"[cone] rows={rows}")
+        lines += [draw(row) for _ in range(rows + draw(st.sampled_from([0, 0, 0, -1, 1])))]
+        lines.append("e= " + draw(row))
+    lines.append("[box]")
+    lines += [" ".join(draw(st.lists(_FUZZ_NUMBERS, min_size=2, max_size=2)))
+              for _ in range(max(n, 0))]
+    lines.append("[functions]")
+    lines += [draw(_FUZZ_EXPRESSIONS) for _ in range(max(m, 0))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_FUZZ_LINES))
+    return "\n".join(lines)
+
+
+def _splice(text, junk, at):
+    data = text.encode()
+    return data[:at] + junk + data[at:]
+
+
+_FUZZ_FILES = st.one_of(
+    st.builds(_splice, _fuzz_text() | st.lists(_FUZZ_LINES, max_size=12).map("\n".join),
+              st.just(b"") | st.binary(max_size=3), st.integers(0, 200)),
+    st.binary(max_size=64),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=_FUZZ_FILES)
+def test_load_fuzz_raises_only_setopt_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.prob")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            problem.load(path)
+        except SetoptError:
+            pass
