@@ -5,6 +5,10 @@ the sequence of starts is a pure function of the seed and never depends on
 the worker count.  The stats JSON contains only deterministic quantities
 (iteration statistics, status counts, configuration echo); wall-clock timing
 goes to a separate informational file.
+
+With jobs > 1 the starts are solved in forked worker processes.  A
+ProblemSpec holds closures and cannot be pickled, so the batch reaches the
+workers by fork; only (method, start index) tasks and RunRecords are sent.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,28 +182,56 @@ def _status_counts(records) -> dict:
     return {k: counts[k] for k in sorted(counts)}
 
 
+_job = None   # (ps, x0s, cfg, seed): a pool worker's batch, set by `_adopt`
+
+
+def _adopt(*job):
+    global _job
+    _job = job
+
+
+def _solve_one(method_key: str, k: int, job=None) -> RunRecord:
+    """Solve start k of the batch (this worker's batch when job is None)."""
+    ps, x0s, cfg, seed = job or _job
+    run_cfg = dataclasses.replace(cfg, method=METHOD_KEYS[method_key], seed=seed)
+    tick = time.perf_counter()
+    trace = solver_mod.run(ps, x0s[k], run_cfg)
+    secs = time.perf_counter() - tick
+    return RunRecord(start_index=k, x0=tuple(float(v) for v in x0s[k]),
+                     status=trace.status, iterations=trace.iterations, seconds=secs)
+
+
+def _forked_pool(workers: int, job):
+    """A pool of `workers` forked processes that adopt `job`; None without fork."""
+    # Imported here: a serial run need not pay their ~20 ms of import.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=job)
+
+
 def run_bench(ps: ProblemSpec, starts: int, methods, seed: int,
               cfg: SolverConfig, jobs: int = 1, box=None) -> BenchResult:
-    """Run every method from the same sampled starts; fold in index order."""
+    """Run every method from the same sampled starts; fold in index order.
+
+    With jobs > 1, up to `jobs` forked worker processes share the starts of
+    all methods; without the `fork` start method the starts run in-process.
+    """
     x0s = [sample_start(ps, seed, k, box) for k in range(starts)]
+    job = (ps, x0s, cfg, seed)
+    tasks = [(m, k) for m in methods for k in range(starts)]
+    workers = min(jobs, len(tasks))
+    pool = _forked_pool(workers, job) if workers > 1 else None
+    if pool is None:
+        recs = [_solve_one(m, k, job) for m, k in tasks]
+    else:
+        with pool:
+            recs = list(pool.map(_solve_one, *zip(*tasks)))
     result = BenchResult(problem=ps.name, starts=starts, seed=seed)
-
-    def one(method_key, k):
-        run_cfg = dataclasses.replace(cfg, method=METHOD_KEYS[method_key], seed=seed)
-        tick = time.perf_counter()
-        trace = solver_mod.run(ps, x0s[k], run_cfg)
-        secs = time.perf_counter() - tick
-        return RunRecord(start_index=k, x0=tuple(float(v) for v in x0s[k]),
-                         status=trace.status, iterations=trace.iterations,
-                         seconds=secs)
-
-    for method_key in methods:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                recs = list(pool.map(lambda k: one(method_key, k), range(starts)))
-        else:
-            recs = [one(method_key, k) for k in range(starts)]
-        result.runs[method_key] = recs
+    for j, method_key in enumerate(methods):
+        result.runs[method_key] = recs[j * starts:(j + 1) * starts]
     return result
 
 

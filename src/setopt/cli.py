@@ -107,7 +107,7 @@ def _add_solver_flags(sp, with_x0=True):
                     help="builtin name (ex1..ex7) or path to a problem file")
     if with_x0:
         sp.add_argument("--x0", required=True, help="start point, comma-separated")
-    sp.add_argument("--method", default="qnm", help="qnm or sd")
+        sp.add_argument("--method", default="qnm", help="qnm or sd")
     sp.add_argument("--beta", type=float, default=0.5)
     sp.add_argument("--nu", type=float, default=0.6)
     sp.add_argument("--eps", type=float, default=1e-3)
@@ -126,17 +126,11 @@ def build_parser() -> _Parser:
                     help="record F(x_k) snapshots regardless of image size")
 
     bp = sub.add_parser("bench", help="multi-start benchmark with statistics")
-    bp.add_argument("--problem", required=True)
+    _add_solver_flags(bp, with_x0=False)
     bp.add_argument("--starts", type=int, default=100)
     bp.add_argument("--methods", default="qnm,sd", help="comma list from {qnm,sd}")
-    bp.add_argument("--beta", type=float, default=0.5)
-    bp.add_argument("--nu", type=float, default=0.6)
-    bp.add_argument("--eps", type=float, default=1e-3)
-    bp.add_argument("--max-iter", type=int, default=100)
-    bp.add_argument("--seed", type=int, default=0)
     bp.add_argument("--box", default=None, help="sample-box override lo:hi[,lo:hi...]")
-    bp.add_argument("--jobs", type=int, default=1)
-    bp.add_argument("--out", default=None)
+    bp.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process)")
 
     pp = sub.add_parser("plot-data", help="emit per-iteration image/decision CSVs")
     _add_solver_flags(pp)

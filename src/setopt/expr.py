@@ -334,8 +334,9 @@ class _Scalar:
     floats and `math`, for one index value `i` (None where i is not used)."""
 
     __slots__ = ("i", "kink")
-    sin, cos, tan, exp, log, sqrt, copysign = (
-        math.sin, math.cos, math.tan, math.exp, math.log, math.sqrt, math.copysign)
+    sin, cos, tan, exp, log, sqrt, copysign, pow = (
+        math.sin, math.cos, math.tan, math.exp, math.log, math.sqrt, math.copysign,
+        operator.pow)
     any = all = bool
     not_ = operator.not_
 
@@ -357,6 +358,10 @@ class _Scalar:
             raise _Fail(node, message)
         return False
 
+    @staticmethod
+    def finite(node, v, *operands, where=True):
+        return v    # math.exp and float ** raise OverflowError themselves
+
     def flag(self, kink):
         if kink:
             self.kink = True
@@ -368,8 +373,8 @@ class _Lanes:
     subtrees for this index vector."""
 
     __slots__ = ("iv", "p", "folds", "failed", "kinks", "shared_ctx")
-    sin, cos, tan, exp, log, sqrt, copysign, where = (
-        np.sin, np.cos, np.tan, np.exp, np.log, np.sqrt, np.copysign, staticmethod(np.where))
+    sin, cos, tan, log, sqrt, copysign, where = (
+        np.sin, np.cos, np.tan, np.log, np.sqrt, np.copysign, staticmethod(np.where))
     any, all, not_ = staticmethod(np.any), staticmethod(np.all), np.logical_not
 
     def __init__(self, iv, folds):
@@ -390,6 +395,27 @@ class _Lanes:
             return False
         self._record(np.flatnonzero(np.broadcast_to(bad, (self.p,))).tolist(), node, message)
         return True
+
+    # numpy overflows to inf where `math` and float ** raise; `finite` marks it.
+    @staticmethod
+    def exp(v):
+        with np.errstate(over="ignore"):
+            return np.exp(v)
+
+    @staticmethod
+    def pow(a, b):
+        with np.errstate(over="ignore"):
+            return a ** b
+
+    def finite(self, node, v, *operands, where=True):
+        """Mark lanes (of `where`) where finite operands gave an infinite
+        result; they become nan."""
+        bad = np.isinf(v) & where
+        for a in operands:
+            bad &= np.isfinite(a)
+        if self.check(node, bad, "overflow"):
+            return np.where(bad, math.nan, v)
+        return v
 
     def _record(self, lanes, node, message):
         if self.failed is None:
@@ -541,8 +567,12 @@ def _pow_base(c, node, a, b):
     return a
 
 
+def _power(c, node, a, b, where=True):
+    return c.finite(node, c.pow(a, b), a, b, where=where)
+
+
 def _pow(c, node, a, b):
-    return _pow_base(c, node, a, b) ** b
+    return _power(c, node, _pow_base(c, node, a, b), b)
 
 
 def _moving(g):
@@ -557,7 +587,7 @@ def _moving(g):
 def _pow_d(c, node, a, b):
     (av, ag), (bv, bg) = a, b
     av = _pow_base(c, node, av, bv)
-    value = av ** bv
+    value = _power(c, node, av, bv)
     moving = _moving(bg)
     grad = None
     if c.any(moving):
@@ -569,7 +599,8 @@ def _pow_d(c, node, a, b):
         c.check(node, c.not_(moving) & zero & c.not_((bv == 1.0) | (bv > 1.0) | (bv == 0.0)),
                 "derivative of x^b unbounded at x=0 for 0<b<1")
         coef = c.where(zero, c.where(bv == 1.0, 1.0, 0.0),
-                       bv * c.where(zero, 1.0, av) ** (bv - 1.0))
+                       bv * _power(c, node, c.where(zero, 1.0, av), bv - 1.0,
+                                   where=c.not_(moving)))
         fixed = _scale(coef, ag)
         if grad is None:
             grad = fixed
@@ -591,8 +622,12 @@ def _tan_d(c, node, a):
     return t, _scale(1.0 + t * t, a[1])
 
 
+def _exp(c, node, v):
+    return c.finite(node, c.exp(v), v)
+
+
 def _exp_d(c, node, a):
-    e = c.exp(a[0])
+    e = _exp(c, node, a[0])
     return e, _scale(e, a[1])
 
 
@@ -657,7 +692,7 @@ _OPS = {  # node kind -> (value op, dual op)
     "sin": (lambda c, node, v: c.sin(v), _sin_d),
     "cos": (lambda c, node, v: c.cos(v), _cos_d),
     "tan": (lambda c, node, v: c.tan(v), _tan_d),
-    "exp": (lambda c, node, v: c.exp(v), _exp_d),
+    "exp": (_exp, _exp_d),
     "log": (_log, _log_d),
     "sqrt": (_sqrt, _sqrt_d),
     "abs": (_abs, _abs_d),

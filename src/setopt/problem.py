@@ -35,12 +35,20 @@ class ProblemSpec:
     jacobians_fn: Callable[[np.ndarray], np.ndarray]  # x -> (p, m, n)
 
 
+def _call(fn, x):
+    """fn(x), with an arithmetic failure (overflow, division by zero) typed."""
+    try:
+        return fn(x)
+    except ArithmeticError as exc:
+        raise DomainError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def eval_F(ps: ProblemSpec, x) -> np.ndarray:
     """All p image vectors at x, index-aligned: row i-1 is f^i(x)."""
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != ps.n:
         raise DomainError(f"x has length {x.shape[0]}, expected {ps.n}")
-    return ps.values_fn(x)
+    return _call(ps.values_fn, x)
 
 
 def eval_jacobians(ps: ProblemSpec, x, indices=None) -> np.ndarray:
@@ -48,7 +56,7 @@ def eval_jacobians(ps: ProblemSpec, x, indices=None) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != ps.n:
         raise DomainError(f"x has length {x.shape[0]}, expected {ps.n}")
-    J = ps.jacobians_fn(x)
+    J = _call(ps.jacobians_fn, x)
     if indices is None:
         return J
     idx = np.asarray(list(indices), dtype=int) - 1

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import statistics
 import subprocess
 import sys
@@ -104,6 +105,57 @@ def test_bench_jobs_independent():
     p1 = bench.stats_payload(bench.run_bench(ps, 10, ["qnm", "sd"], 7, c, jobs=1), c)
     p8 = bench.stats_payload(bench.run_bench(ps, 10, ["qnm", "sd"], 7, c, jobs=8), c)
     assert json.dumps(p1, sort_keys=True) == json.dumps(p8, sort_keys=True)
+
+
+def _lambda_spec(values=None):
+    """ex5 rebuilt from lambdas, which cannot be pickled."""
+    base = problem.builtin("ex5")
+    return problem.ProblemSpec("lambda-ex5", base.n, base.m, base.p, base.cone,
+                               base.sample_box, values or (lambda x: base.values_fn(x)),
+                               lambda x: base.jacobians_fn(x))
+
+
+def test_pool_solves_unpicklable_spec_like_in_process():
+    ps = _lambda_spec()
+    with pytest.raises(Exception):
+        pickle.dumps(ps)
+    serial = bench.run_bench(ps, 6, ["qnm", "sd"], 3, cfg(), jobs=1)
+    pooled = bench.run_bench(ps, 6, ["qnm", "sd"], 3, cfg(), jobs=2)
+    assert list(pooled.runs) == list(serial.runs) == ["qnm", "sd"]
+    for key in serial.runs:
+        assert ([dataclasses.replace(r, seconds=0.0) for r in pooled.runs[key]]
+                == [dataclasses.replace(r, seconds=0.0) for r in serial.runs[key]])
+
+
+def test_pool_solves_in_worker_processes(tmp_path):
+    log = tmp_path / "pids"
+    base = problem.builtin("ex5")
+
+    def values(x):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return base.values_fn(x)
+
+    def pids():
+        found = set(log.read_text().split())
+        log.unlink()
+        return found
+
+    bench.run_bench(_lambda_spec(values), 10, ["qnm", "sd"], 3, cfg(), jobs=2)
+    workers = pids()
+    assert str(os.getpid()) not in workers and len(workers) >= 2
+    # never more workers than tasks
+    bench.run_bench(_lambda_spec(values), 3, ["qnm"], 3, cfg(), jobs=8)
+    workers = pids()
+    assert str(os.getpid()) not in workers and len(workers) <= 3
+
+
+def test_pool_worker_exception_reaches_caller():
+    def values(x):
+        raise LookupError("no such image")
+
+    with pytest.raises(LookupError, match="no such image"):
+        bench.run_bench(_lambda_spec(values), 4, ["qnm"], 3, cfg(), jobs=2)
 
 
 def test_run_bench_keeps_every_knob(monkeypatch):

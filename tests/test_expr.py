@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,36 @@ def test_first_failing_index_wins_over_evaluation_order():
     with pytest.raises(DomainError) as ei:
         expr.eval(ast, [0.0], np.arange(1, 5))
     assert (ei.value.index, ei.value.column) == (2, 21)
+
+
+@pytest.mark.parametrize("src, x, where", [
+    ("exp(x1*i)", 300.0, (3, 1, 1)),            # exp(900) at i = 3
+    ("x1 + x1^i", 1e200, (2, 1, 8)),
+    ("pow(x1, i) + 1/(i - 3)", 1e200, (2, 1, 1)),   # the overflow at i = 2 comes first
+])
+def test_array_lane_overflow_is_a_domain_error(src, x, where):
+    ast = expr.parse(src, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy RuntimeWarning either
+        for evaluate in (expr.eval, expr.eval_dual):
+            for i in (np.arange(1, 5), where[0]):
+                with pytest.raises(DomainError, match="overflow") as ei:
+                    evaluate(ast, [x], i)
+                assert (ei.value.index, ei.value.line, ei.value.column) == where
+    # the scalar subtree raised before; an x-and-i subtree now raises alike
+    with pytest.raises(DomainError, match="^1:1: overflow$"):
+        expr.eval(expr.parse("exp(x1*i)", 1), [800.0], 1)
+    with pytest.raises(DomainError, match="^1:1: overflow$"):
+        expr.eval(expr.parse("exp(x1)", 1), [800.0], 1)
+
+
+def test_array_lane_derivative_overflow_is_a_domain_error():
+    # (1e-200 i)^-1.5 is finite, its derivative's (1e-200 i)^-2.5 is not
+    ast = expr.parse("pow(x1*i, 0 - 1.5)", 1)
+    assert np.all(np.isfinite(expr.eval(ast, [1e-200], np.arange(1, 4))))
+    with pytest.raises(DomainError, match="overflow") as ei:
+        expr.eval_dual(ast, [1e-200], np.arange(1, 4))
+    assert (ei.value.index, ei.value.column) == (1, 1)
 
 
 def test_floor_and_mod():

@@ -210,6 +210,19 @@ def test_load_x_free_domain_error_surfaces_at_evaluation(tmp_path):
         problem.eval_F(ps, [0.0])
 
 
+def test_arithmetic_error_of_a_problem_callable_is_a_domain_error():
+    ps = problem.builtin("ex1")              # math.exp overflows far from the origin
+    with pytest.raises(DomainError, match="OverflowError"):
+        problem.eval_F(ps, [800.0])
+    with pytest.raises(DomainError, match="OverflowError"):
+        problem.eval_jacobians(ps, [800.0])
+    inverse = problem.ProblemSpec("inverse", 1, 2, 1, ps.cone, ps.sample_box,
+                                  lambda x: np.array([[1.0 / float(x[0]), 0.0]]),
+                                  lambda x: np.array([[[-1.0 / x[0] ** 2], [0.0]]]))
+    with pytest.raises(DomainError, match="ZeroDivisionError"):
+        problem.eval_F(inverse, [0.0])
+
+
 def test_load_non_utf8_is_a_format_error(tmp_path):
     path = tmp_path / "bin.prob"
     path.write_bytes(b"\xff\xfe" + GOOD.encode())

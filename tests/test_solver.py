@@ -226,3 +226,9 @@ def test_rate_probe_soft_diagnostic():
         dists = [np.linalg.norm(x - x_bar) for x in xs[-6:-1]]
         ratios = [b / a for a, b in zip(dists, dists[1:]) if a > 0]
         assert all(r <= 1.5 for r in ratios)
+
+
+def test_overflow_in_a_builtin_ends_the_start_as_a_numerical_error():
+    trace = solver.run(problem.builtin("ex1"), [800.0], solver.SolverConfig())
+    assert trace.status == solver.NUMERICAL_ERROR
+    assert "OverflowError" in trace.message
