@@ -87,19 +87,15 @@ def _load_problem(name_or_path):
 
 
 def _config_from(args, method_key="qnm") -> SolverConfig:
-    for flag, value in (("--beta", args.beta), ("--nu", args.nu)):
-        if not 0.0 < value < 1.0:
-            raise CliError(f"{flag} must lie in the open interval (0,1), got {value}")
-    if args.eps <= 0.0:
-        raise CliError(f"--eps must be positive, got {args.eps}")
-    if args.max_iter < 1:
-        raise CliError(f"--max-iter must be at least 1, got {args.max_iter}")
     method = bench_mod.METHOD_KEYS.get(method_key)
     if method is None:
         raise CliError(f"unknown method {method_key!r}; choose qnm or sd")
-    return SolverConfig(beta=args.beta, nu=args.nu, eps_stop=args.eps,
-                        max_iter=args.max_iter, method=method, seed=args.seed,
-                        trace_images=getattr(args, "trace_images", False))
+    try:
+        return SolverConfig(beta=args.beta, nu=args.nu, eps_stop=args.eps,
+                            max_iter=args.max_iter, method=method, seed=args.seed,
+                            trace_images=getattr(args, "trace_images", False))
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _add_solver_flags(sp, with_x0=True):

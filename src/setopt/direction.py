@@ -7,8 +7,12 @@ scalar component h^{i,q}; the direction subproblem for a selector a becomes
 
 which is solved through its concave dual over the simplex: maximize
 phi(lam) = -1/2 g(lam)' H(lam)^{-1} g(lam) with g(lam), H(lam) the weighted
-averages.  Ascent combines Frank-Wolfe vertex selection with corrective
-Newton steps on the current support; the duality gap certifies the result.
+averages.  Exact repeats of a term are merged, and a finite active-set ascent
+after Wolfe (1976) keeps the support of lam affinely independent in the
+gradients v_t = g_t + H_t u, so at most n + 1 terms: Newton steps on the face
+with a ratio test that drops terms, and Caratheodory steps along a null
+direction when a joining term would make the face dependent.  The duality gap
+certifies the result.
 """
 
 from __future__ import annotations
@@ -115,79 +119,56 @@ class SubproblemSolution:
     converged: bool
 
 
+# A face curvature eigenvalue below DEPENDENT times the largest marks affine
+# dependence; a converged gap above POLISH * tol_sub gets one more Newton step.
+DEPENDENT = 1e-14
+POLISH = 1e-3
+
+
+def _distinct(gs, Hs):
+    """rep[t], the first index of term t's exact repeats, and the distinct terms' indices."""
+    T = len(gs)
+    rows = np.concatenate([gs, Hs.reshape(T, -1)], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    first: dict = {}
+    rep = np.array([first.setdefault(key, t) for t, key in enumerate(keys)])
+    return rep, np.flatnonzero(rep == np.arange(T))
+
+
 def _dual_point(lam, gs, Hs):
-    """u(lam), per-term values theta_t(u), and the dual value phi(lam)."""
-    H = np.einsum("t,tij->ij", lam, Hs)
-    g = lam @ gs
+    """u(lam), theta_t(u), v_t = g_t + H_t u, phi(lam) and H(lam)^{-1}."""
+    n = gs.shape[1]
     try:
-        u = -np.linalg.solve(H, g)
+        Hinv = np.linalg.inv((lam @ Hs.reshape(len(lam), -1)).reshape(n, n))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("averaged matrix H(lam) is singular") from exc
-    theta = gs @ u + 0.5 * np.einsum("tij,i,j->t", Hs, u, u)
-    return u, theta, float(lam @ theta)
+    u = -Hinv @ (lam @ gs)
+    Hu = Hs @ u
+    theta = gs @ u + 0.5 * (Hu @ u)
+    return u, theta, gs + Hu, float(lam @ theta), Hinv
 
 
-def _dual_value(lam, gs, Hs) -> float:
-    H = np.einsum("t,tij->ij", lam, Hs)
-    g = lam @ gs
-    try:
-        return -0.5 * float(g @ np.linalg.solve(H, g))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("averaged matrix H(lam) is singular") from exc
+def _gap(point) -> float:
+    """Duality gap; u = 0, of value 0, stands in when max_t theta_t >= 0."""
+    return min(float(point[1].max()), 0.0) - point[3]
 
 
-def _newton_step(lam, support, u, theta, gs, Hs):
-    """Equality-constrained Newton direction for the dual, on the support face."""
-    H = np.einsum("t,tij->ij", lam, Hs)
-    V = gs[support] + np.einsum("tij,j->ti", Hs[support], u)   # rows v_t = g_t + H_t u
-    try:
-        W = np.linalg.solve(H, V.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("averaged matrix H(lam) is singular") from exc
-    M = V @ W                                                  # curvature of -phi on the face
-    k = len(support)
-    ridge = 1e-14 * (1.0 + np.trace(M))
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = M + ridge * np.eye(k)
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([theta[support], [0.0]])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    d = np.zeros_like(lam)
-    d[support] = sol[:k]
-    return d
+def _face_step(S, point):
+    """Step d over the face S (summing to 0) and whether v_S is affinely dependent.
 
-
-def _line_search_max(lam, d, gs, Hs, phi0, gap0):
-    """Backtrack along d keeping lam feasible.
-
-    A step is accepted if it strictly improves the dual value, or — near the
-    optimum, where the dual is flat to machine precision — if it shrinks the
-    duality gap without measurably worsening the dual value.
+    Independent: the Newton step of phi on the face.  Dependent: a null
+    direction, sum_t d_t v_t = 0, on which u stays put and phi is linear,
+    signed to ascend.
     """
-    neg = d < 0.0
-    if np.any(neg):
-        alpha_max = min(1.0, float(np.min(-lam[neg] / d[neg])))
-    else:
-        alpha_max = 1.0
-    if alpha_max <= 0.0:
-        return None
-    flat = 1e-12 * (1.0 + abs(phi0))
-    alpha = alpha_max
-    for _ in range(40):
-        trial = np.clip(lam + alpha * d, 0.0, None)
-        ssum = trial.sum()
-        if ssum > 0.0:
-            trial = trial / ssum
-            _, theta, val = _dual_point(trial, gs, Hs)
-            gap = float(theta.max() - val)
-            if val > phi0 + flat or (val >= phi0 - flat and gap < 0.5 * gap0):
-                return trial
-        alpha *= 0.5
-    return None
+    _, theta, v, _, Hinv = point
+    if len(S) == 1:
+        return np.zeros(1), False
+    D = v[S[1:]] - v[S[0]]
+    w, Q = np.linalg.eigh(D @ Hinv @ D.T)
+    dependent = w[0] <= DEPENDENT * w[-1]
+    c = Q[:, 0] if dependent else Q @ (Q.T @ (theta[S[1:]] - theta[S[0]]) / w)
+    d = np.concatenate([[-c.sum()], c])
+    return (-d if dependent and theta[S] @ d < 0.0 else d), dependent
 
 
 def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
@@ -195,52 +176,70 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
     """Solve min_u max_t [g_t'u + 1/2 u'H_t u] for SPD H_t.
 
     Returns (u, phi, lam, gap, converged) where phi = max_t theta_t(u) <= 0
-    (u = 0 is substituted whenever the recovered point is not better than 0)
-    and gap is the final duality gap max_t theta_t(u) - phi(lam).
+    (u = 0 is substituted whenever the recovered point is not better than 0),
+    lam holds the dual weights of all T terms and gap is the final duality gap.
     """
     gs = np.asarray(gs, dtype=float)
     Hs = np.asarray(Hs, dtype=float)
     T, n = gs.shape
+    rep, idx = _distinct(gs, Hs)
+    gs, Hs = gs[idx], Hs[idx]
     if lam0 is not None and np.asarray(lam0).shape == (T,) and np.min(lam0) >= 0.0 and np.sum(lam0) > 0.0:
-        lam = np.asarray(lam0, dtype=float) / np.sum(lam0)
+        lam = np.bincount(rep, np.asarray(lam0, dtype=float), T)[idx]
     else:
-        lam = np.full(T, 1.0 / T)
+        # cold start at the shortest gradient, the best vertex when H_t = I
+        lam = (np.arange(len(idx)) == np.argmin(np.einsum("ti,ti->t", gs, gs))).astype(float)
+    lam /= lam.sum()
+    point = _dual_point(lam, gs, Hs)
 
-    best = None  # (gap, phi_dual, lam, u, theta)
-    converged = False
+    polish = False
     for _ in range(max_inner):
-        u, theta, phi_dual = _dual_point(lam, gs, Hs)
-        gap = float(theta.max() - phi_dual)
-        if theta.max() >= 0.0:
-            # u = 0 (value 0) will be substituted; its gap is 0 - phi(lam)
-            gap = min(gap, max(0.0, -phi_dual))
-        if best is None or gap < best[0]:
-            best = (gap, phi_dual, lam.copy(), u, theta)
-        if gap <= tol_sub:
-            converged = True
+        gap = _gap(point)
+        if gap <= POLISH * tol_sub or (polish and gap <= tol_sub):
             break
-        support = sorted(set(np.flatnonzero(lam > 0.0).tolist()) | {int(np.argmax(theta))})
-        d = _newton_step(lam, np.asarray(support, dtype=int), u, theta, gs, Hs)
-        nxt = _line_search_max(lam, d, gs, Hs, phi_dual, gap)
-        if nxt is None:
-            # fall back to a plain Frank-Wolfe step toward the best vertex
-            d_fw = -lam.copy()
-            d_fw[int(np.argmax(theta))] += 1.0
-            nxt = _line_search_max(lam, d_fw, gs, Hs, phi_dual, gap)
-            if nxt is None:
-                break  # no progress possible at working precision
-        lam = nxt
-        lam[lam < 1e-17] = 0.0
-        lam = lam / lam.sum()
+        # a gap within tol_sub gets one more full Newton step on the solved face
+        polish = gap <= tol_sub
+        theta, phi = point[1], point[3]
+        S = np.flatnonzero(lam)
+        t = int(np.argmax(theta))
+        S_t = S if polish or t in S else np.append(S, t)
+        d, dependent = _face_step(S_t, point)
+        if S_t is S or (d[-1] > 0.0 and theta[S_t] @ d > 0.0):
+            S = S_t
+        else:  # the most violated term joins only once the larger face's step gives it weight
+            d, dependent = _face_step(S, point)
+        neg = np.flatnonzero(d < 0.0)
+        if not neg.size:
+            break  # d = 0: no ascent left at working precision
+        ratios = lam[S[neg]] / -d[neg]
+        alpha_max = float(ratios.min())
+        alpha = alpha_max if dependent else min(1.0, alpha_max)
+        rise = float(theta[S] @ d)
+        noise = 1e-12 * float((np.abs(gs[S]) @ np.abs(point[0])).max())
+        for _ in range(40):
+            trial = lam.copy()
+            trial[S] = np.maximum(lam[S] + alpha * d, 0.0)
+            if alpha == alpha_max:
+                trial[S[neg[np.argmin(ratios)]]] = 0.0  # the ratio test drops this term
+            trial /= trial.sum()
+            nxt = _dual_point(trial, gs, Hs)
+            # A step must ascend.  Where its rise is below the rounding of the
+            # products in g_t'u, it must keep phi and drop a term or shrink the gap.
+            ascends = nxt[3] > phi + 0.25 * alpha * rise or (
+                rise <= noise and nxt[3] >= phi - noise and (alpha == alpha_max or _gap(nxt) < gap))
+            if polish or ascends:
+                break
+            alpha *= 0.5
+        else:
+            break  # no ascent at working precision
+        lam, point = trial, nxt
 
-    gap, phi_dual, lam, u, theta = best
-    phi = float(theta.max())
+    u, phi = point[0], float(point[1].max())
     if phi >= 0.0:
         # u = 0 is always feasible with value 0; never report a worse point
-        u = np.zeros(n)
-        phi = 0.0
-        gap = max(0.0, -phi_dual)
-    return u, phi, lam, gap, converged
+        u, phi = np.zeros(n), 0.0
+    gap = _gap(point)
+    return u, phi, np.bincount(idx, lam, T), gap, gap <= tol_sub
 
 
 def terms_for_a(grads, store: Optional[HessianStore], a: PartitionElement):

@@ -43,7 +43,6 @@ class SolverConfig:
     max_backtracks: int = 60
     tol_sub: float = 1e-10
     tol_group: float = 1e-8
-    tol_order: float = 0.0
     tol_armijo: float = 1e-12
     c_curv: float = 1e-8
     max_inner: int = 500
@@ -52,12 +51,15 @@ class SolverConfig:
     trace_images: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not 0.0 < self.nu < 1.0:
-            raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
+        for name in ("beta", "nu"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in the open interval (0,1), "
+                                 f"got {getattr(self, name)}")
         if self.eps_stop <= 0.0:
             raise ValueError(f"eps_stop must be positive, got {self.eps_stop}")
+        for name, least in (("max_iter", 1), ("max_inner", 1), ("max_backtracks", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -151,7 +153,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
             if J is None:
                 J = problem_mod.eval_jacobians(ps, x)
                 grads = problem_mod.scalarized_gradients(c, J)
-            ms = setorder_mod.analyze(c, F, cfg.tol_order, cfg.tol_group)
+            ms = setorder_mod.analyze(c, F, tol_group=cfg.tol_group)
             sol = direction_mod.solve_subproblem(
                 sc, store, x, ms, tol_sub=cfg.tol_sub, max_inner=cfg.max_inner, warm=warm,
                 grads=grads)
@@ -218,7 +220,7 @@ def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
     sc = problem_mod.scalarize(ps)
     c = ps.cone
     F = problem_mod.eval_F(ps, x)
-    ms = setorder_mod.analyze(c, F, cfg.tol_order, cfg.tol_group)
+    ms = setorder_mod.analyze(c, F, tol_group=cfg.tol_group)
     sol = direction_mod.solve_subproblem(sc, store, x, ms,
                                          tol_sub=cfg.tol_sub, max_inner=cfg.max_inner)
     min_eq_wmin = set(ms.minimal_indices) == set(ms.weakly_minimal_indices)
@@ -231,7 +233,7 @@ def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
         d = d / np.linalg.norm(d)
         try:
             probe = setorder_mod.analyze(c, problem_mod.eval_F(ps, x + probe_radius * d),
-                                         cfg.tol_order, cfg.tol_group)
+                                         tol_group=cfg.tol_group)
         except SetoptError:
             same = None
             break

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setopt import direction, oracle, problem, setorder
 from setopt.errors import NumericalBreakdown
@@ -214,6 +216,45 @@ def test_grid_oracle_equivalence():
         c_min = min(np.linalg.eigvalsh(H).min() for H in Hs)
         delta = abs(oracle.minmax_value(terms, gu) - phi) + gap
         assert np.linalg.norm(u - gu) <= 1e-4 + 2.0 * np.sqrt(2.0 * delta / c_min)
+
+
+def _degenerate_terms(rng, shape, identity):
+    """Exact repeats (3 terms x 10 copies) or 12 gradients on a segment plus 1 more."""
+    n = 2
+
+    def matrices(k):
+        if identity:
+            return np.broadcast_to(np.eye(n), (k, n, n)).copy()
+        M = rng.uniform(-1.0, 1.0, (k, n, n))
+        return M @ M.transpose(0, 2, 1) + np.eye(n)
+
+    if shape == "repeats":
+        order = rng.permutation(np.repeat(np.arange(3), 10))
+        return rng.uniform(-2.0, 2.0, (3, n))[order], matrices(3)[order]
+    a, b = rng.uniform(-2.0, 2.0, (2, n))
+    on_segment = a + rng.uniform(0.0, 1.0, (12, 1)) * (b - a)
+    return np.vstack([on_segment, rng.uniform(-2.0, 2.0, (1, n))]), matrices(13)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["repeats", "segment"]),
+       identity=st.booleans())
+def test_degenerate_terms_match_grid_oracle(seed, shape, identity):
+    """Repeated and collinear terms converge, on an affinely independent support."""
+    gs, Hs = _degenerate_terms(np.random.default_rng(seed), shape, identity)
+    u, phi, lam, gap, ok = direction.solve_minmax(gs, Hs, max_inner=200)
+    assert ok and gap <= 1e-10
+    assert lam.shape == (len(gs),) and lam.sum() == pytest.approx(1.0)
+    assert np.count_nonzero(lam) <= gs.shape[1] + 1
+    terms = list(zip(gs, Hs))
+    assert oracle.minmax_value(terms, u) == pytest.approx(phi, abs=1e-12)
+    # lam certifies phi: its dual value, computed here, is a lower bound on the min
+    g, H = lam @ gs, np.einsum("t,tij->ij", lam, Hs)
+    assert phi + 0.5 * g @ np.linalg.solve(H, g) <= 1e-10
+    # no grid point beats u; on a kink ridge the grid itself may miss by ~1e-4
+    grid = oracle.GridSpec(lo=(-5.0, -5.0), hi=(5.0, 5.0), step=(2e-2, 2e-2))
+    gu, gphi = oracle.grid_minmax(terms, grid, refinements=3)
+    assert gphi - 1e-3 <= phi <= gphi + 1e-12
 
 
 def _two_class_problem():

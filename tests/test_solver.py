@@ -22,6 +22,31 @@ def test_config_validation():
         solver.SolverConfig(nu=0.0)
     with pytest.raises(ValueError):
         solver.SolverConfig(method="newton")
+    with pytest.raises(ValueError, match="max_iter"):
+        solver.SolverConfig(max_iter=0)
+    with pytest.raises(ValueError, match="max_inner"):
+        solver.SolverConfig(max_inner=0)
+    with pytest.raises(ValueError, match="max_backtracks"):
+        solver.SolverConfig(max_backtracks=-1)
+    assert solver.SolverConfig(max_backtracks=0).max_backtracks == 0
+
+
+@pytest.mark.parametrize("method, iterations", [("quasi_newton", 7), ("steepest_descent", 14)])
+def test_ex4_inner_solves_converge(monkeypatch, method, iterations):
+    """ex4's subproblems repeat each of 3 terms 10 times; every inner solve converges."""
+    flags = []
+    original = direction.solve_minmax
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        flags.append(out[4])
+        return out
+
+    monkeypatch.setattr(direction, "solve_minmax", spy)
+    ps = problem.builtin("ex4")
+    trace = solver.run(ps, bench.sample_start(ps, 1, 25), paper_cfg(method=method, max_iter=20))
+    assert (trace.status, trace.iterations) == (solver.CONVERGED, iterations)
+    assert len(flags) == iterations and all(flags)
 
 
 def test_armijo_hand_example():
