@@ -6,7 +6,7 @@ from . import bench, cli, cone, direction, expr, oracle, problem, setorder, solv
 from .cone import (ConeSpec, gerstewitz, gerstewitz_batch, in_cone, in_int_cone,
                    leq, lt, nonnegative_orthant, validate, varsigma)
 from .direction import (HessianStore, SubproblemSolution, bfgs_update, init_store,
-                        solve_for_a, solve_minmax, solve_subproblem)
+                        solve_minmax, solve_subproblem)
 from .errors import SetoptError
 from .problem import (ProblemSpec, ScalarizedComponents, builtin, eval_F,
                       eval_jacobians, load, scalarize)

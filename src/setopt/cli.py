@@ -175,6 +175,8 @@ def cmd_bench(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods or len(set(methods)) < len(methods):
+        raise CliError(f"--methods needs distinct names from qnm, sd, got {args.methods!r}")
     for m in methods:
         if m not in bench_mod.METHOD_KEYS:
             raise CliError(f"unknown method {m!r} in --methods; choose from qnm, sd")
@@ -217,9 +219,11 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
     try:
         ps = problem_mod.get(args.problem)
-    except SetoptError as exc:
+    except (SetoptError, OSError) as exc:
         print(f"FAIL {type(exc).__name__}: {exc}")
         return 1
     print(f"ok    parse+cone: {ps.name} (n={ps.n}, m={ps.m}, p={ps.p}, Q={ps.cone.Q})")

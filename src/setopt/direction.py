@@ -65,6 +65,12 @@ class UpdateReport:
     skipped: list
 
 
+def _pairs(mask) -> list:
+    """The 1-based (i, q) pairs where the (p, Q) mask is set, row-major."""
+    i, q = np.nonzero(mask)
+    return list(zip((i + 1).tolist(), (q + 1).tolist()))
+
+
 def _dots(a, b) -> np.ndarray:
     """Row-wise dot products over the last axis.
 
@@ -90,20 +96,18 @@ def bfgs_update(store: HessianStore, s, y_all, c_curv: float = 1e-8) -> UpdateRe
     sy = _dots(y_all, s)                                   # (p, Q)
     y_norm = np.sqrt(_dots(y_all, y_all))
     apply = ~((sy <= 0.0) | (sy < c_curv * s_norm * y_norm))
-    pairs = np.argwhere(apply) + 1                         # 1-based (i, q), row-major
     B = store.matrices[apply]                              # (k, n, n)
     Bs = B @ s
     sBs = _dots(Bs, s)
     bad = np.flatnonzero(sBs <= 0.0)
     if bad.size:
-        i, q = pairs[bad[0]]
+        i, q = _pairs(apply)[bad[0]]
         raise NumericalBreakdown(
             f"s'Bs = {sBs[bad[0]]:g} <= 0 for component ({i},{q}); store corrupted")
     y = y_all[apply]
     store.matrices[apply] = (B - Bs[:, :, None] * Bs[:, None, :] / sBs[:, None, None]
                              + y[:, :, None] * y[:, None, :] / sy[apply][:, None, None])
-    applied = [(int(i), int(q)) for i, q in pairs]
-    skipped = [(int(i), int(q)) for i, q in np.argwhere(~apply) + 1]
+    applied, skipped = _pairs(apply), _pairs(~apply)
     store.applied += len(applied)
     store.skipped += len(skipped)
     return UpdateReport(applied=applied, skipped=skipped)
@@ -114,7 +118,6 @@ class SubproblemSolution:
     a: PartitionElement
     u: np.ndarray
     phi: float
-    lam: np.ndarray
     gap: float
     converged: bool
 
@@ -245,7 +248,8 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
 def terms_for_a(grads, store: Optional[HessianStore], a: PartitionElement):
     """Collect (g_t, H_t) over t = (j, q), j-major, for a selector a.
 
-    grads is the full (p, Q, n) array of scalarized gradients at the iterate.
+    grads is the full (p, Q, n) array of scalarized gradients at the iterate;
+    store=None means H_t = I.
     """
     sel = np.asarray(a.a, dtype=int) - 1
     w = len(sel)
@@ -256,13 +260,6 @@ def terms_for_a(grads, store: Optional[HessianStore], a: PartitionElement):
     else:
         Hs = store.matrices[sel].reshape(w * Q, n, n)
     return gs, Hs
-
-
-def solve_for_a(grads, store: Optional[HessianStore], a: PartitionElement,
-                tol_sub: float = 1e-10, max_inner: int = 500, lam0=None):
-    """Direction subproblem for one selector; store=None means H_t = I."""
-    gs, Hs = terms_for_a(grads, store, a)
-    return solve_minmax(gs, Hs, tol_sub=tol_sub, max_inner=max_inner, lam0=lam0)
 
 
 def solve_subproblem(sc: ScalarizedComponents, store: Optional[HessianStore], x,
@@ -278,9 +275,10 @@ def solve_subproblem(sc: ScalarizedComponents, store: Optional[HessianStore], x,
     best = None
     for a in partition_iter(ms):
         lam0 = warm.get(a.a) if warm is not None else None
-        u, phi, lam, gap, ok = solve_for_a(grads, store, a, tol_sub, max_inner, lam0)
+        gs, Hs = terms_for_a(grads, store, a)
+        u, phi, lam, gap, ok = solve_minmax(gs, Hs, tol_sub, max_inner, lam0)
         if warm is not None:
             warm[a.a] = lam
         if best is None or phi < best.phi:
-            best = SubproblemSolution(a=a, u=u, phi=phi, lam=lam, gap=gap, converged=ok)
+            best = SubproblemSolution(a=a, u=u, phi=phi, gap=gap, converged=ok)
     return best

@@ -51,16 +51,12 @@ def eval_F(ps: ProblemSpec, x) -> np.ndarray:
     return _call(ps.values_fn, x)
 
 
-def eval_jacobians(ps: ProblemSpec, x, indices=None) -> np.ndarray:
-    """Jacobians (m x n each) of the selected functions (1-based indices)."""
+def eval_jacobians(ps: ProblemSpec, x) -> np.ndarray:
+    """All p Jacobians (m x n each) at x, index-aligned as in eval_F: (p, m, n)."""
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != ps.n:
         raise DomainError(f"x has length {x.shape[0]}, expected {ps.n}")
-    J = _call(ps.jacobians_fn, x)
-    if indices is None:
-        return J
-    idx = np.asarray(list(indices), dtype=int) - 1
-    return J[idx]
+    return _call(ps.jacobians_fn, x)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,14 @@ class PartitionElement:
 
 @dataclass(frozen=True)
 class MinimalStructure:
+    """What one iterate reads of F(x): I(x) and its classes of equal value.
+
+    Weak minimality is a property of a point, not of a step; it is computed
+    after a run, by weakly_minimal_elements, where a diagnostic reads it.
+    """
+
     minimal_indices: tuple            # I(x), sorted
-    weakly_minimal_indices: tuple     # I_W(x), sorted
     classes: tuple                    # w groups, each a sorted tuple of indices
-    representatives: tuple            # one image vector per class
     w: int
 
     def partition_count(self) -> int:
@@ -61,12 +65,6 @@ def _minimal(values: np.ndarray, gaps: np.ndarray, tol: float) -> tuple:
     return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
 
 
-def _weakly_minimal(gaps: np.ndarray, tol: float) -> tuple:
-    """Indices i with no j such that v_j < v_i strictly (at tol)."""
-    dominated = np.any(np.all(gaps > tol, axis=0), axis=0)
-    return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
-
-
 def minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
     """Indices i with no j such that v_j <= v_i and v_j != v_i (1-based)."""
     values = _as_values(values)
@@ -75,13 +73,20 @@ def minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
 
 def weakly_minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
     """Indices i with no j such that v_j < v_i strictly (1-based)."""
+    dominated = np.any(np.all(_order_gaps(c, _as_values(values)) > tol, axis=0), axis=0)
+    return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
+
+
+def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
+    """Minimal indices of the image set and their classes of equal value.
+
+    This is all a solver iterate reads of F(x).  Classes are connected
+    components of the graph linking minimal indices whose images differ by
+    at most tol_group in the infinity norm; ordering is deterministic by
+    smallest member index.
+    """
     values = _as_values(values)
-    return _weakly_minimal(_order_gaps(c, values), tol)
-
-
-def _structure(values: np.ndarray, minimal, weak: tuple, tol_group: float) -> MinimalStructure:
-    """Body of group_minimal_values, given the weakly minimal indices."""
-    minimal = sorted(minimal)
+    minimal = _minimal(values, _order_gaps(c, values), 0.0)
     if not minimal:
         raise EmptyInput("empty minimal index set")
     sub = np.ascontiguousarray(values[np.asarray(minimal, dtype=int) - 1].T)
@@ -108,33 +113,7 @@ def _structure(values: np.ndarray, minimal, weak: tuple, tol_group: float) -> Mi
                     stack.append(u)
         classes.append(tuple(minimal[v] for v in sorted(comp)))
 
-    reps = tuple(values[[cls[0] - 1 for cls in classes]])
-    return MinimalStructure(
-        minimal_indices=tuple(minimal),
-        weakly_minimal_indices=weak,
-        classes=tuple(classes),
-        representatives=reps,
-        w=len(classes),
-    )
-
-
-def group_minimal_values(c: ConeSpec, values, minimal, tol_group: float = 1e-8) -> MinimalStructure:
-    """Cluster the minimal indices into classes of (numerically) equal value.
-
-    Classes are connected components of the graph linking indices whose
-    images differ by at most tol_group in the infinity norm; ordering is
-    deterministic by smallest member index.
-    """
-    values = _as_values(values)
-    return _structure(values, minimal, _weakly_minimal(_order_gaps(c, values), 0.0), tol_group)
-
-
-def analyze(c: ConeSpec, values, tol_order: float = 0.0, tol_group: float = 1e-8) -> MinimalStructure:
-    """Minimal elements + grouping from one dominance tensor (solver entry point)."""
-    values = _as_values(values)
-    gaps = _order_gaps(c, values)
-    return _structure(values, _minimal(values, gaps, tol_order),
-                      _weakly_minimal(gaps, 0.0), tol_group)
+    return MinimalStructure(minimal_indices=minimal, classes=tuple(classes), w=len(classes))
 
 
 def partition_iter(ms: MinimalStructure) -> Iterator[PartitionElement]:

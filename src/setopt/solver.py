@@ -69,7 +69,6 @@ class IterateRecord:
     k: int
     x: np.ndarray
     images: Optional[np.ndarray]      # F(x) snapshot, size-gated
-    min_indices: tuple
     w: int
     partition_count: int
     a: tuple
@@ -81,7 +80,6 @@ class IterateRecord:
     varsigma: float
     gap: float
     bfgs_skips: int
-    max_jac_norm: float
     millis: float
 
 
@@ -159,14 +157,11 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
                 grads=grads)
             u_norm = float(np.linalg.norm(sol.u))
             varsig = cone_mod.varsigma(c, F)
-            max_jac = float(np.linalg.norm(J, 2, axis=(1, 2)).max())
             rec = IterateRecord(
-                k=k, x=x.copy(), images=F.copy() if snapshot else None,
-                min_indices=ms.minimal_indices, w=ms.w,
+                k=k, x=x.copy(), images=F.copy() if snapshot else None, w=ms.w,
                 partition_count=ms.partition_count(), a=sol.a.a,
                 u=sol.u.copy(), u_norm=u_norm, phi=sol.phi, t=0.0,
-                backtracks=0, varsigma=varsig, gap=sol.gap, bfgs_skips=0,
-                max_jac_norm=max_jac, millis=0.0)
+                backtracks=0, varsigma=varsig, gap=sol.gap, bfgs_skips=0, millis=0.0)
 
             if u_norm < cfg.eps_stop:
                 rec.millis = (time.perf_counter() - tick) * 1e3
@@ -215,7 +210,8 @@ class StationarityReport:
 
 def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
                         cfg: SolverConfig, probe_radius: float = 1e-4) -> StationarityReport:
-    """Terminal diagnostics: descent certificate and a regularity probe."""
+    """Diagnostics of a point, computed after a run: the descent certificate,
+    the regularity test Min = WMin on F(x) and a probe of w near x."""
     x = np.asarray(x, dtype=float).ravel()
     sc = problem_mod.scalarize(ps)
     c = ps.cone
@@ -223,7 +219,7 @@ def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
     ms = setorder_mod.analyze(c, F, tol_group=cfg.tol_group)
     sol = direction_mod.solve_subproblem(sc, store, x, ms,
                                          tol_sub=cfg.tol_sub, max_inner=cfg.max_inner)
-    min_eq_wmin = set(ms.minimal_indices) == set(ms.weakly_minimal_indices)
+    min_eq_wmin = ms.minimal_indices == setorder_mod.weakly_minimal_elements(c, F)
 
     # Heuristic: compare w at 8 deterministic points on a small sphere.
     rng = np.random.default_rng(cfg.seed)
@@ -244,13 +240,17 @@ def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
                               min_equals_wmin=min_eq_wmin, w_locally_constant=same, w=ms.w)
 
 
-def direction_bound(trace: IterateTrace, c: ConeSpec) -> Optional[float]:
-    """Post-hoc bound (2*C*L)/rho on ||u_k|| from the run's own constants."""
+def direction_bound(trace: IterateTrace, ps: ProblemSpec) -> Optional[float]:
+    """Post-hoc bound (2*C*L)/rho on ||u_k|| from the run's own constants.
+
+    C, the largest spectral norm of a Jacobian over the recorded iterates, is
+    computed here from each record's x after the run; the loop never reads it.
+    """
     if trace.store is None or not trace.records:
         return None
-    C = max(r.max_jac_norm for r in trace.records)
-    L = c.lipschitz
     rho = trace.store.min_eigenvalue()
     if rho <= 0.0:
         return None
-    return 2.0 * C * L / rho
+    C = max(float(np.linalg.norm(problem_mod.eval_jacobians(ps, r.x), 2, axis=(1, 2)).max())
+            for r in trace.records)
+    return 2.0 * C * ps.cone.lipschitz / rho

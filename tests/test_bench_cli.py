@@ -276,6 +276,27 @@ def test_cli_usage_error_exit_code():
     assert ei.value.code == 64
 
 
+@pytest.mark.parametrize("methods", [",", " , ", "qnm,qnm", "sd,qnm,sd"])
+def test_cli_bench_methods_empty_or_repeated_is_a_usage_error(methods, tmp_path, capsys):
+    code = cli.main(["bench", "--problem", "ex5", "--starts", "2", "--methods", methods,
+                     "--out", str(tmp_path)])
+    assert code == 64
+    assert "--methods" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_check_samples_below_one_is_a_usage_error(samples, capsys):
+    assert cli.main(["check", "--problem", "ex1", "--samples", samples]) == 64
+    out, err = capsys.readouterr()
+    assert "--samples" in err and "ok" not in out
+
+
+def test_cli_check_directory_is_a_load_failure(tmp_path, capsys):
+    assert cli.main(["check", "--problem", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL IsADirectoryError: ")
+
+
 def test_env_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SETOPT_OUT_DIR", str(tmp_path / "envout"))
     assert cli.main(["solve", "--problem", "ex5", "--x0", "4.0"]) == 0

@@ -287,9 +287,7 @@ def test_solve_subproblem_enumerates_partition():
 def test_solve_subproblem_tie_breaks_first():
     ps = _two_class_problem()
     sc = problem.scalarize(ps)
-    x = np.array([0.0])
-    ms = setorder.MinimalStructure((1, 2), (1, 2), ((1, 2),),
-                                   (problem.eval_F(ps, x)[0],), 1)
+    ms = setorder.MinimalStructure((1, 2), ((1, 2),), 1)
     # make both selections identical by overriding jacobians via x where equal
     sol = direction.solve_subproblem(sc, None, np.array([1.0]), ms)
     assert sol.a.a in ((1,), (2,))

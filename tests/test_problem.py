@@ -61,7 +61,7 @@ def test_ex7_anchor_geometry():
         x = l1 + shifts[i - 1]
         F = problem.eval_F(ps, x)
         assert F[i - 1, 0] == pytest.approx(0.0, abs=1e-12)
-        J = problem.eval_jacobians(ps, x, [i])[0]
+        J = problem.eval_jacobians(ps, x)[i - 1]
         assert J[0] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 

@@ -41,21 +41,18 @@ def test_grouping_idempotent(any_cone):
     rng = np.random.default_rng(3)
     vals = rng.uniform(-2, 2, (40, any_cone.m))
     ms = setorder.analyze(any_cone, vals)
-    reps = np.asarray(ms.representatives)
+    reps = vals[[cls[0] - 1 for cls in ms.classes]]
     ms2 = setorder.analyze(any_cone, reps)
     assert ms2.w == ms.w
 
 
 def test_partition_iter():
-    ms = setorder.MinimalStructure(
-        minimal_indices=(1, 2, 3), weakly_minimal_indices=(1, 2, 3),
-        classes=((1, 2), (3,)), representatives=(np.zeros(2), np.ones(2)), w=2)
+    ms = setorder.MinimalStructure(minimal_indices=(1, 2, 3), classes=((1, 2), (3,)), w=2)
     elems = list(setorder.partition_iter(ms))
     assert [e.a for e in elems] == [(1, 3), (2, 3)]
     assert ms.partition_count() == 2
 
-    ms2 = setorder.MinimalStructure((1, 2, 3, 4, 5), (1, 2, 3, 4, 5),
-                                    ((1, 2), (3, 4, 5)), (np.zeros(2), np.ones(2)), 2)
+    ms2 = setorder.MinimalStructure((1, 2, 3, 4, 5), ((1, 2), (3, 4, 5)), 2)
     assert len(list(setorder.partition_iter(ms2))) == 6 == ms2.partition_count()
 
 
@@ -102,28 +99,19 @@ def test_minimal_elements_hypothesis(points):
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=30),
        st.sampled_from([0.5, 1.0, 4.0, 12.0]),
        st.sampled_from(["orthant", "slanted"]))
-def test_analyze_matches_separate_filters(points, tol_order, which):
-    """One shared dominance tensor gives what the separate public filters give.
+def test_analyze_matches_separate_filters(points, tol, which):
+    """analyze's minimal indices are the public filter's, at tol 0, on exact ties.
 
     Integer images on a small grid make exact ties common; integer cone rows
-    keep A(v_i - v_j) exact, so the brute-force oracles agree bit for bit.
+    keep A(v_i - v_j) exact, so the brute-force oracle agrees bit for bit.
     """
     c = (cone.nonnegative_orthant(2) if which == "orthant"
          else cone.validate([[6.0, -2.0], [-7.0, 10.0]], [1.0, 1.0]))
     vals = np.asarray(points, dtype=float)
-    mins = setorder.minimal_elements(c, vals, tol_order)
-    assert mins == oracle.brute_min(c, vals, tol_order)
-    if not mins:
-        # at tol_order > 0 near-equal images can dominate each other mutually
-        with pytest.raises(EmptyInput):
-            setorder.analyze(c, vals, tol_order=tol_order)
-        return
-    ms = setorder.analyze(c, vals, tol_order=tol_order)
-    assert ms.minimal_indices == mins
-    assert (ms.weakly_minimal_indices == setorder.weakly_minimal_elements(c, vals)
-            == oracle.brute_wmin(c, vals))
-    grouped = setorder.group_minimal_values(c, vals, mins)
-    assert ms.classes == grouped.classes
-    assert all(np.array_equal(a, b) for a, b in zip(ms.representatives, grouped.representatives))
-    for cls, rep in zip(ms.classes, ms.representatives):
-        assert all(np.array_equal(vals[i - 1], rep) for i in cls)   # exact ties
+    assert setorder.minimal_elements(c, vals, tol) == oracle.brute_min(c, vals, tol)
+    assert setorder.weakly_minimal_elements(c, vals) == oracle.brute_wmin(c, vals)
+    ms = setorder.analyze(c, vals)
+    assert ms.minimal_indices == setorder.minimal_elements(c, vals) == oracle.brute_min(c, vals)
+    assert sorted(i for cls in ms.classes for i in cls) == list(ms.minimal_indices)
+    for cls in ms.classes:
+        assert all(np.array_equal(vals[i - 1], vals[cls[0] - 1]) for i in cls)   # exact ties

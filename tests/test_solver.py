@@ -157,7 +157,7 @@ def test_set_descent_against_armijo_model():
     assert trace.status == solver.CONVERGED
     for prev, nxt in zip(trace.records, trace.records[1:]):
         F_next = problem.eval_F(ps, nxt.x)
-        jac = problem.eval_jacobians(ps, prev.x, list(prev.a))
+        jac = problem.eval_jacobians(ps, prev.x)[np.asarray(prev.a) - 1]
         for j, i in enumerate(prev.a):
             model = (problem.eval_F(ps, prev.x)[i - 1]
                      + 0.5 * prev.t * jac[j] @ prev.u)
@@ -203,9 +203,20 @@ def test_hessian_store_spd_after_run():
 def test_boundedness_probe():
     ps = problem.builtin("ex3")
     trace = solver.run(ps, [2.0, 2.0], paper_cfg())
-    bound = solver.direction_bound(trace, ps.cone)
+    bound = solver.direction_bound(trace, ps)
     assert bound is not None
     assert max(r.u_norm for r in trace.records) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("name", ["ex3", "ex6"])
+def test_direction_bound_from_recorded_points(name):
+    """C in 2*C*L/rho is the largest Jacobian spectral norm over the recorded x."""
+    ps = problem.builtin(name)
+    trace = solver.run(ps, bench.sample_start(ps, 2, 0), paper_cfg())
+    C = max(float(np.linalg.norm(problem.eval_jacobians(ps, r.x), 2, axis=(1, 2)).max())
+            for r in trace.records)
+    expect = 2.0 * C * ps.cone.lipschitz / trace.store.min_eigenvalue()
+    assert solver.direction_bound(trace, ps) == expect
 
 
 def test_stationarity_report_quadratic():
