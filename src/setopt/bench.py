@@ -90,8 +90,6 @@ def _config_echo(cfg: SolverConfig) -> dict:
     return {
         "beta": cfg.beta, "nu": cfg.nu, "eps_stop": cfg.eps_stop,
         "max_iter": cfg.max_iter, "max_backtracks": cfg.max_backtracks,
-        "tol_sub": cfg.tol_sub, "tol_group": cfg.tol_group,
-        "tol_armijo": cfg.tol_armijo, "c_curv": cfg.c_curv, "max_inner": cfg.max_inner,
         "method": cfg.method, "seed": cfg.seed,
     }
 

@@ -57,6 +57,8 @@ def _parse_x0(text, n) -> np.ndarray:
         raise CliError(f"--x0 must be comma-separated decimals, got {text!r}")
     if len(vals) != n:
         raise CliError(f"--x0 has {len(vals)} components, problem needs {n}")
+    if not np.all(np.isfinite(vals)):
+        raise CliError(f"--x0 must be finite, got {text!r}")
     return np.asarray(vals)
 
 
@@ -71,6 +73,8 @@ def _parse_box(text, n) -> np.ndarray:
     if len(rows) != n:
         raise CliError(f"--box has {len(rows)} intervals, problem needs {n}")
     box = np.asarray(rows)
+    if not np.all(np.isfinite(box)):
+        raise CliError(f"--box bounds must be finite, got {text!r}")
     if np.any(box[:, 0] >= box[:, 1]):
         raise CliError("--box intervals need lo < hi")
     return box
@@ -86,14 +90,13 @@ def _load_problem(name_or_path):
         raise CliError(f"{type(exc).__name__}: {exc}", EXIT_IO)
 
 
-def _config_from(args, method_key="qnm") -> SolverConfig:
+def _config_from(args, method_key="qnm", **fixed) -> SolverConfig:
     method = bench_mod.METHOD_KEYS.get(method_key)
     if method is None:
         raise CliError(f"unknown method {method_key!r}; choose qnm or sd")
     try:
         return SolverConfig(beta=args.beta, nu=args.nu, eps_stop=args.eps,
-                            max_iter=args.max_iter, method=method, seed=args.seed,
-                            trace_images=getattr(args, "trace_images", False))
+                            max_iter=args.max_iter, method=method, **fixed)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -108,7 +111,6 @@ def _add_solver_flags(sp, with_x0=True):
     sp.add_argument("--nu", type=float, default=0.6)
     sp.add_argument("--eps", type=float, default=1e-3)
     sp.add_argument("--max-iter", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="output directory (default $SETOPT_OUT_DIR or .)")
 
 
@@ -118,12 +120,11 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("solve", help="run one solve and write trace + summary")
     _add_solver_flags(sp)
-    sp.add_argument("--trace-images", action="store_true",
-                    help="record F(x_k) snapshots regardless of image size")
 
     bp = sub.add_parser("bench", help="multi-start benchmark with statistics")
     _add_solver_flags(bp, with_x0=False)
     bp.add_argument("--starts", type=int, default=100)
+    bp.add_argument("--seed", type=int, default=0, help="seed of the sampled starts")
     bp.add_argument("--methods", default="qnm,sd", help="comma list from {qnm,sd}")
     bp.add_argument("--box", default=None, help="sample-box override lo:hi[,lo:hi...]")
     bp.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process)")
@@ -169,7 +170,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     ps = _load_problem(args.problem)
-    cfg = _config_from(args)
+    cfg = _config_from(args, seed=args.seed)
     if args.starts < 1:
         raise CliError(f"--starts must be at least 1, got {args.starts}")
     if args.jobs < 1:
@@ -204,8 +205,7 @@ def cmd_plotdata(args) -> int:
     if ps.m > 3:
         raise CliError(f"plot-data supports image dimension m <= 3, "
                        f"problem {ps.name} has m = {ps.m}")
-    args.trace_images = True
-    cfg = _config_from(args, args.method)
+    cfg = _config_from(args, args.method, trace_images=True)
     x0 = _parse_x0(args.x0, ps.n)
     out = _out_dir(args)
     trace = solver_mod.run(ps, x0, cfg)

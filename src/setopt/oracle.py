@@ -199,8 +199,7 @@ class WeakMinimalityVerdict:
         return "Violated" if self.violated else "NoneFoundAtResolution"
 
 
-def certify_weak_minimality(ps: ProblemSpec, x_bar, grid: GridSpec,
-                            chunk: int = 2048) -> WeakMinimalityVerdict:
+def certify_weak_minimality(ps: ProblemSpec, x_bar, grid: GridSpec) -> WeakMinimalityVerdict:
     """Scan the grid for an x whose image set strictly dominates F(x_bar).
 
     Strict set dominance here means every vector in F(x_bar) lies in
@@ -209,16 +208,13 @@ def certify_weak_minimality(ps: ProblemSpec, x_bar, grid: GridSpec,
     c = ps.cone
     F_bar = problem_mod.eval_F(ps, x_bar)               # (p, m)
     AB = F_bar @ c.A.T                                  # (p, Q)
-    pts = grid.points()
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
-        for x in block:
-            AF = problem_mod.eval_F(ps, x) @ c.A.T      # (p, Q)
-            # F_bar[j] in F(x) + int(K)  <=>  some i with A(F_bar[j]-F(x)[i]) > 0
-            diff = AB[None, :, :] - AF[:, None, :]      # (p, p_bar, Q)
-            strict = np.all(diff > 0.0, axis=2)         # (p, p_bar)
-            if np.all(np.any(strict, axis=0)):
-                return WeakMinimalityVerdict(violated=True, witness=tuple(x))
+    for x in grid.points():
+        AF = problem_mod.eval_F(ps, x) @ c.A.T          # (p, Q)
+        # F_bar[j] in F(x) + int(K)  <=>  some i with A(F_bar[j]-F(x)[i]) > 0
+        diff = AB[None, :, :] - AF[:, None, :]          # (p, p_bar, Q)
+        strict = np.all(diff > 0.0, axis=2)             # (p, p_bar)
+        if np.all(np.any(strict, axis=0)):
+            return WeakMinimalityVerdict(violated=True, witness=tuple(x))
     return WeakMinimalityVerdict(violated=False)
 
 

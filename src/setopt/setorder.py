@@ -56,11 +56,15 @@ def _order_gaps(c: ConeSpec, values: np.ndarray) -> np.ndarray:
     return AV[:, None, :] - AV[:, :, None]           # the tensor C-contiguous
 
 
-def _minimal(values: np.ndarray, gaps: np.ndarray, tol: float) -> tuple:
-    """Indices i with no j such that v_j <= v_i (at tol) and v_j != v_i."""
+def _minimal(gaps: np.ndarray, tol: float) -> tuple:
+    """Indices i with no j such that v_j <= v_i (at tol) and v_j != v_i.
+
+    Both tests read the same rounded A v: comparing the raw v for
+    distinctness would let two images that round to one A v dominate each
+    other and empty the minimal set.
+    """
     leq = np.all(gaps >= -tol, axis=0)
-    cols = np.ascontiguousarray(values.T)
-    distinct = np.any(cols[:, :, None] != cols[:, None, :], axis=0)
+    distinct = np.any(gaps != 0.0, axis=0)
     dominated = np.any(leq & distinct, axis=0)
     return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
 
@@ -68,7 +72,7 @@ def _minimal(values: np.ndarray, gaps: np.ndarray, tol: float) -> tuple:
 def minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
     """Indices i with no j such that v_j <= v_i and v_j != v_i (1-based)."""
     values = _as_values(values)
-    return _minimal(values, _order_gaps(c, values), tol)
+    return _minimal(_order_gaps(c, values), tol)
 
 
 def weakly_minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
@@ -86,7 +90,7 @@ def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
     smallest member index.
     """
     values = _as_values(values)
-    minimal = _minimal(values, _order_gaps(c, values), 0.0)
+    minimal = _minimal(_order_gaps(c, values), 0.0)
     if not minimal:
         raise EmptyInput("empty minimal index set")
     sub = np.ascontiguousarray(values[np.asarray(minimal, dtype=int) - 1].T)

@@ -30,9 +30,6 @@ MAX_ITERATIONS = "MaxIterations"
 LINE_SEARCH_FAILURE = "LineSearchFailure"
 NUMERICAL_ERROR = "NumericalError"
 
-# F(x) snapshots are recorded only when the image is at most this many floats
-IMAGE_SNAPSHOT_LIMIT = 512
-
 
 @dataclass
 class SolverConfig:
@@ -41,11 +38,6 @@ class SolverConfig:
     eps_stop: float = 1e-3
     max_iter: int = 100
     max_backtracks: int = 60
-    tol_sub: float = 1e-10
-    tol_group: float = 1e-8
-    tol_armijo: float = 1e-12
-    c_curv: float = 1e-8
-    max_inner: int = 500
     method: str = "quasi_newton"
     seed: int = 0
     trace_images: bool = False
@@ -55,9 +47,9 @@ class SolverConfig:
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in the open interval (0,1), "
                                  f"got {getattr(self, name)}")
-        if self.eps_stop <= 0.0:
-            raise ValueError(f"eps_stop must be positive, got {self.eps_stop}")
-        for name, least in (("max_iter", 1), ("max_inner", 1), ("max_backtracks", 0)):
+        if not 0.0 < self.eps_stop < np.inf:
+            raise ValueError(f"eps_stop must be finite and positive, got {self.eps_stop}")
+        for name, least in (("max_iter", 1), ("max_backtracks", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.method not in METHODS:
@@ -68,7 +60,7 @@ class SolverConfig:
 class IterateRecord:
     k: int
     x: np.ndarray
-    images: Optional[np.ndarray]      # F(x) snapshot, size-gated
+    images: Optional[np.ndarray]      # F(x) snapshot when cfg.trace_images
     w: int
     partition_count: int
     a: tuple
@@ -98,6 +90,10 @@ class IterateTrace:
         return len(self.records)
 
 
+# slack of the cone Armijo test, absorbing rounding in F(x + t*u)
+TOL_ARMIJO = 1e-12
+
+
 def armijo_backtrack(ps: ProblemSpec, c: ConeSpec, x, a: PartitionElement, u,
                      jacobians, cfg: SolverConfig, F=None):
     """Smallest backtrack count q such that t = nu^q satisfies the cone
@@ -118,7 +114,7 @@ def armijo_backtrack(ps: ProblemSpec, c: ConeSpec, x, a: PartitionElement, u,
         F_trial = problem_mod.eval_F(ps, x + t * u)
         rhs = f_sel + cfg.beta * t * slopes
         diff = (rhs - F_trial[sel]) @ c.A.T            # (w, Q)
-        ok = np.all(diff >= -cfg.tol_armijo, axis=1)
+        ok = np.all(diff >= -TOL_ARMIJO, axis=1)
         if np.all(ok):
             return t, q, F_trial
     bad = int(np.flatnonzero(~ok)[0]) + 1
@@ -135,13 +131,14 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
     x = np.asarray(x0, dtype=float).ravel().copy()
     if x.shape[0] != ps.n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {ps.n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be finite, got {x}")
     sc = problem_mod.scalarize(ps)
     c = ps.cone
     qn = cfg.method == "quasi_newton"
     store = direction_mod.init_store(ps.n, ps.p, c.Q) if qn else None
     trace = IterateTrace(problem=ps.name, method=cfg.method, store=store)
     warm: dict = {}
-    snapshot = cfg.trace_images or ps.p * ps.m <= IMAGE_SNAPSHOT_LIMIT
 
     try:
         F = problem_mod.eval_F(ps, x)
@@ -151,14 +148,12 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
             if J is None:
                 J = problem_mod.eval_jacobians(ps, x)
                 grads = problem_mod.scalarized_gradients(c, J)
-            ms = setorder_mod.analyze(c, F, tol_group=cfg.tol_group)
-            sol = direction_mod.solve_subproblem(
-                sc, store, x, ms, tol_sub=cfg.tol_sub, max_inner=cfg.max_inner, warm=warm,
-                grads=grads)
+            ms = setorder_mod.analyze(c, F)
+            sol = direction_mod.solve_subproblem(sc, store, x, ms, warm=warm, grads=grads)
             u_norm = float(np.linalg.norm(sol.u))
             varsig = cone_mod.varsigma(c, F)
             rec = IterateRecord(
-                k=k, x=x.copy(), images=F.copy() if snapshot else None, w=ms.w,
+                k=k, x=x.copy(), images=F.copy() if cfg.trace_images else None, w=ms.w,
                 partition_count=ms.partition_count(), a=sol.a.a,
                 u=sol.u.copy(), u_norm=u_norm, phi=sol.phi, t=0.0,
                 backtracks=0, varsigma=varsig, gap=sol.gap, bfgs_skips=0, millis=0.0)
@@ -177,8 +172,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
             if qn:
                 J_new = problem_mod.eval_jacobians(ps, x_new)
                 grads_new = problem_mod.scalarized_gradients(c, J_new)
-                report = direction_mod.bfgs_update(
-                    store, x_new - x, grads_new - grads, cfg.c_curv)
+                report = direction_mod.bfgs_update(store, x_new - x, grads_new - grads)
                 skips = len(report.skipped)
             rec.t = t
             rec.backtracks = q
@@ -216,9 +210,8 @@ def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
     sc = problem_mod.scalarize(ps)
     c = ps.cone
     F = problem_mod.eval_F(ps, x)
-    ms = setorder_mod.analyze(c, F, tol_group=cfg.tol_group)
-    sol = direction_mod.solve_subproblem(sc, store, x, ms,
-                                         tol_sub=cfg.tol_sub, max_inner=cfg.max_inner)
+    ms = setorder_mod.analyze(c, F)
+    sol = direction_mod.solve_subproblem(sc, store, x, ms)
     min_eq_wmin = ms.minimal_indices == setorder_mod.weakly_minimal_elements(c, F)
 
     # Heuristic: compare w at 8 deterministic points on a small sphere.
@@ -228,8 +221,7 @@ def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
         d = rng.standard_normal(ps.n)
         d = d / np.linalg.norm(d)
         try:
-            probe = setorder_mod.analyze(c, problem_mod.eval_F(ps, x + probe_radius * d),
-                                         tol_group=cfg.tol_group)
+            probe = setorder_mod.analyze(c, problem_mod.eval_F(ps, x + probe_radius * d))
         except SetoptError:
             same = None
             break

@@ -167,15 +167,21 @@ def test_run_bench_keeps_every_knob(monkeypatch):
         return original(ps, x0, run_cfg)
 
     monkeypatch.setattr(solver, "run", spy)
-    knobs = solver.SolverConfig(tol_armijo=1e-9, max_inner=7, c_curv=1e-6, tol_sub=1e-9,
-                                max_backtracks=30, tol_group=1e-7, max_iter=40)
+    knobs = solver.SolverConfig(beta=0.3, nu=0.7, eps_stop=2e-3, max_iter=40, max_backtracks=30)
     result = bench.run_bench(problem.builtin("ex5"), 2, ["qnm", "sd"], 4, knobs)
     assert [r.method for r in seen] == ["quasi_newton"] * 2 + ["steepest_descent"] * 2
     for run_cfg in seen:
         assert run_cfg.seed == 4
         assert dataclasses.replace(run_cfg, method=knobs.method, seed=knobs.seed) == knobs
     echo = bench.stats_payload(result, knobs)["config"]
-    assert echo["tol_armijo"] == 1e-9 and echo["max_inner"] == 7
+    assert {k: echo[k] for k in ("beta", "nu", "eps_stop", "max_iter", "max_backtracks")} == \
+        {"beta": 0.3, "nu": 0.7, "eps_stop": 2e-3, "max_iter": 40, "max_backtracks": 30}
+
+
+def test_config_echo_lists_every_setting():
+    """Every SolverConfig field but the trace_images switch is echoed."""
+    fields = {f.name for f in dataclasses.fields(solver.SolverConfig)} - {"trace_images"}
+    assert set(bench._config_echo(cfg())) == fields
 
 
 def test_qnm_beats_sd_on_ex3():
@@ -218,6 +224,52 @@ def test_cli_solve_unknown_problem(capsys):
 def test_cli_solve_bad_x0(tmp_path, capsys):
     assert cli.main(["solve", "--problem", "ex3", "--x0", "1.0",
                      "--out", str(tmp_path)]) == 64
+
+
+@pytest.mark.parametrize("x0", ["inf,1", "nan,1", "1,-inf"])
+def test_cli_solve_non_finite_x0_is_a_usage_error(x0, tmp_path, capsys):
+    assert cli.main(["solve", "--problem", "ex3", "--x0", x0, "--out", str(tmp_path)]) == 64
+    assert "--x0 must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("box", ["nan:1", "0:inf", "nan:nan"])
+def test_cli_bench_non_finite_box_is_a_usage_error(box, tmp_path, capsys):
+    code = cli.main(["bench", "--problem", "ex1", "--starts", "2", "--box", box,
+                     "--out", str(tmp_path)])
+    assert code == 64
+    assert "--box bounds must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_cli_solve_non_finite_eps_is_a_usage_error(eps, tmp_path, capsys):
+    code = cli.main(["solve", "--problem", "ex1", "--x0", "2.3", "--eps", eps,
+                     "--out", str(tmp_path)])
+    assert code == 64
+    assert "eps_stop" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--trace-images"], ["solve", "--seed", "1"],
+                                  ["plot-data", "--seed", "1"]])
+def test_cli_flags_without_effect_are_usage_errors(argv, tmp_path):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv + ["--problem", "ex1", "--x0", "2.3", "--out", str(tmp_path)])
+    assert ei.value.code == 64
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_bench_seed_selects_the_starts(tmp_path):
+    seeds = {}
+    for seed in ("3", "4"):
+        d = tmp_path / seed
+        assert cli.main(["bench", "--problem", "ex5", "--starts", "3", "--methods", "qnm",
+                         "--seed", seed, "--out", str(d)]) == 0
+        stats = json.loads((d / "ex5_bench_stats.json").read_text())
+        assert stats["seed"] == stats["config"]["seed"] == int(seed)
+        rows = (d / "ex5_bench_qnm_raw.csv").read_text().splitlines()[1:]
+        seeds[seed] = [row.split(",")[1] for row in rows]     # x0_1 of each start
+    assert seeds["3"] != seeds["4"]
 
 
 def test_cli_bench_deterministic(tmp_path):

@@ -86,6 +86,16 @@ def test_duplicates_share_class(orthant2):
     assert ms.w == 1
 
 
+def test_images_with_one_rounded_order_value_are_both_minimal():
+    """Under ex5's cone A v rounds to (6, -7) for both images, so neither
+    dominates the other although they differ in the last component."""
+    c = cone.validate([[6.0, -2.0], [-7.0, 10.0]], [1.0, 1.0])
+    vals = [[1.0, 1e-20], [1.0, 0.0]]
+    assert setorder.minimal_elements(c, vals) == oracle.brute_min(c, vals) == (1, 2)
+    ms = setorder.analyze(c, vals)
+    assert ms.minimal_indices == (1, 2) and ms.classes == ((1, 2),)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
                 min_size=1, max_size=25))

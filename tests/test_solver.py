@@ -24,11 +24,29 @@ def test_config_validation():
         solver.SolverConfig(method="newton")
     with pytest.raises(ValueError, match="max_iter"):
         solver.SolverConfig(max_iter=0)
-    with pytest.raises(ValueError, match="max_inner"):
-        solver.SolverConfig(max_inner=0)
     with pytest.raises(ValueError, match="max_backtracks"):
         solver.SolverConfig(max_backtracks=-1)
     assert solver.SolverConfig(max_backtracks=0).max_backtracks == 0
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_config_eps_stop_must_be_finite_and_positive(eps):
+    with pytest.raises(ValueError, match="eps_stop"):
+        solver.SolverConfig(eps_stop=eps)
+
+
+@pytest.mark.parametrize("name, x0", [("ex6", [np.inf, 1.0]), ("ex3", [np.nan, 1.0]),
+                                      ("ex1", [-np.inf])])
+def test_run_rejects_a_non_finite_start(name, x0):
+    with pytest.raises(ValueError, match="finite"):
+        solver.run(problem.builtin(name), x0, solver.SolverConfig())
+
+
+@pytest.mark.parametrize("trace_images", [False, True])
+def test_images_are_recorded_only_when_asked(trace_images):
+    trace = solver.run(problem.builtin("ex5"), [4.0],
+                       solver.SolverConfig(trace_images=trace_images))
+    assert all((r.images is not None) == trace_images for r in trace.records)
 
 
 @pytest.mark.parametrize("method, iterations", [("quasi_newton", 7), ("steepest_descent", 14)])
