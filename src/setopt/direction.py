@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalBreakdown, SingularSystem
+from .errors import NumericalBreakdown, PartitionTooLarge, SingularSystem
 from .problem import ScalarizedComponents
 from .setorder import MinimalStructure, PartitionElement, partition_iter
 
@@ -59,10 +59,21 @@ def init_store(n: int, p: int, Q: int) -> HessianStore:
     return HessianStore(n, p, Q)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateReport:
-    applied: list   # (i, q) pairs, 1-based
-    skipped: list
+    """Which matrices an update changed: mask[i - 1, q - 1] is set for (i, q)."""
+
+    mask: np.ndarray   # (p, Q) bool
+
+    @property
+    def applied(self) -> list:
+        """The applied 1-based (i, q) pairs, row-major."""
+        return _pairs(self.mask)
+
+    @property
+    def skipped(self) -> list:
+        """The skipped 1-based (i, q) pairs, row-major."""
+        return _pairs(~self.mask)
 
 
 def _pairs(mask) -> list:
@@ -96,21 +107,30 @@ def bfgs_update(store: HessianStore, s, y_all, c_curv: float = 1e-8) -> UpdateRe
     sy = _dots(y_all, s)                                   # (p, Q)
     y_norm = np.sqrt(_dots(y_all, y_all))
     apply = ~((sy <= 0.0) | (sy < c_curv * s_norm * y_norm))
-    B = store.matrices[apply]                              # (k, n, n)
+    idx = np.flatnonzero(apply)                            # into the p*Q matrices
+    # a view, so the write below reaches the store: HessianStore allocates its
+    # matrices C-contiguous and only ever writes into them in place
+    matrices = store.matrices.reshape(-1, store.n, store.n)
+    B = matrices.take(idx, axis=0)                         # (k, n, n)
     Bs = B @ s
     sBs = _dots(Bs, s)
-    bad = np.flatnonzero(sBs <= 0.0)
-    if bad.size:
-        i, q = _pairs(apply)[bad[0]]
+    if (sBs <= 0.0).any():
+        t = int(np.argmax(sBs <= 0.0))
+        i, q = divmod(int(idx[t]), store.Q)
         raise NumericalBreakdown(
-            f"s'Bs = {sBs[bad[0]]:g} <= 0 for component ({i},{q}); store corrupted")
-    y = y_all[apply]
-    store.matrices[apply] = (B - Bs[:, :, None] * Bs[:, None, :] / sBs[:, None, None]
-                             + y[:, :, None] * y[:, None, :] / sy[apply][:, None, None])
-    applied, skipped = _pairs(apply), _pairs(~apply)
-    store.applied += len(applied)
-    store.skipped += len(skipped)
-    return UpdateReport(applied=applied, skipped=skipped)
+            f"s'Bs = {sBs[t]:g} <= 0 for component ({i + 1},{q + 1}); store corrupted")
+    y = y_all.reshape(-1, store.n).take(idx, axis=0)
+    # B - Bs Bs'/sBs + y y'/sy, one operation at a time in place
+    BsBs = Bs[:, :, None] * Bs[:, None, :]
+    BsBs /= sBs[:, None, None]
+    B -= BsBs
+    yy = y[:, :, None] * y[:, None, :]
+    yy /= sy.ravel().take(idx)[:, None, None]
+    B += yy
+    matrices[idx] = B
+    store.applied += idx.size
+    store.skipped += apply.size - idx.size
+    return UpdateReport(mask=apply)
 
 
 @dataclass
@@ -121,6 +141,9 @@ class SubproblemSolution:
     gap: float
     converged: bool
 
+
+# solve_subproblem refuses a tie structure with more selectors than this.
+PARTITION_LIMIT = 10_000
 
 # A face curvature eigenvalue below DEPENDENT times the largest marks affine
 # dependence; a converged gap above POLISH * tol_sub gets one more Newton step.
@@ -268,8 +291,14 @@ def solve_subproblem(sc: ScalarizedComponents, store: Optional[HessianStore], x,
                      grads=None) -> SubproblemSolution:
     """Minimize over the partition set; ties broken by the first (lexicographic) a.
 
+    A partition set of more than PARTITION_LIMIT selectors raises PartitionTooLarge.
+
     grads, the (p, Q, n) scalarized gradients at x, defaults to sc.gradients(x).
     """
+    count = ms.partition_count()
+    if count > PARTITION_LIMIT:
+        raise PartitionTooLarge(
+            f"{count} selectors over {ms.w} classes exceed the limit of {PARTITION_LIMIT}")
     if grads is None:
         grads = sc.gradients(x)
     best = None

@@ -27,6 +27,10 @@ class EmptyInput(SetoptError):
     pass
 
 
+class NonFiniteInput(SetoptError):
+    """An image set holds inf or nan, where the order is undefined."""
+
+
 # --- expression language errors ---
 
 class ExprError(SetoptError):
@@ -88,6 +92,10 @@ class NumericalBreakdown(SetoptError):
 
 class SingularSystem(SetoptError):
     pass
+
+
+class PartitionTooLarge(SetoptError):
+    """A tie structure whose selectors are too many to enumerate."""
 
 
 class LineSearchFailure(SetoptError):

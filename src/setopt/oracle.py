@@ -1,7 +1,7 @@
 """Brute-force reference implementations for the test suite and `check` verb.
 
 Everything here is deliberately slow and literal: bisection instead of the
-closed form, O(p^2) dominance loops, exhaustive grid scans.  The fast library
+closed form, O(p^2) pairwise dominance tests, exhaustive grid scans.  The fast library
 code is validated against these.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import problem as problem_mod
-from .cone import ConeSpec, in_cone, in_int_cone
+from .cone import ConeSpec, in_cone
 from .errors import BracketFailure, EmptyInput, GridTooLarge
 from .problem import ProblemSpec
 
@@ -89,46 +89,43 @@ def gerstewitz_bisect(c: ConeSpec, y, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def brute_min(c: ConeSpec, values, tol: float = 0.0) -> tuple:
-    """Minimal elements by the literal pairwise definition (1-based indices)."""
+def _as_set(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
     if values.size == 0:
         raise EmptyInput("empty image set")
-    p = values.shape[0]
+    return values
+
+
+def brute_min(c: ConeSpec, values, tol: float = 0.0) -> tuple:
+    """Minimal elements by the literal pairwise definition (1-based indices).
+
+    i is dominated when some v_j differs from v_i and v_i - v_j lies in K
+    up to tol, (A (v_i - v_j))_q >= -tol for all q; each i tests every j at once.
+    """
+    values = _as_set(values)
     out = []
-    for i in range(p):
-        dominated = False
-        for j in range(p):
-            if j == i:
-                continue
-            if np.array_equal(values[j], values[i]):
-                continue
-            if in_cone(c, values[i] - values[j], tol):
-                dominated = True
-                break
-        if not dominated:
+    for i, v in enumerate(values):
+        in_K = np.all((v - values) @ c.A.T >= -tol, axis=1)
+        equal = np.all(values == v, axis=1)              # j == i among them
+        if not np.any(in_K & ~equal):
             out.append(i + 1)
     return tuple(out)
 
 
 def brute_wmin(c: ConeSpec, values, tol: float = 0.0) -> tuple:
-    """Weakly minimal elements by the literal pairwise definition."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[None, :]
-    if values.size == 0:
-        raise EmptyInput("empty image set")
-    p = values.shape[0]
+    """Weakly minimal elements by the literal pairwise definition.
+
+    i is dominated when some j != i has v_i - v_j in int(K) beyond tol,
+    (A (v_i - v_j))_q > tol for all q.
+    """
+    values = _as_set(values)
     out = []
-    for i in range(p):
-        dominated = False
-        for j in range(p):
-            if j != i and in_int_cone(c, values[i] - values[j], tol):
-                dominated = True
-                break
-        if not dominated:
+    for i, v in enumerate(values):
+        in_int_K = np.all((v - values) @ c.A.T > tol, axis=1)
+        in_int_K[i] = False
+        if not np.any(in_int_K):
             out.append(i + 1)
     return tuple(out)
 

@@ -35,12 +35,19 @@ class ProblemSpec:
     jacobians_fn: Callable[[np.ndarray], np.ndarray]  # x -> (p, m, n)
 
 
-def _call(fn, x):
-    """fn(x), with an arithmetic failure (overflow, division by zero) typed."""
+def _call(fn, x, what):
+    """fn(x), with an arithmetic failure (overflow, division by zero) or a
+    non-finite entry of the result typed."""
     try:
-        return fn(x)
+        out = fn(x)
     except ArithmeticError as exc:
         raise DomainError(f"{type(exc).__name__}: {exc}") from exc
+    if not np.isfinite(out).all():
+        i = int(np.argwhere(~np.isfinite(out))[0, 0]) + 1
+        err = DomainError(f"{what} of f^{i} is not finite at x = {x}")
+        err.index = i
+        raise err
+    return out
 
 
 def eval_F(ps: ProblemSpec, x) -> np.ndarray:
@@ -48,7 +55,7 @@ def eval_F(ps: ProblemSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != ps.n:
         raise DomainError(f"x has length {x.shape[0]}, expected {ps.n}")
-    return _call(ps.values_fn, x)
+    return _call(ps.values_fn, x, "the value")
 
 
 def eval_jacobians(ps: ProblemSpec, x) -> np.ndarray:
@@ -56,7 +63,7 @@ def eval_jacobians(ps: ProblemSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != ps.n:
         raise DomainError(f"x has length {x.shape[0]}, expected {ps.n}")
-    return _call(ps.jacobians_fn, x)
+    return _call(ps.jacobians_fn, x, "the Jacobian")
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,14 @@ Indices are 1-based throughout, matching the family numbering f^1..f^p.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .cone import ConeSpec
-from .errors import EmptyInput
+from .errors import EmptyInput, NonFiniteInput
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,8 @@ class PartitionElement:
 
 @dataclass(frozen=True)
 class MinimalStructure:
-    """What one iterate reads of F(x): I(x) and its classes of equal value.
+    """What one iterate reads of F(x): I(x), its classes of equal value and
+    the merit value varsigma(F(x)).
 
     Weak minimality is a property of a point, not of a step; it is computed
     after a run, by weakly_minimal_elements, where a diagnostic reads it.
@@ -33,91 +35,99 @@ class MinimalStructure:
     minimal_indices: tuple            # I(x), sorted
     classes: tuple                    # w groups, each a sorted tuple of indices
     w: int
+    varsigma: float                   # min over F(x) of the scalarizing functional
 
     def partition_count(self) -> int:
-        out = 1
-        for cls in self.classes:
-            out *= len(cls)
-        return out
+        return math.prod(map(len, self.classes))
 
 
-def _as_values(values) -> np.ndarray:
+def _order_values(c: ConeSpec, values):
+    """The image set as a (p, m) array and its A v, shape (p, Q).
+
+    The order is undefined on inf and nan, so a non-finite image, or an A v
+    that overflows, is rejected.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
     if values.size == 0:
         raise EmptyInput("empty image set")
-    return values
+    if not np.isfinite(values).all():
+        raise NonFiniteInput("the image set holds a non-finite value")
+    AV = values @ c.A.T
+    if not np.isfinite(AV).all():
+        raise NonFiniteInput("A v overflows for an image of the set")
+    return values, AV
 
 
-def _order_gaps(c: ConeSpec, values: np.ndarray) -> np.ndarray:
-    """gaps[q, j, i] = (A (v_i - v_j))_q, the one dominance tensor (Q, p, p)."""
-    AV = np.ascontiguousarray((values @ c.A.T).T)    # (Q, p), C order keeps
-    return AV[:, None, :] - AV[:, :, None]           # the tensor C-contiguous
+def _minimal(AV: np.ndarray, tol: float) -> np.ndarray:
+    """0-based i with no j such that v_j <= v_i (at tol) and v_j != v_i.
 
-
-def _minimal(gaps: np.ndarray, tol: float) -> tuple:
-    """Indices i with no j such that v_j <= v_i (at tol) and v_j != v_i.
-
-    Both tests read the same rounded A v: comparing the raw v for
-    distinctness would let two images that round to one A v dominate each
-    other and empty the minimal set.
+    AV is the (p, Q) array of A v.  Both tests read the same rounded A v:
+    comparing the raw v for distinctness would let two images that round to
+    one A v dominate each other and empty the minimal set.  On finite input
+    A v_i - A v_j >= 0 exactly when A v_i >= A v_j, so at tol 0 one boolean
+    pass gives the order; given v_j <= v_i, v_j != v_i is not v_i <= v_j.
     """
-    leq = np.all(gaps >= -tol, axis=0)
-    distinct = np.any(gaps != 0.0, axis=0)
-    dominated = np.any(leq & distinct, axis=0)
-    return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
+    AVt = np.ascontiguousarray(AV.T)                       # (Q, p)
+    below = (AVt[:, None, :] >= AVt[:, :, None]).all(axis=0)    # [j, i]: v_j <= v_i
+    leq = below if tol == 0.0 else (AVt[:, None, :] >= AVt[:, :, None] - tol).all(axis=0)
+    return np.flatnonzero(~(leq > (below & below.T)).any(axis=0))   # leq and not equal
 
 
 def minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
     """Indices i with no j such that v_j <= v_i and v_j != v_i (1-based)."""
-    values = _as_values(values)
-    return _minimal(_order_gaps(c, values), tol)
+    _, AV = _order_values(c, values)
+    return tuple((_minimal(AV, tol) + 1).tolist())
 
 
 def weakly_minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
     """Indices i with no j such that v_j < v_i strictly (1-based)."""
-    dominated = np.any(np.all(_order_gaps(c, _as_values(values)) > tol, axis=0), axis=0)
-    return tuple(int(i) + 1 for i in np.flatnonzero(~dominated))
+    AVt = np.ascontiguousarray(_order_values(c, values)[1].T)
+    dominated = (AVt[:, None, :] > AVt[:, :, None] + tol).all(axis=0).any(axis=0)
+    return tuple((np.flatnonzero(~dominated) + 1).tolist())
 
 
 def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
-    """Minimal indices of the image set and their classes of equal value.
+    """Minimal indices of the image set, their classes of equal value and varsigma.
 
     This is all a solver iterate reads of F(x).  Classes are connected
     components of the graph linking minimal indices whose images differ by
     at most tol_group in the infinity norm; ordering is deterministic by
-    smallest member index.
+    smallest member index.  Only the graph's edges are walked, so when every
+    class is a singleton no Python step runs per index.
     """
-    values = _as_values(values)
-    minimal = _minimal(_order_gaps(c, values), 0.0)
-    if not minimal:
+    values, AV = _order_values(c, values)
+    idx = _minimal(AV, 0.0)
+    if not idx.size:
         raise EmptyInput("empty minimal index set")
-    sub = np.ascontiguousarray(values[np.asarray(minimal, dtype=int) - 1].T)
-    k = len(minimal)
-    close = np.max(np.abs(sub[:, :, None] - sub[:, None, :]), axis=0) <= tol_group
-    rows, cols = np.nonzero(close)
-    bounds = np.searchsorted(rows, np.arange(k + 1)).tolist()
-    cols = cols.tolist()                # neighbours of v: cols[bounds[v]:bounds[v + 1]]
+    minimal = tuple((idx + 1).tolist())
+    sub = np.ascontiguousarray(values[idx].T)
+    close = np.abs(sub[:, :, None] - sub[:, None, :]).max(axis=0) <= tol_group
+    if np.count_nonzero(close) == len(minimal):       # the diagonal only
+        classes = tuple(zip(minimal))
+    else:
+        root = list(range(len(minimal)))              # union-find over the edges
 
-    label = [-1] * k
-    classes = []
-    for start in range(k):
-        if label[start] >= 0:
-            continue
-        comp = []
-        stack = [start]
-        label[start] = len(classes)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in cols[bounds[v]:bounds[v + 1]]:
-                if label[u] < 0:
-                    label[u] = len(classes)
-                    stack.append(u)
-        classes.append(tuple(minimal[v] for v in sorted(comp)))
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
 
-    return MinimalStructure(minimal_indices=minimal, classes=tuple(classes), w=len(classes))
+        rows, cols = np.nonzero(close)
+        edge = rows < cols
+        for r, s in zip(rows[edge].tolist(), cols[edge].tolist()):
+            r, s = find(r), find(s)
+            root[max(r, s)] = min(r, s)
+        groups: dict = {}
+        for v, i in enumerate(minimal):
+            groups.setdefault(find(v), []).append(i)
+        classes = tuple(map(tuple, groups.values()))
+
+    varsigma = float((AV / c.Ae).max(axis=1).min())   # as cone.varsigma computes it
+    return MinimalStructure(minimal_indices=minimal, classes=classes, w=len(classes),
+                            varsigma=varsigma)
 
 
 def partition_iter(ms: MinimalStructure) -> Iterator[PartitionElement]:

@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import cone as cone_mod
 from . import direction as direction_mod
 from . import problem as problem_mod
 from . import setorder as setorder_mod
@@ -151,12 +150,11 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
             ms = setorder_mod.analyze(c, F)
             sol = direction_mod.solve_subproblem(sc, store, x, ms, warm=warm, grads=grads)
             u_norm = float(np.linalg.norm(sol.u))
-            varsig = cone_mod.varsigma(c, F)
             rec = IterateRecord(
                 k=k, x=x.copy(), images=F.copy() if cfg.trace_images else None, w=ms.w,
                 partition_count=ms.partition_count(), a=sol.a.a,
                 u=sol.u.copy(), u_norm=u_norm, phi=sol.phi, t=0.0,
-                backtracks=0, varsigma=varsig, gap=sol.gap, bfgs_skips=0, millis=0.0)
+                backtracks=0, varsigma=ms.varsigma, gap=sol.gap, bfgs_skips=0, millis=0.0)
 
             if u_norm < cfg.eps_stop:
                 rec.millis = (time.perf_counter() - tick) * 1e3
@@ -173,7 +171,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
                 J_new = problem_mod.eval_jacobians(ps, x_new)
                 grads_new = problem_mod.scalarized_gradients(c, J_new)
                 report = direction_mod.bfgs_update(store, x_new - x, grads_new - grads)
-                skips = len(report.skipped)
+                skips = report.mask.size - int(np.count_nonzero(report.mask))
             rec.t = t
             rec.backtracks = q
             rec.bfgs_skips = skips

@@ -259,6 +259,21 @@ def test_cli_flags_without_effect_are_usage_errors(argv, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("verb", ["solve", "plot-data"])
+def test_cli_x0_may_start_with_a_negative_number(verb, tmp_path):
+    for x0 in ("-1,2", "-.5,-2", "-1e-1,3"):
+        assert cli.main([verb, "--problem", "ex3", "--x0", x0, "--out", str(tmp_path)]) == 0
+    assert cli.main([verb, "--problem", "ex1", "--x0", "-1", "--out", str(tmp_path)]) == 0
+
+
+def test_cli_bench_box_may_start_with_a_negative_number(tmp_path):
+    assert cli.main(["bench", "--problem", "ex3", "--starts", "2", "--methods", "sd",
+                     "--box", "-1:1,-2:-1", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "ex3_bench_sd_raw.csv").read_text().splitlines()[1:]
+    x0 = np.array([[float(v) for v in row.split(",")[1:3]] for row in rows])
+    assert np.all((-1 <= x0[:, 0]) & (x0[:, 0] <= 1) & (-2 <= x0[:, 1]) & (x0[:, 1] <= -1))
+
+
 def test_cli_bench_seed_selects_the_starts(tmp_path):
     seeds = {}
     for seed in ("3", "4"):

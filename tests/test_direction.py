@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setopt import direction, oracle, problem, setorder
-from setopt.errors import NumericalBreakdown
+from setopt import direction, oracle, problem, setorder, solver
+from setopt.errors import NumericalBreakdown, PartitionTooLarge
 
 
 def test_init_store():
@@ -62,13 +62,12 @@ def _reference_bfgs(store, s, y_all, c_curv=1e-8):
     s_norm = np.linalg.norm(s)
     if s_norm == 0.0:
         raise NumericalBreakdown("BFGS update with a zero step")
-    report = direction.UpdateReport(applied=[], skipped=[])
+    applied = np.zeros((store.p, store.Q), dtype=bool)
     for i in range(store.p):
         for q in range(store.Q):
             y = y_all[i, q]
             sy = float(s @ y)
             if sy <= 0.0 or sy < c_curv * s_norm * np.linalg.norm(y):
-                report.skipped.append((i + 1, q + 1))
                 store.skipped += 1
                 continue
             B = store.matrices[i, q]
@@ -77,9 +76,9 @@ def _reference_bfgs(store, s, y_all, c_curv=1e-8):
             if sBs <= 0.0:
                 raise NumericalBreakdown(f"s'Bs = {sBs:g} <= 0 for component ({i + 1},{q + 1})")
             store.matrices[i, q] = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
-            report.applied.append((i + 1, q + 1))
+            applied[i, q] = True
             store.applied += 1
-    return report
+    return direction.UpdateReport(mask=applied)
 
 
 def _twin_stores(n, p, Q, rng):
@@ -287,10 +286,64 @@ def test_solve_subproblem_enumerates_partition():
 def test_solve_subproblem_tie_breaks_first():
     ps = _two_class_problem()
     sc = problem.scalarize(ps)
-    ms = setorder.MinimalStructure((1, 2), ((1, 2),), 1)
+    ms = setorder.MinimalStructure((1, 2), ((1, 2),), 1, 0.0)
     # make both selections identical by overriding jacobians via x where equal
     sol = direction.solve_subproblem(sc, None, np.array([1.0]), ms)
     assert sol.a.a in ((1,), (2,))
     # deterministic repeat
     sol2 = direction.solve_subproblem(sc, None, np.array([1.0]), ms)
     assert sol2.a.a == sol.a.a and sol2.phi == sol.phi
+
+
+def test_bfgs_report_reads_pairs_from_its_mask():
+    store = direction.init_store(2, 3, 2)
+    s = np.array([1.0, 0.0])
+    y_all = np.zeros((3, 2, 2))
+    y_all[0, 1] = y_all[2, 0] = s                          # only (1,2) and (3,1) curve
+    rep = direction.bfgs_update(store, s, y_all)
+    assert rep.mask.tolist() == [[False, True], [False, False], [True, False]]
+    assert rep.applied == [(1, 2), (3, 1)]
+    assert rep.skipped == [(1, 1), (2, 1), (2, 2), (3, 2)]
+    assert (store.applied, store.skipped) == (2, 4)
+    assert type(store.applied) is int and type(store.skipped) is int
+
+
+def _tie_blocks(rows):
+    """Two blocks of `rows` exact duplicates, (0, 1) and (1, 0): both minimal,
+    so the partition set has rows**2 selectors."""
+    import setopt.cone as cone_mod
+
+    def values(x):
+        return np.repeat([[x[0] ** 2, 1.0 + x[0] ** 2], [1.0 + x[0] ** 2, x[0] ** 2]],
+                         rows, axis=0)
+
+    def jacobians(x):
+        return np.broadcast_to([[2.0 * x[0]], [2.0 * x[0]]], (2 * rows, 2, 1)).copy()
+
+    return problem.ProblemSpec(f"tie{rows}", 1, 2, 2 * rows, cone_mod.nonnegative_orthant(2),
+                               np.array([[-1.0, 1.0]]), values, jacobians)
+
+
+def test_partition_set_over_the_limit_is_refused():
+    ps = _tie_blocks(200)
+    x = np.array([0.5])
+    ms = setorder.analyze(ps.cone, problem.eval_F(ps, x))
+    assert ms.w == 2 and ms.partition_count() == 40_000 > direction.PARTITION_LIMIT
+    with pytest.raises(PartitionTooLarge, match="40000 selectors"):
+        direction.solve_subproblem(problem.scalarize(ps), None, x, ms)
+    trace = solver.run(ps, x, solver.SolverConfig())
+    assert trace.status == solver.NUMERICAL_ERROR and "40000 selectors" in trace.message
+    assert trace.iterations == 0
+
+
+def test_partition_set_at_the_limit_is_solved(monkeypatch):
+    monkeypatch.setattr(direction, "PARTITION_LIMIT", 100)
+    ps = _tie_blocks(10)
+    x = np.array([0.5])
+    ms = setorder.analyze(ps.cone, problem.eval_F(ps, x))
+    assert ms.partition_count() == direction.PARTITION_LIMIT
+    sol = direction.solve_subproblem(problem.scalarize(ps), None, x, ms)
+    assert sol.a.a == (1, 11) and sol.u == pytest.approx([-1.0])
+    monkeypatch.setattr(direction, "PARTITION_LIMIT", 99)
+    with pytest.raises(PartitionTooLarge):
+        direction.solve_subproblem(problem.scalarize(ps), None, x, ms)

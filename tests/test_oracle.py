@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setopt import oracle
+from setopt import cone, oracle
 from setopt.errors import EmptyInput, GridTooLarge
 
 from conftest import make_scalar_problem
@@ -20,6 +20,25 @@ def test_brute_min_examples(orthant2, slanted_cone):
     assert oracle.brute_wmin(orthant2, [[1, 2], [1, 3]]) == (1, 2)
     with pytest.raises(EmptyInput):
         oracle.brute_min(orthant2, np.zeros((0, 2)))
+
+
+def test_brute_filters_match_a_loop_over_pairs(any_cone):
+    """Each i tests all j in one product; the verdicts are those of one
+    in_cone / in_int_cone call per pair."""
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        vals = rng.integers(-2, 3, (int(rng.integers(1, 25)), any_cone.m)).astype(float)
+        if trial % 2:
+            vals += rng.uniform(-1e-3, 1e-3, vals.shape) * (rng.random(len(vals)) < 0.5)[:, None]
+        tol = (0.0, 1e-3, 0.5)[trial % 3]
+        p = len(vals)
+        mins = tuple(i + 1 for i in range(p) if not any(
+            not np.array_equal(vals[j], vals[i]) and cone.in_cone(any_cone, vals[i] - vals[j], tol)
+            for j in range(p)))
+        wmins = tuple(i + 1 for i in range(p) if not any(
+            j != i and cone.in_int_cone(any_cone, vals[i] - vals[j], tol) for j in range(p)))
+        assert oracle.brute_min(any_cone, vals, tol) == mins
+        assert oracle.brute_wmin(any_cone, vals, tol) == wmins
 
 
 def test_grid_spec_guard():

@@ -223,6 +223,45 @@ def test_arithmetic_error_of_a_problem_callable_is_a_domain_error():
         problem.eval_F(inverse, [0.0])
 
 
+def _poisoned(name, bad, where):
+    """A builtin whose values (where="F") or Jacobians ("J") hold `bad` at
+    f^2's first entry."""
+    ps = problem.builtin(name)
+
+    def poison(fn):
+        def wrapped(x):
+            out = fn(x).copy()
+            out[1].flat[0] = bad
+            return out
+        return wrapped
+
+    values = poison(ps.values_fn) if where == "F" else ps.values_fn
+    jacobians = poison(ps.jacobians_fn) if where == "J" else ps.jacobians_fn
+    return problem.ProblemSpec(ps.name, ps.n, ps.m, ps.p, ps.cone, ps.sample_box,
+                               values, jacobians)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["F", "J"])
+def test_non_finite_output_of_a_problem_callable_is_a_domain_error(bad, where):
+    ps = _poisoned("ex3", bad, where)
+    evaluate = problem.eval_F if where == "F" else problem.eval_jacobians
+    with pytest.raises(DomainError, match=r"f\^2 is not finite") as ei:
+        evaluate(ps, [0.5, -1.0])
+    assert ei.value.index == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where", ["F", "J"])
+def test_start_with_a_non_finite_image_ends_numerical_error(where):
+    """An infinite image used to end LineSearchFailure after every backtrack."""
+    from setopt import solver
+
+    trace = solver.run(_poisoned("ex3", np.inf, where), [0.5, -1.0], solver.SolverConfig())
+    assert trace.status == solver.NUMERICAL_ERROR
+    assert "is not finite" in trace.message and trace.iterations == 0
+
+
 def test_load_non_utf8_is_a_format_error(tmp_path):
     path = tmp_path / "bin.prob"
     path.write_bytes(b"\xff\xfe" + GOOD.encode())

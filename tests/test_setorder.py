@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setopt import cone, oracle, setorder
-from setopt.errors import EmptyInput
+from setopt import cone, oracle, problem, setorder
+from setopt.errors import EmptyInput, NonFiniteInput
+from setorder_ref import analyze_ref
 
 
 def test_minimal_elements_examples(orthant2, slanted_cone):
@@ -47,12 +48,13 @@ def test_grouping_idempotent(any_cone):
 
 
 def test_partition_iter():
-    ms = setorder.MinimalStructure(minimal_indices=(1, 2, 3), classes=((1, 2), (3,)), w=2)
+    ms = setorder.MinimalStructure(minimal_indices=(1, 2, 3), classes=((1, 2), (3,)), w=2,
+                                   varsigma=0.0)
     elems = list(setorder.partition_iter(ms))
     assert [e.a for e in elems] == [(1, 3), (2, 3)]
     assert ms.partition_count() == 2
 
-    ms2 = setorder.MinimalStructure((1, 2, 3, 4, 5), ((1, 2), (3, 4, 5)), 2)
+    ms2 = setorder.MinimalStructure((1, 2, 3, 4, 5), ((1, 2), (3, 4, 5)), 2, 0.0)
     assert len(list(setorder.partition_iter(ms2))) == 6 == ms2.partition_count()
 
 
@@ -125,3 +127,78 @@ def test_analyze_matches_separate_filters(points, tol, which):
     assert sorted(i for cls in ms.classes for i in cls) == list(ms.minimal_indices)
     for cls in ms.classes:
         assert all(np.array_equal(vals[i - 1], vals[cls[0] - 1]) for i in cls)   # exact ties
+
+
+# --- non-finite images -------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_image_is_rejected(orthant2, bad):
+    """An infinite component used to make [[inf, 1], [inf, 2]] two minimal images."""
+    vals = [[bad, 1.0], [bad, 2.0]]
+    for fn in (setorder.minimal_elements, setorder.weakly_minimal_elements, setorder.analyze):
+        with pytest.raises(NonFiniteInput):
+            fn(orthant2, vals)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_order_value_overflow_is_rejected(slanted_cone):
+    vals = [[1e308, -1e308], [0.0, 0.0]]          # finite, but A v overflows
+    with pytest.raises(NonFiniteInput):
+        setorder.analyze(slanted_cone, vals)
+
+
+# --- analyze against the reference (tests/setorder_ref.py) -------------------
+
+ACCEPTANCE_CONES = (cone.nonnegative_orthant(2), cone.nonnegative_orthant(3),
+                    problem.builtin("ex5").cone, problem.builtin("ex6").cone)
+
+
+def _chain(rng, m, length, tol_group):
+    """A near-tie chain: images along (1, -1, 0, ...), which no acceptance
+    cone orders, with steps just below and just above tol_group."""
+    d = np.zeros(m)
+    d[:2] = (1.0, -1.0)
+    steps = tol_group * rng.choice([0.5, 0.999, 1.001, 2.0], length - 1)
+    pos = np.concatenate([[0.0], np.cumsum(steps)])
+    return rng.uniform(-3.0, 3.0, m) + pos[:, None] * d
+
+
+def _assert_matches_reference(c, vals, tol_group=1e-8):
+    ms = setorder.analyze(c, vals, tol_group)
+    minimal, classes, varsigma = analyze_ref(c, vals, tol_group)
+    assert ms.minimal_indices == minimal == oracle.brute_min(c, vals)
+    assert ms.classes == classes and ms.w == len(classes)
+    assert ms.varsigma == varsigma            # cone.varsigma, bit for bit
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(ACCEPTANCE_CONES) - 1),
+       st.sampled_from(["random", "grid", "duplicates", "chain", "chain+random"]),
+       st.integers(1, 80), st.sampled_from([1e-8, 0.25]), st.integers(0, 2**32 - 1))
+def test_analyze_matches_reference(which, kind, p, tol_group, seed):
+    c = ACCEPTANCE_CONES[which]
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        vals = rng.uniform(-3.0, 3.0, (p, c.m))
+    elif kind == "grid":                          # exact ties and exact A v
+        vals = rng.integers(-3, 4, (p, c.m)).astype(float)
+    elif kind == "duplicates":
+        vals = rng.uniform(-3.0, 3.0, (max(1, p // 4), c.m))[rng.integers(0, max(1, p // 4), p)]
+    elif kind == "chain":
+        vals = _chain(rng, c.m, p, tol_group)
+    else:
+        vals = np.concatenate([_chain(rng, c.m, p, tol_group),
+                               rng.uniform(-3.0, 3.0, (p, c.m))])
+    _assert_matches_reference(c, vals[rng.permutation(len(vals))], tol_group)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_analyze_long_chain_in_random_order(seed):
+    """A 200-point tie chain: a few long classes whose members are far apart
+    in index order."""
+    c = ACCEPTANCE_CONES[seed]
+    rng = np.random.default_rng(seed)
+    vals = _chain(rng, c.m, 200, 1e-8)[rng.permutation(200)]
+    _assert_matches_reference(c, vals)
+    assert setorder.analyze(c, vals).w < 200
