@@ -5,13 +5,17 @@ variables ``x1..xn`` and the function-family parameter ``i``.  Evaluation is
 plain IEEE double arithmetic; `eval_dual` carries an n-vector of derivatives
 through every operation, so one pass yields the exact gradient.
 
-Each parsed expression is compiled once.  `eval` and `eval_dual` then take the
-family index as an int or as an index array, and one call evaluates every
-index in the array (see "compilation and evaluation" below).
+Expressions are translated into Python source, one assignment per node, and
+compiled (see "evaluation by generated code" below): `generate` makes one
+function for all m expressions of a problem file, and `eval` and `eval_dual`
+one for a single expression at its first call.  They take the family index
+as an int or as an index array, and one call evaluates every index in the
+array.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 import operator
 import re
@@ -72,15 +76,13 @@ class Call(Node):
 class ExprAst:
     """Parsed expression plus the dimension it was parsed against.
 
-    `plan` is the expression compiled for evaluation, built once here.
+    `families` caches the generated evaluators of `eval` and `eval_dual`,
+    made at their first call.
     """
 
     root: Node
     n: int
-    plan: "_Plan" = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "plan", _Plan(self.root, self.n))
+    families: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
 
 @dataclass
@@ -244,7 +246,7 @@ class _Parser:
 
 
 def parse(source: str, n: int) -> ExprAst:
-    """Parse and compile one expression over x1..xn and the family parameter i."""
+    """Parse one expression over x1..xn and the family parameter i."""
     try:
         root = _Parser(_tokenize(source), n).parse()
     except RecursionError:
@@ -275,24 +277,35 @@ def _print(node: Node) -> str:
     raise TypeError(node)
 
 
-# --- compilation and evaluation --------------------------------------------
+# --- evaluation by generated code ------------------------------------------
 #
-# An expression is compiled once into closures.  The family index enters as a
-# vector of lanes, one per requested i, and a subtree is evaluated by what it
-# depends on:
-#   - not on x: folded lane by lane with Python floats and `math`, once per
-#     index vector, and cached (e.g. sin(2*pi*(i-1)/50) becomes a vector);
-#   - on x only: once per call with Python floats and `math`, shared by all
-#     lanes;
+# A family of m expressions is translated into the Python source of one
+# function over every index of an index vector (the lanes), compiled once.
+# A subtree is translated by what it depends on:
+#   - not on x: folded lane by lane with Python floats and `math` when the
+#     index vector is bound (e.g. sin(2*pi*(i-1)/50) becomes a vector), and a
+#     subtree free of i as well becomes one constant;
+#   - on x only: Python float statements with `math`, run once per call; a
+#     gradient is n floats;
 #   - on x and i: numpy arithmetic over the lanes.
-# The first two round exactly like a scalar tree walk.  numpy's + - * / round
-# like Python's, so wherever the x-and-i subtrees use only those, every lane
-# is bit-identical to evaluating that index alone; numpy's transcendental
-# functions and powers may differ from `math` in the last bit.
+# Each node is one assignment, in the order of a tree walk, performing the
+# walk's floating-point operations, so the first two round exactly like it.
+# numpy's + - * / round like Python's, so wherever the x-and-i subtrees use
+# only those, every lane is bit-identical to evaluating that index alone;
+# numpy's transcendental functions and powers may differ from `math` in the
+# last bit.  A subtree free of x adds no gradient term, while the zero
+# entries of a variable's unit vector are operands like any other; `x * 1.0`
+# is `x`, and operations on constants are done once, at generation.
 #
-# A check that fails marks its lanes instead of raising; each lane keeps its
-# first failure in evaluation order and the lowest failing index is raised,
-# which is the error a walk over i = 1, 2, ... meets first.
+# A check that fails on some lanes records each lane's first failure in
+# evaluation order (the dict E, lane -> site) and substitutes a harmless
+# value there; one that fails on every lane raises _Fail, since the first
+# lane's first failure is then settled, and so does a `math` call or float **
+# that raises, found by its generated line (`_math_site`).  The lowest
+# failing lane's first failure is raised, which is the error a walk over
+# i = 1, 2, ... meets first; a family reports the lowest index, then the
+# lowest component.  Checks whose operands are constants or folds are
+# decided at generation.
 
 _X, _I = 1, 2
 _XI = _X | _I
@@ -310,511 +323,857 @@ def _children(node):
 
 def _deps(node) -> int:
     """Bit mask of what a subtree depends on: _X (some xj) and _I (i)."""
-    if isinstance(node, Var):
-        return _X
-    if isinstance(node, Param):
-        return _I
     deps = 0
-    for child in _children(node):
-        deps |= _deps(child)
+    for sub in _postorder(node):
+        if isinstance(sub, Var):
+            deps |= _X
+        elif isinstance(sub, Param):
+            deps |= _I
     return deps
 
 
+def _postorder(root):
+    """Every node of a tree, children left to right before their parent."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(_children(node))
+    order.reverse()
+    return order
+
+
+# run-time support of the generated code
+
 class _Fail(Exception):
-    """A check failed in a scalar evaluation; the lane context records it."""
+    """A check failed on every lane, or on the one lane being folded."""
 
-    def __init__(self, node, message):
-        super().__init__(message)
-        self.node = node
-        self.message = message
-
-
-class _Scalar:
-    """Context of a subtree that does not depend on both x and i: Python
-    floats and `math`, for one index value `i` (None where i is not used)."""
-
-    __slots__ = ("i", "kink")
-    sin, cos, tan, exp, log, sqrt, copysign, pow = (
-        math.sin, math.cos, math.tan, math.exp, math.log, math.sqrt, math.copysign,
-        operator.pow)
-    any = all = bool
-    not_ = operator.not_
-
-    def __init__(self, i=None):
-        self.i = i
-        self.kink = False
-
-    @staticmethod
-    def where(cond, a, b):
-        return a if cond else b
-
-    @staticmethod
-    def nonint(b):
-        return not (math.isfinite(b) and b == math.floor(b))
-
-    @staticmethod
-    def check(node, bad, message):
-        if bad:
-            raise _Fail(node, message)
-        return False
-
-    @staticmethod
-    def finite(node, v, *operands, where=True):
-        return v    # math.exp and float ** raise OverflowError themselves
-
-    def flag(self, kink):
-        if kink:
-            self.kink = True
+    def __init__(self, site):
+        super().__init__(site)
+        self.site = site
 
 
-class _Lanes:
-    """Context of a subtree that depends on x and i: numpy arrays over the
-    lanes `iv`, checks that mark failing lanes, and the folds of x-free
-    subtrees for this index vector."""
+def _mark(E, bad, site):
+    """Record `site` as the first failure of each lane where `bad` holds."""
+    for k in np.flatnonzero(bad).tolist():
+        E.setdefault(k, site)
 
-    __slots__ = ("iv", "p", "folds", "failed", "kinks", "shared_ctx")
-    sin, cos, tan, log, sqrt, copysign, where = (
-        np.sin, np.cos, np.tan, np.log, np.sqrt, np.copysign, staticmethod(np.where))
-    any, all, not_ = staticmethod(np.any), staticmethod(np.all), np.logical_not
 
-    def __init__(self, iv, folds):
-        self.iv = iv
-        self.p = iv.shape[0]
-        self.folds = folds
-        self.failed = None       # lane -> (node, message) of its first failure
-        self.kinks = None        # (p,) bool: abs met 0 on the lane
-        self.shared_ctx = _Scalar()
-
-    @staticmethod
-    def nonint(b):
-        return np.logical_not(np.isfinite(b) & (b == np.floor(b)))
-
-    def check(self, node, bad, message):
-        """Record lanes where `bad` holds; True if any did."""
-        if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+def _check(E, bad, site) -> bool:
+    """A check whose condition is a Python or a numpy bool, known only at run
+    time: whether it failed."""
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
             return False
-        self._record(np.flatnonzero(np.broadcast_to(bad, (self.p,))).tolist(), node, message)
+        _mark(E, bad, site)
         return True
+    if bad:
+        raise _Fail(site)
+    return False
 
-    # numpy overflows to inf where `math` and float ** raise; `finite` marks it.
-    @staticmethod
-    def exp(v):
-        with np.errstate(over="ignore"):
-            return np.exp(v)
 
-    @staticmethod
-    def pow(a, b):
-        with np.errstate(over="ignore"):
-            return a ** b
+def _replay(E, failed):
+    """A fold's failures, at the point where the walk meets them."""
+    for k, site in failed.items():
+        E.setdefault(k, site)
 
-    def finite(self, node, v, *operands, where=True):
-        """Mark lanes (of `where`) where finite operands gave an infinite
-        result; they become nan."""
-        bad = np.isinf(v) & where
-        for a in operands:
-            bad &= np.isfinite(a)
-        if self.check(node, bad, "overflow"):
-            return np.where(bad, math.nan, v)
-        return v
 
-    def _record(self, lanes, node, message):
-        if self.failed is None:
-            self.failed = {}
-        for k in lanes:
-            self.failed.setdefault(k, (node, message))
+def _math_site(risky, exc):
+    """The site of a `math` call or float ** that raised `exc`: `risky` is
+    the generated file's name and a map of its lines to their node's
+    (overflow, domain error) sites."""
+    filename, lines = risky
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    sites = lines.get(tb.tb_lineno) if tb.tb_frame.f_code.co_filename == filename else None
+    if sites is None:
+        raise exc
+    return sites[0] if isinstance(exc, OverflowError) else sites[1]
 
-    def flag(self, kink):
-        if np.any(kink):
-            if self.kinks is None:
-                self.kinks = np.zeros(self.p, dtype=bool)
-            self.kinks |= kink
 
-    def shared(self, fn, xs, dual):
-        """Evaluate an x-only subtree once for all lanes."""
+def _fold_lanes(fn, lanes, risky):
+    """A subtree free of x over the lanes: values, failures (lane -> site)
+    and nondifferentiable flags; a failing lane is nan."""
+    values, failed, kinks = [], {}, []
+    for k, i in enumerate(lanes):
         try:
-            return fn(xs, self.shared_ctx)
+            value, kink = fn(i)
         except _Fail as fail:
-            self._record(range(self.p), fail.node, fail.message)
-            return (math.nan, None) if dual else math.nan
-
-    def fold(self, fn, dual):
-        """The cached lane vector of an x-free subtree; replays its failures."""
-        entry = self.folds.get(fn)
-        if entry is None:
-            entry = self.folds[fn] = _fold(fn, self.iv, dual)
-        values, failed, kinks = entry
-        for k, (node, message) in failed.items():
-            self._record((k,), node, message)
-        if kinks is not None:
-            self.flag(kinks)
-        return values
-
-    def finish(self):
-        """Raise the lowest failing lane's first failure; settle shared kinks."""
-        if self.failed:
-            k = min(self.failed)
-            node, message = self.failed[k]
-            exc = DomainError(message, node.line, node.column)
-            exc.index = self.iv[k].item()
-            raise exc
-        if self.shared_ctx.kink:
-            self.flag(True)
+            value, kink, failed[k] = math.nan, False, fail.site
+        except (OverflowError, ValueError) as exc:
+            value, kink, failed[k] = math.nan, False, _math_site(risky, exc)
+        values.append(value)
+        kinks.append(kink)
+    return values, failed, kinks
 
 
-def _fold(fn, iv, dual):
-    values = np.empty(iv.shape[0])
-    failed = {}
-    kinks = np.zeros(iv.shape[0], dtype=bool)
-    for k, i in enumerate(iv.tolist()):
-        ctx = _Scalar(float(i))
-        try:
-            v = fn(None, ctx)
-            values[k] = v[0] if dual else v
-        except _Fail as fail:
-            failed[k] = (fail.node, fail.message)
-            values[k] = math.nan
-        kinks[k] = ctx.kink
-    values.setflags(write=False)
-    return values, failed, (kinks if kinks.any() else None)
+def _raise(lanes, E):
+    k = min(E)
+    component, line, column, message = E[k]
+    exc = DomainError(message, line, column)
+    exc.index = lanes[k]
+    if component is not None:
+        exc.args = (f"f^{exc.index} component {component + 1}: {exc}",)
+    raise exc
 
 
-# Gradients are None where known to be zero, an (n,) array shared by all
-# lanes, or a (p, n) array.  A dropped zero term leaves the walk's formula
-# otherwise unchanged, so the rounding is the same.
-
-def _col(v):
-    return v[:, None] if isinstance(v, np.ndarray) and v.ndim == 1 else v
-
-
-def _scale(v, g):
-    return None if g is None else _col(v) * g
+# numpy overflows to inf where `math` and float ** raise; a finite check
+# after them marks it.
+def _nexp(v):
+    with np.errstate(over="ignore"):
+        return np.exp(v)
 
 
-def _over(g, d):
-    return None if g is None else g / _col(d)
+def _npow(a, b):
+    with np.errstate(over="ignore"):
+        return a ** b
 
 
-def _plus(ag, bg):
-    if ag is None:
-        return bg
-    return ag if bg is None else ag + bg
+# Gradients whose presence is known only at run time (see _pow_grad): None
+# where zero, else a tuple of n floats or lane arrays.
+
+def _tneg(g):
+    return None if g is None else tuple(-a for a in g)
 
 
-def _minus(ag, bg):
-    if bg is None:
-        return ag
-    return -bg if ag is None else ag - bg
+def _tplus(a, b):
+    if a is None:
+        return b
+    return a if b is None else tuple(x + y for x, y in zip(a, b))
 
 
-# Operations: value op (c, node, *values) and dual op (c, node, *(value, grad)),
-# where c is the _Scalar or _Lanes context.
-
-def _neg(c, node, a):
-    return -a
-
-
-def _neg_d(c, node, a):
-    return -a[0], (None if a[1] is None else -a[1])
+def _tminus(a, b):
+    if b is None:
+        return a
+    return _tneg(b) if a is None else tuple(x - y for x, y in zip(a, b))
 
 
-def _add(c, node, a, b):
-    return a + b
+def _tscale(v, g):
+    return None if g is None else tuple(v * a for a in g)
 
 
-def _add_d(c, node, a, b):
-    return a[0] + b[0], _plus(a[1], b[1])
-
-
-def _sub(c, node, a, b):
-    return a - b
-
-
-def _sub_d(c, node, a, b):
-    return a[0] - b[0], _minus(a[1], b[1])
-
-
-def _mul(c, node, a, b):
-    return a * b
-
-
-def _mul_d(c, node, a, b):
-    (av, ag), (bv, bg) = a, b
-    return av * bv, _plus(_scale(av, bg), _scale(bv, ag))
-
-
-def _divisor(c, node, b):
-    if c.check(node, b == 0.0, "division by zero"):
-        return c.where(b == 0.0, 1.0, b)
-    return b
-
-
-def _div(c, node, a, b):
-    return a / _divisor(c, node, b)
-
-
-def _div_d(c, node, a, b):
-    (av, ag), (bv, bg) = a, b
-    bv = _divisor(c, node, bv)
-    return av / bv, _over(_minus(_scale(bv, ag), _scale(av, bg)), bv * bv)
-
-
-def _pow_base(c, node, a, b):
-    zero_neg = (a == 0.0) & (b < 0.0)
-    neg_frac = (a < 0.0) & c.nonint(b)
-    if (c.check(node, zero_neg, "zero raised to a negative power")
-            | c.check(node, neg_frac, "negative base with non-integer exponent")):
-        return c.where(zero_neg | neg_frac, 1.0, a)
-    return a
-
-
-def _power(c, node, a, b, where=True):
-    return c.finite(node, c.pow(a, b), a, b, where=where)
-
-
-def _pow(c, node, a, b):
-    return _power(c, node, _pow_base(c, node, a, b), b)
-
-
-def _moving(g):
-    """Whether an exponent's gradient is nonzero, per lane if it varies."""
+def _tover(g, d):
     if g is None:
-        return False
-    if g.ndim == 1:
-        return bool((g != 0.0).any())
-    return (g != 0.0).any(axis=1)
+        return None
+    if type(d) is float and d == 0.0:
+        d = np.float64(d)       # divides like numpy: inf or nan, not an exception
+    return tuple(a / d for a in g)
 
 
-def _pow_d(c, node, a, b):
-    (av, ag), (bv, bg) = a, b
-    av = _pow_base(c, node, av, bv)
-    value = _power(c, node, av, bv)
-    moving = _moving(bg)
+def _put(J, c, g):
+    if g is None:
+        J[:, c] = 0.0
+    else:
+        for j, a in enumerate(g):
+            J[:, c, j] = a
+
+
+def _spow(a, b, overflow, domain):
+    try:
+        return a ** b
+    except OverflowError:
+        raise _Fail(overflow) from None
+    except ValueError:
+        raise _Fail(domain) from None
+
+
+def _pow_grad(E, lanes, sites, av, bv, value, ag, bg):
+    """Gradient of a^b where whether the exponent moves is known only at
+    run time, on lanes or on Python floats (then exactly one branch runs)."""
+    positive, unbounded, overflow, domain = sites
+    moving = False
+    for g in bg or ():
+        moving = moving | (g != 0.0)
     grad = None
-    if c.any(moving):
-        c.check(node, moving & (av <= 0.0), "non-constant exponent needs a positive base")
-        pos = c.where(av > 0.0, av, 1.0)
-        grad = _scale(value, _plus(_scale(c.log(pos), bg), _over(_scale(bv, ag), pos)))
-    if not c.all(moving):
+    if np.any(moving):
+        _check(E, moving & (av <= 0.0), positive)
+        pos = np.where(av > 0.0, av, 1.0) if lanes else (av if av > 0.0 else 1.0)
+        log = np.log(pos) if lanes else math.log(pos)
+        grad = _tscale(value, _tplus(_tscale(log, bg), _tover(_tscale(bv, ag), pos)))
+    if not np.all(moving):
         zero = av == 0.0
-        c.check(node, c.not_(moving) & zero & c.not_((bv == 1.0) | (bv > 1.0) | (bv == 0.0)),
-                "derivative of x^b unbounded at x=0 for 0<b<1")
-        coef = c.where(zero, c.where(bv == 1.0, 1.0, 0.0),
-                       bv * _power(c, node, c.where(zero, 1.0, av), bv - 1.0,
-                                   where=c.not_(moving)))
-        fixed = _scale(coef, ag)
+        _check(E, np.logical_not(moving) & zero
+               & np.logical_not((bv == 1.0) | (bv > 1.0) | (bv == 0.0)), unbounded)
+        if lanes:
+            base = np.where(zero, 1.0, av)
+            power = _npow(base, bv - 1.0)
+            bad = np.isinf(power) & np.logical_not(moving) & np.isfinite(base)
+            bad &= np.isfinite(bv - 1.0)
+            if _check(E, bad, overflow):
+                power = np.where(bad, math.nan, power)
+            coef = np.where(zero, np.where(bv == 1.0, 1.0, 0.0), bv * power)
+        else:
+            power = _spow(1.0 if zero else av, bv - 1.0, overflow, domain)
+            coef = (1.0 if bv == 1.0 else 0.0) if zero else bv * power
+        fixed = _tscale(coef, ag)
         if grad is None:
             grad = fixed
         else:
-            grad = np.where(moving[:, None], grad, 0.0 if fixed is None else fixed)
-    return value, grad
+            grad = tuple(np.where(moving, g, 0.0 if fixed is None else f)
+                         for g, f in zip(grad, fixed or grad))
+    return grad
 
 
-def _sin_d(c, node, a):
-    return c.sin(a[0]), _scale(c.cos(a[0]), a[1])
-
-
-def _cos_d(c, node, a):
-    return c.cos(a[0]), _scale(-c.sin(a[0]), a[1])
-
-
-def _tan_d(c, node, a):
-    t = c.tan(a[0])
-    return t, _scale(1.0 + t * t, a[1])
-
-
-def _exp(c, node, v):
-    return c.finite(node, c.exp(v), v)
-
-
-def _exp_d(c, node, a):
-    e = _exp(c, node, a[0])
-    return e, _scale(e, a[1])
-
-
-def _positive(c, node, v):
-    if c.check(node, v <= 0.0, "log of a non-positive value"):
-        return c.where(v <= 0.0, 1.0, v)
-    return v
-
-
-def _log(c, node, v):
-    return c.log(_positive(c, node, v))
-
-
-def _log_d(c, node, a):
-    v = _positive(c, node, a[0])
-    return c.log(v), _over(a[1], v)
-
-
-def _sqrt(c, node, v):
-    if c.check(node, v < 0.0, "sqrt of a negative value"):
-        v = c.where(v < 0.0, 0.0, v)
-    return c.sqrt(v)
-
-
-def _sqrt_d(c, node, a):
-    v, g = a
-    bad = c.check(node, v < 0.0, "sqrt of a negative value")
-    if c.check(node, v == 0.0, "sqrt derivative at zero") or bad:
-        v = c.where(v <= 0.0, 1.0, v)
-    s = c.sqrt(v)
-    return s, _over(g, 2.0 * s)
-
-
-def _abs(c, node, v):
-    return abs(v)
-
-
-def _abs_d(c, node, a):
-    v, g = a
-    kink = v == 0.0
-    c.flag(kink)
-    return abs(v), _scale(c.where(kink, 0.0, c.copysign(1.0, v)), g)
-
-
-# floor and mod only ever see the _Scalar context: parse rejects x in their
-# arguments.
-
-def _floor(c, node, v):
-    c.check(node, not math.isfinite(v), "floor of a non-finite value")
-    return float(math.floor(v))
-
-
-def _mod(c, node, a, b):
-    c.check(node, b == 0.0, "mod by zero")
-    return a % b
-
-
-_OPS = {  # node kind -> (value op, dual op)
-    "neg": (_neg, _neg_d),
-    "+": (_add, _add_d), "-": (_sub, _sub_d), "*": (_mul, _mul_d), "/": (_div, _div_d),
-    "^": (_pow, _pow_d), "pow": (_pow, _pow_d),
-    "sin": (lambda c, node, v: c.sin(v), _sin_d),
-    "cos": (lambda c, node, v: c.cos(v), _cos_d),
-    "tan": (lambda c, node, v: c.tan(v), _tan_d),
-    "exp": (_exp, _exp_d),
-    "log": (_log, _log_d),
-    "sqrt": (_sqrt, _sqrt_d),
-    "abs": (_abs, _abs_d),
-    "floor": (_floor, lambda c, node, a: (_floor(c, node, a[0]), None)),
-    "mod": (_mod, lambda c, node, a, b: (_mod(c, node, a[0], b[0]), None)),
+_RUNTIME = {
+    "_Fail": _Fail, "_mark": _mark, "_replay": _replay,
+    "_math_site": _math_site,
+    "_tneg": _tneg, "_tplus": _tplus, "_tminus": _tminus, "_tscale": _tscale,
+    "_tover": _tover, "_put": _put, "_pow_grad": _pow_grad, "_nexp": _nexp,
+    "_npow": _npow, "_empty": np.empty, "_nan": math.nan, "_inf": math.inf,
+    "_F64ZERO": np.float64(0.0),
+    "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
+    "_log": math.log, "_sqrt": math.sqrt, "_copysign": math.copysign,
+    "_isfinite": math.isfinite, "_floor": math.floor,
+    "_nsin": np.sin, "_ncos": np.cos, "_ntan": np.tan, "_nlog": np.log,
+    "_nsqrt": np.sqrt, "_ncopysign": np.copysign, "_nwhere": np.where,
+    "_nisinf": np.isinf, "_nisfinite": np.isfinite, "_nfloor": np.floor,
+    "_nnot": np.logical_not,
 }
 
+# operand kinds: a constant known at generation (`value`), a Python float,
+# a numpy object (a lane array, or a fold array with its `value`), or a
+# run-time gradient tuple
+_C, _S, _N, _T = "C", "S", "N", "T"
 
-def _apply(op, node, args, lanes):
-    if len(args) == 1:
-        (fa,) = args
+_FOLD_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_COMPARE = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt}
+_LOCAL = re.compile(r"\b[vbgx]\d+\b")
 
-        def call(xs, c):
-            return op(c, node, fa(xs, c))
+
+class _V:
+    __slots__ = ("code", "kind", "value")
+
+    def __init__(self, code, kind, value=None):
+        self.code, self.kind, self.value = code, kind, value
+
+
+def _const(value) -> _V:
+    if isinstance(value, (bool, np.bool_)):
+        return _V(repr(bool(value)), _C, bool(value))
+    value = float(value)
+    if math.isnan(value):
+        code = "(-_nan)" if math.copysign(1.0, value) < 0 else "_nan"
+    elif math.isinf(value):
+        code = "_inf" if value > 0 else "(-_inf)"
     else:
-        fa, fb = args
-
-        def call(xs, c):
-            return op(c, node, fa(xs, c), fb(xs, c))
-    if lanes:
-        return call
-
-    def checked(xs, c):
-        # `math` and float `**` raise where numpy would return inf or nan
-        try:
-            return call(xs, c)
-        except OverflowError:
-            raise _Fail(node, "overflow") from None
-        except ValueError:
-            raise _Fail(node, "math domain error") from None
-    return checked
+        code = repr(value)
+        if code.startswith("-"):
+            code = f"({code})"
+    return _V(code, _C, value)
 
 
-def _compile(node, n):
-    """(deps, value closure, dual closure) of a subtree.
+_ONE, _ZERO = _const(1.0), _const(0.0)
 
-    The closures take (xs, c): xs the point as Python floats and c the
-    _Scalar context, or the _Lanes context where deps is _XI.
+
+def _join(*operands) -> str:
+    return _N if any(a.kind == _N for a in operands) else _S
+
+
+class _Emitter:
+    """The statements of one generated function.
+
+    A statement is (lines, targets, pure, risky): a pure statement whose
+    targets are never read is dropped (`program`); a risky one is a `math`
+    call or float ** that raises where a walk fails, and `risky` is its
+    (component, node).  `lanes` says whether the node being emitted depends
+    on x and i; `component` goes into its failure sites.
     """
-    if isinstance(node, Const):
-        v = node.value
-        return 0, (lambda xs, c: v), (lambda xs, c: (v, None))
-    if isinstance(node, Var):
-        j = node.index - 1
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        unit.setflags(write=False)
-        return _X, (lambda xs, c: xs[j]), (lambda xs, c: (xs[j], unit))
-    if isinstance(node, Param):
-        return _I, (lambda xs, c: c.i), (lambda xs, c: (c.i, None))
-    if isinstance(node, Neg):
-        key = "neg"
-    elif isinstance(node, BinOp):
-        key = node.op
-    elif isinstance(node, Call):
-        key = node.name
-    else:
-        raise TypeError(node)
-    codes = [_compile(child, n) for child in _children(node)]
-    deps = 0
-    for code in codes:
-        deps |= code[0]
-    lanes = deps == _XI
-    pairs = [_on_lanes(code) if lanes else code[1:] for code in codes]
-    value_op, dual_op = _OPS[key]
-    return (deps, _apply(value_op, node, [pair[0] for pair in pairs], lanes),
-            _apply(dual_op, node, [pair[1] for pair in pairs], lanes))
+
+    def __init__(self, ns, dual, kinks):
+        self.ns = ns
+        self.dual = dual
+        self.kinks = kinks
+        self.stmts = []
+        self.count = 0
+        self.component = None
+        self.lanes = False
+
+    # statements and names
+
+    def name(self, prefix="v"):
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def put(self, lines, targets=(), pure=False, risky=None):
+        self.stmts.append((list(lines), tuple(targets), pure, risky))
+
+    def let(self, expr, kind, prefix="v", pure=True) -> _V:
+        target = self.name(prefix)
+        self.put([f"{target} = {expr}"], (target,), pure)
+        return _V(target, _S if kind == _C else kind)
+
+    def glob(self, prefix, obj, kind=_N, value=None) -> _V:
+        name = f"{prefix}{len(self.ns)}"
+        self.ns[name] = obj
+        return _V(name, kind, value)
+
+    def site(self, node, message) -> str:
+        return self.glob("S", (self.component, node.line, node.column, message)).code
+
+    def risky(self, expr, node) -> _V:
+        target = self.name()
+        self.put([f"{target} = {expr}"], (target,), risky=(self.component, node))
+        return _V(target, _S)
+
+    def program(self, indent, start=0, reads=""):
+        """The source lines of the statements from `start` on, indented, with
+        the (component, node) of each risky line; pure statements whose
+        targets neither a later statement nor the code `reads` reads are
+        dropped."""
+        live, kept = set(_LOCAL.findall(reads)), []
+        for lines, targets, pure, risky in reversed(self.stmts[start:]):
+            if pure and live.isdisjoint(targets):
+                continue
+            live.difference_update(targets)
+            for line in lines:
+                live.update(_LOCAL.findall(line))
+            kept.append((lines, risky))
+        pad = " " * indent
+        return [(pad + line, risky if k == 0 else None)
+                for lines, risky in reversed(kept) for k, line in enumerate(lines)]
+
+    # values
+
+    def arith(self, op, a, b) -> _V:
+        if a.kind == _C and b.kind == _C:
+            with np.errstate(all="ignore"):
+                return _const(_FOLD_ARITH[op](np.float64(a.value), np.float64(b.value)))
+        if op == "*" and b.kind == _C and b.value == 1.0:
+            return a
+        if op == "*" and a.kind == _C and a.value == 1.0:
+            return b
+        return self.let(f"{a.code} {op} {b.code}", _join(a, b))
+
+    def neg(self, a) -> _V:
+        return _const(-a.value) if a.kind == _C else self.let(f"-{a.code}", a.kind)
+
+    def call(self, fn, a, node=None) -> _V:
+        """math.fn on Python floats (risky where `node` is given), np.fn on lanes."""
+        if self.lanes:
+            if a.kind == _C:
+                with np.errstate(all="ignore"):
+                    return _const(getattr(np, fn)(np.float64(a.value)))
+            return self.let(f"_n{fn}({a.code})", _N)
+        if a.kind == _C and node is None:
+            try:
+                return _const(getattr(math, fn)(a.value))
+            except (OverflowError, ValueError):
+                pass            # after a check that always fails: never run
+        if node is not None:
+            return self.risky(f"_{fn}({a.code})", node)
+        return self.let(f"_{fn}({a.code})", _S)
+
+    def select(self, cond, a, b) -> _V:
+        """c.where(cond, a, b): both operands are already evaluated."""
+        if cond.kind == _C:
+            return a if cond.value else b
+        if self.lanes:
+            return self.let(f"_nwhere({cond.code}, {a.code}, {b.code})", _N)
+        return self.let(f"{a.code} if {cond.code} else {b.code}", _join(a, b))
+
+    # conditions: constants fold, Python bools stay inline, numpy ones get a name
+
+    def compare(self, a, op, value) -> _V:
+        if a.kind == _C:
+            return _const(_COMPARE[op](a.value, value))
+        if a.value is not None:            # a fold: decided per lane now
+            mask = _COMPARE[op](a.value, value)
+            return _const(mask[0]) if mask.all() or not mask.any() else self.glob("M", mask)
+        code = f"{a.code} {op} {_const(value).code}"
+        return _V(f"({code})", _S) if a.kind == _S else self.let(code, a.kind, "b")
+
+    def both(self, a, b) -> _V:
+        if a.kind == _C:
+            return b if a.value else a
+        if b.kind == _C:
+            return a if b.value else b
+        kind = _join(a, b)
+        code = f"{a.code} & {b.code}"
+        return _V(f"({code})", _S) if kind == _S else self.let(code, kind, "b")
+
+    def either(self, *conds) -> _V:
+        conds = [c for c in conds if not (c.kind == _C and not c.value)]
+        if not conds:
+            return _const(False)
+        if any(c.kind == _C for c in conds):
+            return _const(True)
+        if len(conds) == 1:
+            return conds[0]
+        kind = _join(*conds)
+        code = " | ".join(c.code for c in conds)
+        return _V(f"({code})", _S) if kind == _S else self.let(code, kind, "b")
+
+    def negate(self, a) -> _V:
+        if a.kind == _C:
+            return _const(not a.value)
+        if a.kind == _S:
+            return _V(f"(not {a.code})", _S)
+        return self.let(f"_nnot({a.code})", _N, "b")
+
+    def nonint(self, b) -> _V:
+        if b.kind == _C or b.value is not None:
+            v = b.value
+            bad = np.logical_not(np.isfinite(v) & (v == np.floor(v)))
+            if b.kind == _C or bad.all() or not bad.any():
+                return _const(np.all(bad))
+            return self.glob("M", bad)
+        if b.kind == _S:
+            return _V(f"(not (_isfinite({b.code}) and {b.code} == _floor({b.code})))", _S)
+        return self.let(f"_nnot(_nisfinite({b.code}) & ({b.code} == _nfloor({b.code})))",
+                        _N, "b")
+
+    def check(self, bad, node, message, then=()):
+        """Fail where `bad` holds.  On lanes, record them and run the lines
+        `then`; returns the name of a flag saying whether that happened, or
+        None where a failure raises."""
+        if bad.kind == _C:
+            if bad.value:
+                self.put([f"raise _Fail({self.site(node, message)})"])
+            return None
+        site = self.site(node, message)
+        if bad.kind == _S:
+            self.put([f"if {bad.code}:", f"    raise _Fail({site})"])
+            return None
+        flag = self.name("b")
+        self.put([f"{flag} = {bad.code}.any()", f"if {flag}:",
+                  f"    _mark(E, {bad.code}, {site})"] + ["    " + t for t in then],
+                 [flag] + [t.split(" = ")[0] for t in then])
+        return flag
+
+    def replace(self, flags, bad, fill, a) -> _V:
+        """a, or where(bad, fill, a) where one of the checks `flags` fired on
+        lanes.  A Python float becomes a lane array either way, so that what
+        follows knows its kind."""
+        flags = [f for f in flags if f is not None]
+        if not flags:
+            return a
+        if a.kind != _N:
+            return self.let(f"_nwhere({bad.code}, {fill}, {a.code})", _N)
+        target = self.name()
+        self.put([f"if {' or '.join(flags)}:",
+                  f"    {target} = _nwhere({bad.code}, {fill}, {a.code})",
+                  "else:", f"    {target} = {a.code}"], (target,), pure=True)
+        return _V(target, _N)
+
+    def finite(self, node, v, *operands) -> _V:
+        """On lanes: mark where finite operands gave an infinite v; it becomes nan."""
+        terms = [f"_nisinf({v.code})"]
+        for a in operands:
+            if a.kind != _C:
+                terms.append(f"_nisfinite({a.code})")
+            elif not math.isfinite(a.value):
+                return v
+        bad = self.let(" & ".join(terms), _N, "b")
+        self.check(bad, node, "overflow", then=[f"{v.code} = _nwhere({bad.code}, _nan, {v.code})"])
+        return v
+
+    def power(self, node, a, b) -> _V:
+        if not self.lanes:
+            return self.risky(f"{a.code} ** {b.code}", node)
+        return self.finite(node, self.let(f"_npow({a.code}, {b.code})", _N), a, b)
+
+    # gradients: None (zero), a list of n operands, or a _T run-time tuple
+
+    def tup(self, g) -> str:
+        return "None" if g is None else g.code if isinstance(g, _V) else \
+            "(" + "".join(f"{c.code}, " for c in g) + ")"
+
+    def g_neg(self, g):
+        if g is None or isinstance(g, list):
+            return g and [self.neg(c) for c in g]
+        return self.let(f"_tneg({g.code})", _T, "g")
+
+    def g_plus(self, a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        if isinstance(a, list) and isinstance(b, list):
+            return [self.arith("+", x, y) for x, y in zip(a, b)]
+        return self.let(f"_tplus({self.tup(a)}, {self.tup(b)})", _T, "g")
+
+    def g_minus(self, a, b):
+        if b is None:
+            return a
+        if a is None:
+            return self.g_neg(b)
+        if isinstance(a, list) and isinstance(b, list):
+            return [self.arith("-", x, y) for x, y in zip(a, b)]
+        return self.let(f"_tminus({self.tup(a)}, {self.tup(b)})", _T, "g")
+
+    def g_scale(self, v, g):
+        if g is None or isinstance(g, list):
+            return g and [self.arith("*", v, c) for c in g]
+        return self.let(f"_tscale({v.code}, {g.code})", _T, "g")
+
+    def g_over(self, g, d):
+        if g is None or isinstance(g, list):
+            return g and [self.arith("/", c, d) for c in g]
+        return self.let(f"_tover({g.code}, {d.code})", _T, "g")
+
+    # nodes
+
+    def node(self, node, args):
+        """(value, gradient) of a node from its operands' (value, gradient)."""
+        if isinstance(node, Neg):
+            (a, g), = args
+            return self.neg(a), self.g_neg(g)
+        if isinstance(node, BinOp) and node.op in "+-*":
+            (a, ag), (b, bg) = args
+            if node.op == "+":
+                return self.arith("+", a, b), self.g_plus(ag, bg)
+            if node.op == "-":
+                return self.arith("-", a, b), self.g_minus(ag, bg)
+            return self.arith("*", a, b), self.g_plus(self.g_scale(a, bg), self.g_scale(b, ag))
+        key = node.op if isinstance(node, BinOp) else node.name
+        if key == "/":
+            return self.divide(node, *args)
+        if key in ("^", "pow"):
+            return self.pow(node, *args)
+        if key == "floor":
+            (a, _), = args
+            self.check(self.negate(_V(f"_isfinite({a.code})", _S)), node,
+                       "floor of a non-finite value")
+            return self.let(f"float(_floor({a.code}))", _S), None
+        if key == "mod":
+            (a, _), (b, _) = args
+            self.check(self.compare(b, "==", 0.0), node, "mod by zero")
+            return self.let(f"{a.code} % {b.code}", _S), None
+        (a, g), = args
+        return getattr(self, "f_" + key)(node, a, g)
+
+    def divide(self, node, left, right):
+        (a, ag), (b, bg) = left, right
+        bad = self.compare(b, "==", 0.0)
+        b = self.replace([self.check(bad, node, "division by zero")], bad, "1.0", b)
+        value = self.arith("/", a, b)
+        if not self.dual:
+            return value, None
+        numerator = self.g_minus(self.g_scale(b, ag), self.g_scale(a, bg))
+        d = self.arith("*", b, b)
+        if d.kind == _C and d.value == 0.0:
+            d = _V("_F64ZERO", _S)
+        elif d.kind == _S:     # bv*bv underflows: divide like numpy, not raise
+            self.put([f"if {d.code} == 0.0:", f"    {d.code} = _F64ZERO"], [d.code], pure=True)
+        return value, self.g_over(numerator, d)
+
+    def pow(self, node, left, right):
+        (a, ag), (b, bg) = left, right
+        zero_neg = self.both(self.compare(a, "==", 0.0), self.compare(b, "<", 0.0))
+        neg_frac = self.both(self.compare(a, "<", 0.0), self.nonint(b))
+        flags = [self.check(zero_neg, node, "zero raised to a negative power"),
+                 self.check(neg_frac, node, "negative base with non-integer exponent")]
+        a = self.replace(flags, self.either(zero_neg, neg_frac), "1.0", a)
+        value = self.power(node, a, b)
+        if not self.dual:
+            return value, None
+        if bg is None:
+            moving = False
+        elif isinstance(bg, list) and any(c.kind == _C and c.value != 0.0 for c in bg):
+            moving = True
+        elif isinstance(bg, list) and all(c.kind == _C for c in bg):
+            moving = False
+        else:
+            sites = ", ".join(self.site(node, m) for m in (
+                "non-constant exponent needs a positive base",
+                "derivative of x^b unbounded at x=0 for 0<b<1", "overflow", "math domain error"))
+            return value, self.let(
+                f"_pow_grad(E, {self.lanes}, ({sites}), {a.code}, {b.code}, "
+                f"{value.code}, {self.tup(ag)}, {self.tup(bg)})", _T, "g", pure=False)
+        if moving:
+            self.check(self.compare(a, "<=", 0.0), node,
+                       "non-constant exponent needs a positive base")
+            pos = self.select(self.compare(a, ">", 0.0), a, _ONE)
+            log = self.call("log", pos)
+            return value, self.g_scale(value, self.g_plus(
+                self.g_scale(log, bg), self.g_over(self.g_scale(b, ag), pos)))
+        zero = self.compare(a, "==", 0.0)
+        self.check(self.both(zero, self.negate(self.either(
+            self.compare(b, "==", 1.0), self.compare(b, ">", 1.0), self.compare(b, "==", 0.0)))),
+            node, "derivative of x^b unbounded at x=0 for 0<b<1")
+        coef = self.select(zero, self.select(self.compare(b, "==", 1.0), _ONE, _ZERO),
+                           self.arith("*", b, self.power(node, self.select(zero, _ONE, a),
+                                                         self.arith("-", b, _ONE))))
+        return value, self.g_scale(coef, ag)
+
+    # Without a gradient, the derivative's sin or cos is not evaluated: it
+    # fails exactly where the value's cos or sin already has.
+
+    def f_sin(self, node, a, g):
+        return self.call("sin", a, node), g and self.g_scale(self.call("cos", a, node), g)
+
+    def f_cos(self, node, a, g):
+        return self.call("cos", a, node), g and self.g_scale(self.neg(self.call("sin", a, node)), g)
+
+    def f_tan(self, node, a, g):
+        t = self.call("tan", a, node)
+        return t, g and self.g_scale(self.arith("+", _ONE, self.arith("*", t, t)), g)
+
+    def f_exp(self, node, a, g):
+        if self.lanes:
+            e = self.finite(node, self.let(f"_nexp({a.code})", _N), a)
+        else:
+            e = self.call("exp", a, node)
+        return e, self.g_scale(e, g)
+
+    def f_log(self, node, a, g):
+        bad = self.compare(a, "<=", 0.0)
+        a = self.replace([self.check(bad, node, "log of a non-positive value")], bad, "1.0", a)
+        return self.call("log", a), self.g_over(g, a)
+
+    def f_sqrt(self, node, a, g):
+        negative = self.compare(a, "<", 0.0)
+        flag = self.check(negative, node, "sqrt of a negative value")
+        if not self.dual:
+            return self.call("sqrt", self.replace([flag], negative, "0.0", a)), None
+        zero = self.compare(a, "==", 0.0)
+        flags = [self.check(zero, node, "sqrt derivative at zero"), flag]
+        s = self.call("sqrt", self.replace(flags, self.compare(a, "<=", 0.0), "1.0", a))
+        return s, self.g_over(g, self.arith("*", _const(2.0), s))
+
+    def f_abs(self, node, a, g):
+        value = self.let(f"abs({a.code})", a.kind)
+        if not self.dual:
+            return value, None
+        kink = self.compare(a, "==", 0.0)
+        if self.kinks:
+            self.put([f"K = K | {kink.code}"] if self.lanes else
+                     [f"if {kink.code}:", "    K = True"])
+        sign = self.let(f"_{'n' if self.lanes else ''}copysign(1.0, {a.code})",
+                        _N if self.lanes else _S)
+        return value, self.g_scale(self.select(kink, _ZERO, sign), g)
 
 
-def _on_lanes(code):
-    """A subtree's (value, dual) closures as operands in the _Lanes context."""
-    deps, value, dual = code
-    if deps == _XI:
-        return value, dual
-    if deps == _X:
-        return (lambda xs, c: c.shared(value, xs, False),
-                lambda xs, c: c.shared(dual, xs, True))
-    return (lambda xs, c: c.fold(value, False),
-            lambda xs, c: (c.fold(dual, True), None))
+def _source(lines, filename):
+    """Source text and the `_math_site` table of lines that are strings or
+    (string, (component, node)) for a risky line."""
+    text, risky = [], {}
+    for number, line in enumerate(lines, 1):
+        if isinstance(line, tuple):
+            line, where = line
+            if where is not None:
+                component, node = where
+                risky[number] = tuple((component, node.line, node.column, message)
+                                      for message in ("overflow", "math domain error"))
+        text.append(line)
+    return "\n".join(text) + "\n", (filename, risky)
 
 
-class _Plan:
-    """A compiled expression: evaluates every lane of an index vector."""
+def _analyse(asts):
+    """Per component: the nodes to emit in evaluation order, their deps,
+    and the roots of the subtrees free of x, folded when a vector is bound."""
+    comps = []
+    for ast in asts:
+        order = _postorder(ast.root)
+        deps = {}
+        for node in order:
+            d = _X if isinstance(node, Var) else _I if isinstance(node, Param) else 0
+            for child in _children(node):
+                d |= deps[id(child)]
+            deps[id(node)] = d
+        roots = [] if deps[id(ast.root)] & _X else [ast.root]
+        for node in order:
+            if deps[id(node)] & _X:
+                roots += [c for c in _children(node) if not deps[id(c)] & _X]
+        comps.append((order, deps, roots))
+    return comps
 
-    def __init__(self, root, n):
-        self.n = n
-        self._value, self._dual = _on_lanes(_compile(root, n))
-        self._folds = (None, {})  # (index vector key, folds of the x-free subtrees)
 
-    def _start(self, x, i):
-        xs = np.asarray(x, dtype=float).ravel().tolist()
-        iv = np.asarray(i)
-        if iv.ndim == 0:
-            return xs, _Lanes(iv.reshape(1), {}), True
-        iv = iv.ravel()
-        key = (iv.dtype.str, iv.tobytes())
-        folds = self._folds
-        if folds[0] != key:
-            folds = self._folds = (key, {})
-        return xs, _Lanes(iv, folds[1]), False
+class _Family:
+    """Generated evaluators of m expressions over one point x.
 
-    def value(self, x, i):
-        xs, lanes, scalar = self._start(x, i)
-        v = self._value(xs, lanes)
-        lanes.finish()
-        out = np.empty(lanes.p)
-        out[:] = v
-        return float(out[0]) if scalar else out
+    `dual` gives Jacobians (p, m, n) instead of values (p, m); `single`
+    evaluates one expression for `eval`/`eval_dual`, returning values,
+    derivatives and nondifferentiable flags, with errors named by node only.
+    """
 
-    def dual(self, x, i):
-        xs, lanes, scalar = self._start(x, i)
-        v, g = self._dual(xs, lanes)
-        lanes.finish()
-        values = np.empty(lanes.p)
-        values[:] = v
-        grads = np.zeros((lanes.p, self.n))
-        if g is not None:
-            grads[:] = g
-        kinks = np.zeros(lanes.p, dtype=bool) if lanes.kinks is None else lanes.kinks
-        if scalar:
-            return DualNumber(float(values[0]), grads[0], bool(kinks[0]))
-        return DualNumber(values, grads, kinks)
+    def __init__(self, asts, n, dual, single=False, filename=None):
+        self.asts, self.n, self.dual, self.single = asts, n, dual, single
+        self.filename = filename
+        self.comps = _analyse(asts)
+        self.ns = dict(_RUNTIME)
+        self.consts = None
+        self.folder = None
+
+    def _emitter(self, ns):
+        return _Emitter(ns, self.dual, self.dual and self.single)
+
+    def _fold_functions(self):
+        """Compile one function `fold<j>(i)` per subtree free of x, and
+        evaluate the constants among them (free of i as well) once."""
+        em = self._emitter(self.ns)
+        consts, folds = [], []
+        for c, (_, deps, roots) in enumerate(self.comps):
+            em.component = None if self.single else c
+            for root in roots:
+                start = len(em.stmts)
+                results = {}
+                for node in _postorder(root):
+                    if isinstance(node, Const):
+                        results[id(node)] = (_V(repr(node.value), _S) if math.isfinite(node.value)
+                                             else _const(node.value)), None
+                    elif isinstance(node, Param):
+                        results[id(node)] = _V("i", _S), None
+                    else:
+                        args = [results[id(ch)] for ch in _children(node)]
+                        results[id(node)] = em.node(node, args)
+                value = results[id(root)][0].code
+                body = em.program(0, start, reads=value)
+                del em.stmts[start:]
+                (folds if deps[id(root)] else consts).append((root, body, value))
+        src = []
+        for j, (root, body, value) in enumerate(folds + consts):
+            src += [f"def fold{j}(i):", "    K = False"]
+            src += [("    " + line, risky) for line, risky in body] + [f"    return {value}, K"]
+        filename = f"<{self.filename or 'setopt.expr'}: folds>"
+        src, risky = _source(src, filename)
+        exec(compile(src, filename, "exec"), self.ns)
+        fns = [(id(root), self.ns[f"fold{j}"]) for j, (root, _, _) in enumerate(folds + consts)]
+        self.folder = fns[:len(folds)], risky
+        self.consts = {}
+        for key, fn in fns[len(folds):]:
+            (value,), failed, (kink,) = _fold_lanes(fn, [None], risky)
+            self.consts[key] = value, failed.get(0), kink
+
+    def bind(self, lanes: list):
+        """The evaluator x -> result for the index vector `lanes` (a list)."""
+        if self.folder is None:
+            self._fold_functions()
+        folds, risky = self.folder
+        folded = dict(self.consts)
+        floats = [float(i) for i in lanes]
+        for key, fn in folds:
+            values, failed, kinks = _fold_lanes(fn, floats, risky)
+            folded[key] = (np.array(values, dtype=float), failed, np.array(kinks, dtype=bool))
+        em = self._emitter(dict(self.ns))
+        p, m, n = len(lanes), len(self.asts), self.n
+        em.put(["xs = x.tolist()"])
+        for j in range(n):
+            em.put([f"x{j} = xs[{j}]"], [f"x{j}"], pure=True)
+        outputs = []
+        for c, (order, deps, roots) in enumerate(self.comps):
+            em.component = None if self.single else c
+            results = {}
+            fold_roots = {id(root) for root in roots}
+            for node in order:
+                d = deps[id(node)]
+                if id(node) in fold_roots:                # where the walk meets it
+                    results[id(node)] = self._folded(em, *folded[id(node)]), None
+                elif isinstance(node, Var):
+                    results[id(node)] = _V(f"x{node.index - 1}", _S), (
+                        [_ONE if j == node.index - 1 else _ZERO for j in range(n)]
+                        if self.dual else None)
+                elif d & _X:
+                    em.lanes = d == _XI
+                    args = [results[id(ch)] for ch in _children(node)]
+                    if em.lanes:
+                        # a constant enters lanes as a vector, as a fold does:
+                        # numpy's power rounds a scalar operand differently
+                        args = [(self._lanes(em, v, p), g) for v, g in args]
+                    results[id(node)] = em.node(node, args)
+            outputs.append(results[id(self.asts[c].root)])
+        self._outputs(em, outputs, p, m, n)
+        src = [f"def {self.function}(x):", "    E = {}"]
+        src += ["    K = False"] * em.kinks + ["    try:"]
+        src += em.program(8)
+        src += ["    except _Fail as fail:", "        E.setdefault(0, fail.site)",
+                "    except (OverflowError, ValueError) as exc:",
+                "        E.setdefault(0, _math_site(_RISKY, exc))",
+                "    if E:", "        _raise(_LANES, E)", f"    return {self.returns}"]
+        filename = f"<{self.filename or 'setopt.expr'}: {self.function}>"
+        src, risky = _source(src, filename)
+        if self.filename is not None:
+            linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+        ns = em.ns
+        ns.update(_raise=_raise, _LANES=list(lanes), _RISKY=risky)
+        exec(compile(src, filename, "exec"), ns)
+        return ns[self.function]
+
+    @staticmethod
+    def _lanes(em, v, p) -> _V:
+        if v.kind != _C:
+            return v
+        values = np.full(p, v.value)
+        return em.glob("F", values, _N, values)
+
+    @staticmethod
+    def _folded(em, values, failed, kinks) -> _V:
+        """A folded subtree as an operand; its failures and kinks replayed."""
+        if isinstance(failed, tuple):                 # a constant that fails
+            em.put([f"raise _Fail({em.glob('S', failed).code})"])
+            return _const(math.nan)
+        if em.kinks and np.any(kinks):
+            em.put([f"K = K | {em.glob('K', kinks).code}"])
+        if isinstance(values, float):
+            return _const(values)
+        if failed:
+            em.put([f"_replay(E, {em.glob('R', failed).code})"])
+        return em.glob("F", values, _N, values)
+
+    @property
+    def function(self):
+        return "jacobians" if self.dual else "values"
+
+    @property
+    def returns(self):
+        if not self.dual:
+            return "out"
+        return "out, J, K" if self.single else "J"
+
+    def _outputs(self, em, outputs, p, m, n):
+        if not self.dual or self.single:
+            em.put([f"out = _empty(({p}, {m}))"])
+            for c, (value, _) in enumerate(outputs):
+                em.put([f"out[:, {c}] = {value.code}"])
+        if not self.dual:
+            return
+        em.put([f"J = _empty(({p}, {m}, {n}))"])
+        for c, (_, g) in enumerate(outputs):
+            if g is None:
+                em.put([f"J[:, {c}] = 0.0"])
+            elif not isinstance(g, list):
+                em.put([f"_put(J, {c}, {g.code})"])
+            elif all(a.kind in (_C, _S) for a in g):
+                em.put([f"J[:, {c}] = {em.tup(g)}"])
+            else:
+                em.put([f"J[:, {c}, {j}] = {a.code}" for j, a in enumerate(g)])
+
+
+def generate(asts, n: int, index, filename=None):
+    """Generated (values, jacobians) of a problem file's m expressions over
+    the family indices `index`: x -> (p, m) and x -> (p, m, n).
+
+    A failed domain check raises DomainError at the failing node's
+    line:column, for the lowest failing index (`index`), then the lowest
+    component, as "f^i component c: line:column: message".  With a
+    `filename`, the generated source is registered in `linecache` under a
+    name that contains it, for tracebacks and profiles.
+    """
+    lanes = np.asarray(index).tolist()
+    return tuple(_Family(asts, n, dual, filename=filename).bind(lanes) for dual in (False, True))
+
+
+def _evaluate(ast, x, i, dual):
+    x = np.asarray(x, dtype=float).ravel()
+    iv = np.asarray(i)
+    scalar = iv.ndim == 0
+    iv = iv.reshape(-1)
+    if iv.shape[0] == 0:
+        empty = np.empty(0)
+        return DualNumber(empty, np.zeros((0, ast.n)), np.zeros(0, dtype=bool)) if dual else empty
+    family = ast.families.get(dual)
+    if family is None:
+        family = ast.families[dual] = [_Family([ast], ast.n, dual, single=True), None, None]
+    key = (iv.dtype.str, iv.tobytes())
+    if family[1] != key:
+        family[1:] = key, family[0].bind(iv.tolist())
+    out = family[2](x)
+    if not dual:
+        return float(out[0, 0]) if scalar else out[:, 0]
+    values, J, kinks = out
+    kinks = np.broadcast_to(kinks, (iv.shape[0],)).copy()
+    if scalar:
+        return DualNumber(float(values[0, 0]), J[0, 0], bool(kinks[0]))
+    return DualNumber(values[:, 0], J[:, 0], kinks)
 
 
 def eval(ast: ExprAst, x, i):  # noqa: A001 - spec operation name
@@ -824,7 +1183,7 @@ def eval(ast: ExprAst, x, i):  # noqa: A001 - spec operation name
     failed domain check raises DomainError at the failing node's line:column,
     for the first failing index, which is also stored as its `index`.
     """
-    return ast.plan.value(x, i)
+    return _evaluate(ast, x, i, False)
 
 
 def eval_dual(ast: ExprAst, x, i) -> DualNumber:
@@ -833,4 +1192,4 @@ def eval_dual(ast: ExprAst, x, i) -> DualNumber:
     `abs` at exactly 0 returns derivative 0 and sets the
     nondifferentiable flag instead of failing.
     """
-    return ast.plan.dual(x, i)
+    return _evaluate(ast, x, i, True)

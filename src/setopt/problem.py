@@ -2,8 +2,8 @@
 
 A problem is a finite family of p smooth vector functions R^n -> R^m ordered
 by a polyhedral cone.  Built-ins carry hand-coded analytic Jacobians; loaded
-problems evaluate compiled expressions with dual-number derivatives, one call
-per image component for all p family indices.
+problems evaluate code generated from their expressions at load, one call for
+all m components and p family indices (see `expr.generate`).
 """
 
 from __future__ import annotations
@@ -93,8 +93,14 @@ class ScalarizedComponents:
 
 def scalarized_gradients(c: ConeSpec, J) -> np.ndarray:
     """Map Jacobians (p, m, n) to the (p, Q, n) gradients of every h^{i,q}."""
-    # (A @ J_i) scaled per row by 1/(Ae)_q
-    return np.einsum("qm,imn->iqn", c.A, J) / c.Ae[None, :, None]
+    # (A @ J_i) summed over the m rows of J_i in order, scaled per row by
+    # 1/(Ae)_q: the bits of np.einsum("qm,imn->iqn", A, J) / Ae, in fewer calls
+    A = c.A
+    G = A[None, :, 0, None] * J[:, None, 0, :]
+    for k in range(1, A.shape[1]):
+        G += A[None, :, k, None] * J[:, None, k, :]
+    G /= c.Ae[None, :, None]
+    return G
 
 
 def scalarize(ps: ProblemSpec) -> ScalarizedComponents:
@@ -440,31 +446,12 @@ def load(path: str) -> ProblemSpec:
             exc.args = (f"line {no}: {exc}",)
             raise
 
-    index = np.arange(1, p + 1)
-
-    def per_component(evaluate, out):
-        """out[:, c] = evaluate(component c) over all i; a domain error names
-        the lowest failing i, then the lowest component."""
-        first = None
-        for comp, ast in enumerate(asts):
-            try:
-                out[:, comp] = evaluate(ast)
-            except DomainError as exc:
-                if first is None or exc.index < first[0].index:
-                    first = exc, comp
-        if first is not None:
-            exc, comp = first
-            exc.args = (f"f^{exc.index} component {comp + 1}: {exc}",)
-            raise exc
-        return out
-
-    def values(x):
-        return per_component(lambda ast: expr_mod.eval(ast, x, index), np.empty((p, m)))
-
-    def jacobians(x):
-        return per_component(lambda ast: expr_mod.eval_dual(ast, x, index).derivatives,
-                             np.empty((p, m, n)))
-
+    try:
+        index = np.arange(1, p + 1)
+    except (MemoryError, ValueError):   # numpy cannot hold p indices
+        raise FormatError(f"p={p} is too large: cannot build the index vector 1..p",
+                          "meta") from None
+    values, jacobians = expr_mod.generate(asts, n, index, path)
     return ProblemSpec(name, n, m, p, K, np.asarray(box_rows, dtype=float), values, jacobians)
 
 

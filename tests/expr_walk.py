@@ -43,6 +43,19 @@ def walk_dual_lanes(ast, x, index):
     return np.array([walk_dual(ast, x, i).derivatives for i in index])
 
 
+def walk_generate(asts, n, index, filename=None):
+    """A stand-in for `setopt.expr.generate`: (values, jacobians) of a
+    problem file's expressions by one walk per component and index."""
+
+    def values(x):
+        return np.column_stack([walk_lanes(ast, x, index) for ast in asts])
+
+    def jacobians(x):
+        return np.stack([walk_dual_lanes(ast, x, index) for ast in asts], axis=1)
+
+    return values, jacobians
+
+
 def _fail(node, message):
     raise DomainError(message, node.line, node.column)
 

@@ -391,6 +391,18 @@ def test_cli_bad_problem_file_is_a_file_error(case, tmp_path, capsys):
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["1000000000000", "100000000000000000000"])
+def test_cli_p_too_large_for_an_index_vector_is_a_file_error(p, tmp_path, capsys):
+    prob = tmp_path / "huge.prob"
+    prob.write_text(f"[meta] name=huge n=1 m=1 p={p}\n[box]\n-1 1\n[functions]\nx1*i\n")
+    code = cli.main(["solve", "--problem", str(prob), "--x0", "0", "--out", str(tmp_path)])
+    assert code == 74
+    assert f"FormatError: [meta] p={p} " in capsys.readouterr().err
+    assert cli.main(["check", "--problem", str(prob)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"FAIL FormatError: [meta] p={p} ")
+
+
 def test_python_dash_m_entry_point(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -271,3 +271,11 @@ def test_floor_and_mod_reject_x(src, column):
 def test_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError):
         expr.parse("(" * 2000 + "x1" + ")" * 2000, 1)
+
+
+def test_long_unary_chain_is_evaluated():
+    # generation walks the tree without recursion, so any tree the parser
+    # builds evaluates
+    ast = expr.parse("-" * 600 + "x1", 1)
+    assert expr.eval(ast, [2.0], 1) == 2.0
+    assert list(expr.eval_dual(ast, [2.0], np.arange(1, 3)).derivatives[:, 0]) == [1.0, 1.0]

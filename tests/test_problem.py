@@ -1,13 +1,18 @@
 import os
+import re
+import sys
 import tempfile
+import threading
+import traceback
 
 import numpy as np
 import pytest
-from expr_walk import walk_dual_lanes, walk_lanes
-from hypothesis import given, settings
+from expr_walk import walk_dual, walk_eval, walk_generate
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
+from test_expr import _EXPRESSIONS
 
-from setopt import cone, expr, oracle, problem
+from setopt import bench, cone, expr, oracle, problem
 from setopt.errors import (DomainError, FormatError, RankDeficient, SetoptError,
                            UnknownProblem)
 
@@ -163,27 +168,160 @@ def test_problem_file_matches_reference_walk(name, monkeypatch):
     ps = problem.load(problem.builtin_file(name))
     rng = np.random.default_rng(11)
     points = rng.uniform(ps.sample_box[:, 0], ps.sample_box[:, 1], size=(40, ps.n))
-    compiled = [(problem.eval_F(ps, x), problem.eval_jacobians(ps, x)) for x in points]
-    monkeypatch.setattr(expr, "eval", walk_lanes)
-    monkeypatch.setattr(expr, "eval_dual",
-                        lambda ast, x, index: expr.DualNumber(None, walk_dual_lanes(ast, x, index)))
-    for x, (F, J) in zip(points, compiled):
-        assert np.array_equal(F, problem.eval_F(ps, x))
-        assert np.array_equal(J, problem.eval_jacobians(ps, x))
+    generated = [(problem.eval_F(ps, x), problem.eval_jacobians(ps, x)) for x in points]
+    monkeypatch.setattr(expr, "generate", walk_generate)
+    walked = problem.load(problem.builtin_file(name))
+    for x, (F, J) in zip(points, generated):
+        assert np.array_equal(F, problem.eval_F(walked, x))
+        assert np.array_equal(J, problem.eval_jacobians(walked, x))
 
 
-def test_load_evaluates_each_component_once_per_call(monkeypatch):
+def test_load_makes_one_generated_call_per_evaluation(monkeypatch):
+    calls = {"values": 0, "jacobians": 0, "eval": 0, "eval_dual": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    generate = expr.generate
+    monkeypatch.setattr(expr, "generate", lambda *args: tuple(
+        counted(fn.__name__, fn) for fn in generate(*args)))
+    for name in ("eval", "eval_dual"):
+        monkeypatch.setattr(expr, name, counted(name, getattr(expr, name)))
     ps = problem.load(problem.builtin_file("ex2"))    # m = 3, p = 30
-    calls = {"eval": 0, "eval_dual": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(expr, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(expr, name, counted)
     problem.eval_F(ps, [0.3])
-    assert calls == {"eval": 3, "eval_dual": 0}
+    assert calls == {"values": 1, "jacobians": 0, "eval": 0, "eval_dual": 0}
     problem.eval_jacobians(ps, [0.3])
-    assert calls == {"eval": 3, "eval_dual": 3}
+    assert calls == {"values": 1, "jacobians": 1, "eval": 0, "eval_dual": 0}
+
+
+def _family_file(tmp_path, sources, p):
+    text = (f"[meta] name=family n=3 m={len(sources)} p={p}\n[box]\n-1 1\n-1 1\n-1 1\n"
+            "[functions]\n" + "\n".join(sources) + "\n")
+    return _write(tmp_path, text, "family.prob")
+
+
+def _walk_family(walk, asts, x, p):
+    """One walk per component and index: (rows, None), or (rows so far, the
+    error a walk meets first: (index, line, column, component))."""
+    rows, first = [], None
+    for comp, ast in enumerate(asts):
+        row = []
+        for i in range(1, p + 1):
+            try:
+                row.append(walk(ast, x, i))
+            except DomainError as exc:
+                if first is None or i < first[0]:
+                    first = (i, exc.line, exc.column, comp + 1)
+                break
+            except (OverflowError, ValueError, ZeroDivisionError):
+                reject()   # untyped float failures of the walk are out of scope
+        rows.append(row)
+    return rows, first
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sources=st.lists(_EXPRESSIONS, min_size=2, max_size=3), p=st.integers(1, 5),
+       x=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-2.0, 2.0),
+                  min_size=3, max_size=3))
+def test_generated_family_matches_walk(tmp_path, sources, p, x):
+    ps = problem.load(_family_file(tmp_path, sources, p))
+    asts = [expr.parse(src, 3) for src in sources]
+    for evaluate, walk in ((problem.eval_F, walk_eval), (problem.eval_jacobians, walk_dual)):
+        rows, error = _walk_family(walk, asts, x, p)
+        if error is not None:
+            with pytest.raises(DomainError) as ei:
+                evaluate(ps, x)
+            component = int(re.match(r"f\^\d+ component (\d+): ", str(ei.value)).group(1))
+            assert (ei.value.index, ei.value.line, ei.value.column, component) == error
+            continue
+        if walk is walk_eval:
+            want = np.array(rows).T
+        else:
+            want = np.array([[d.derivatives for d in row] for row in rows]).transpose(1, 0, 2)
+        assume(np.all(np.isfinite(want)))
+        got = evaluate(ps, x)
+        assert got.shape == want.shape and np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _nested(depth):
+    """(x1*i/depth + (... + (x1*i/1 + x1*i))): `depth` nested parentheses."""
+    source = "x1*i"
+    for k in range(1, depth + 1):
+        source = f"(x1*i/{k} + {source})"
+    return source
+
+
+class _Loader(threading.Thread):
+    """problem.load on a fresh stack: the parser's recursion limit, not the
+    depth of the test runner's stack, bounds what it accepts."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path, self.outcome = path, None
+
+    def run(self):
+        try:
+            self.outcome = problem.load(self.path)
+        except Exception as exc:     # re-raised in the test's thread
+            self.outcome = exc
+
+
+def _load_on_a_fresh_stack(path):
+    loader = _Loader(path)
+    loader.start()
+    loader.join(timeout=60)
+    assert not loader.is_alive()
+    if isinstance(loader.outcome, Exception):
+        raise loader.outcome
+    return loader.outcome
+
+
+@pytest.mark.parametrize("source", [" + ".join(["x1*i"] * 300), _nested(197)],
+                         ids=["sum300", "nested197"])
+def test_deep_and_long_expressions_match_walk(tmp_path, source, monkeypatch):
+    """Generated code is one assignment per node, so the parser's limits, not
+    CPython's limit of 200 nested parentheses, bound a problem file."""
+    path = _write(tmp_path, f"[meta] name=deep n=1 m=1 p=4\n[box]\n-1 1\n[functions]\n{source}\n")
+    ps = _load_on_a_fresh_stack(path)
+    monkeypatch.setattr(expr, "generate", walk_generate)
+    walked = _load_on_a_fresh_stack(path)
+    for x in ([0.3], [-1.7]):
+        assert np.array_equal(problem.eval_F(ps, x), problem.eval_F(walked, x))
+        assert np.array_equal(problem.eval_jacobians(ps, x), problem.eval_jacobians(walked, x))
+
+
+def test_generated_code_shows_in_tracebacks(tmp_path):
+    path = _write(tmp_path, GOOD, "tiny.prob")
+    ps = problem.load(path)
+    with pytest.raises(AttributeError) as ei:
+        ps.values_fn([0.5])              # the generated code expects an array
+    frame = traceback.extract_tb(ei.value.__traceback__)[-1]
+    assert path in frame.filename and frame.name == "values"
+    assert frame.line == "xs = x.tolist()"
+
+
+@pytest.mark.parametrize("p", ["1000000000000", "100000000000000000000"])
+def test_load_p_too_large_for_an_index_vector_is_a_format_error(tmp_path, p):
+    with pytest.raises(FormatError, match=f"p={p}"):
+        problem.load(_write(tmp_path, GOOD.replace("p=3", f"p={p}")))
+
+
+def test_scalarized_gradients_match_einsum_bit_for_bit():
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    from workloads import large_p_spec
+
+    for ps in [problem.builtin(name) for name in problem.BUILTIN_NAMES] + [large_p_spec(200)]:
+        c = ps.cone
+        for k in range(300):
+            J = problem.eval_jacobians(ps, bench.sample_start(ps, 7, k))
+            want = np.einsum("qm,imn->iqn", c.A, J) / c.Ae[None, :, None]
+            got = problem.scalarized_gradients(c, J)
+            assert got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                              want.view(np.int64))
 
 
 @pytest.mark.parametrize("evaluate", [problem.eval_F, problem.eval_jacobians])
