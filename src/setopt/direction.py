@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK kernels behind numpy.linalg
 
 from .errors import NumericalBreakdown, PartitionTooLarge, SingularSystem
-from .problem import ScalarizedComponents
 from .setorder import MinimalStructure, PartitionElement, partition_iter
 
 
@@ -151,32 +151,18 @@ DEPENDENT = 1e-14
 POLISH = 1e-3
 
 
-def _distinct(gs, Hs):
-    """rep[t], the first index of term t's exact repeats, and the distinct terms' indices."""
-    T = len(gs)
-    rows = np.concatenate([gs, Hs.reshape(T, -1)], axis=1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-    first: dict = {}
-    rep = np.array([first.setdefault(key, t) for t, key in enumerate(keys)])
-    return rep, np.flatnonzero(rep == np.arange(T))
-
-
-def _dual_point(lam, gs, Hs):
-    """u(lam), theta_t(u), v_t = g_t + H_t u, phi(lam) and H(lam)^{-1}."""
+def _dual_point(lam, gs, Hs, Hs2):
+    """u(lam), theta_t(u), v_t = g_t + H_t u, phi(lam) and H(lam)^{-1}; Hs2 is Hs flattened."""
     n = gs.shape[1]
-    try:
-        Hinv = np.linalg.inv((lam @ Hs.reshape(len(lam), -1)).reshape(n, n))
-    except np.linalg.LinAlgError as exc:
+    try:  # numpy.linalg.inv's kernel and error policy, without its per-call checks
+        with np.errstate(all="ignore", invalid="raise"):
+            Hinv = _umath_linalg.inv((lam @ Hs2).reshape(n, n))
+    except FloatingPointError as exc:
         raise SingularSystem("averaged matrix H(lam) is singular") from exc
     u = -Hinv @ (lam @ gs)
     Hu = Hs @ u
     theta = gs @ u + 0.5 * (Hu @ u)
     return u, theta, gs + Hu, float(lam @ theta), Hinv
-
-
-def _gap(point) -> float:
-    """Duality gap; u = 0, of value 0, stands in when max_t theta_t >= 0."""
-    return min(float(point[1].max()), 0.0) - point[3]
 
 
 def _face_step(S, point):
@@ -189,12 +175,19 @@ def _face_step(S, point):
     _, theta, v, _, Hinv = point
     if len(S) == 1:
         return np.zeros(1), False
-    D = v[S[1:]] - v[S[0]]
+    if len(S) == 2:  # the arithmetic below in scalars: LAPACK's eigh of a 1 x 1 M is (M, 1)
+        i, j = S.tolist()
+        D = v[j] - v[i]
+        m = D @ Hinv @ D
+        dependent = m <= DEPENDENT * m
+        c = 1.0 if dependent else (theta[j] - theta[i]) / m
+        return np.array([c, -c] if dependent and theta[j] < theta[i] else [-c, c]), dependent
+    D = v.take(S[1:], 0) - v[S[0]]
     w, Q = np.linalg.eigh(D @ Hinv @ D.T)
     dependent = w[0] <= DEPENDENT * w[-1]
-    c = Q[:, 0] if dependent else Q @ (Q.T @ (theta[S[1:]] - theta[S[0]]) / w)
+    c = Q[:, 0] if dependent else Q @ (Q.T @ (theta.take(S[1:]) - theta[S[0]]) / w)
     d = np.concatenate([[-c.sum()], c])
-    return (-d if dependent and theta[S] @ d < 0.0 else d), dependent
+    return (-d if dependent and theta.take(S) @ d < 0.0 else d), dependent
 
 
 def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
@@ -206,54 +199,64 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
     lam holds the dual weights of all T terms and gap is the final duality gap.
     """
     gs = np.asarray(gs, dtype=float)
-    Hs = np.asarray(Hs, dtype=float)
     T, n = gs.shape
-    rep, idx = _distinct(gs, Hs)
-    gs, Hs = gs[idx], Hs[idx]
-    if lam0 is not None and np.asarray(lam0).shape == (T,) and np.min(lam0) >= 0.0 and np.sum(lam0) > 0.0:
-        lam = np.bincount(rep, np.asarray(lam0, dtype=float), T)[idx]
-    else:
-        # cold start at the shortest gradient, the best vertex when H_t = I
-        lam = (np.arange(len(idx)) == np.argmin(np.einsum("ti,ti->t", gs, gs))).astype(float)
-    lam /= lam.sum()
-    point = _dual_point(lam, gs, Hs)
+    Hs2 = np.asarray(Hs, dtype=float).reshape(T, n * n)
+    # a term's exact repeats merge into its first index; idx lists those, ascending
+    rows = np.concatenate((gs, Hs2), axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    first = dict(zip(reversed(keys), range(T - 1, -1, -1)))
+    idx = sorted(first.values())
+    gs, Hs2 = gs.take(idx, 0), Hs2.take(idx, 0)
+    Hs = Hs2.reshape(-1, n, n)
+    lam = np.zeros(len(idx))
+    lam0 = None if lam0 is None else np.asarray(lam0, dtype=float)
+    if lam0 is not None and lam0.shape == (T,) and lam0.min() >= 0.0 and lam0.sum() > 0.0:
+        for t in lam0.nonzero()[0].tolist():  # summed in index order, as by bincount
+            lam[idx.index(first[keys[t]])] += lam0[t]
+        lam /= lam.sum()
+    else:  # cold start at the shortest gradient, the best vertex when H_t = I
+        lam[np.einsum("ti,ti->t", gs, gs).argmin()] = 1.0
+    point = _dual_point(lam, gs, Hs, Hs2)
 
     polish = False
     for _ in range(max_inner):
-        gap = _gap(point)
+        theta, phi = point[1], point[3]
+        t = theta.argmax()
+        gap = min(float(theta[t]), 0.0) - phi  # u = 0, of value 0, stands in if max theta >= 0
         if gap <= POLISH * tol_sub or (polish and gap <= tol_sub):
             break
-        # a gap within tol_sub gets one more full Newton step on the solved face
-        polish = gap <= tol_sub
-        theta, phi = point[1], point[3]
-        S = np.flatnonzero(lam)
-        t = int(np.argmax(theta))
-        S_t = S if polish or t in S else np.append(S, t)
+        polish = gap <= tol_sub  # then one more full Newton step on the solved face
+        S = lam.nonzero()[0]
+        S_t = S if polish or lam[t] != 0.0 else np.append(S, t)
         d, dependent = _face_step(S_t, point)
-        if S_t is S or (d[-1] > 0.0 and theta[S_t] @ d > 0.0):
+        if S_t is S or (d[-1] > 0.0 and theta.take(S_t) @ d > 0.0):
             S = S_t
         else:  # the most violated term joins only once the larger face's step gives it weight
             d, dependent = _face_step(S, point)
-        neg = np.flatnonzero(d < 0.0)
+        neg = (d < 0.0).nonzero()[0]
         if not neg.size:
             break  # d = 0: no ascent left at working precision
-        ratios = lam[S[neg]] / -d[neg]
-        alpha_max = float(ratios.min())
+        lam_S = lam.take(S)
+        ratios = lam_S.take(neg) / -d.take(neg)
+        k = ratios.argmin()
+        alpha_max = float(ratios[k])
         alpha = alpha_max if dependent else min(1.0, alpha_max)
-        rise = float(theta[S] @ d)
-        noise = 1e-12 * float((np.abs(gs[S]) @ np.abs(point[0])).max())
+        rise, noise = float(theta.take(S) @ d), None
         for _ in range(40):
             trial = lam.copy()
-            trial[S] = np.maximum(lam[S] + alpha * d, 0.0)
+            trial[S] = np.maximum(lam_S + alpha * d, 0.0)
             if alpha == alpha_max:
-                trial[S[neg[np.argmin(ratios)]]] = 0.0  # the ratio test drops this term
+                trial[S[neg[k]]] = 0.0  # the ratio test drops this term
             trial /= trial.sum()
-            nxt = _dual_point(trial, gs, Hs)
-            # A step must ascend.  Where its rise is below the rounding of the
-            # products in g_t'u, it must keep phi and drop a term or shrink the gap.
-            ascends = nxt[3] > phi + 0.25 * alpha * rise or (
-                rise <= noise and nxt[3] >= phi - noise and (alpha == alpha_max or _gap(nxt) < gap))
-            if polish or ascends:
+            nxt = _dual_point(trial, gs, Hs, Hs2)
+            # A step must ascend.  Where its rise is below the rounding of the products
+            # in g_t'u (noise), it must keep phi and drop a term or shrink the gap.
+            if polish or nxt[3] > phi + 0.25 * alpha * rise:
+                break
+            if noise is None:  # once per step, and only when a trial fails
+                noise = 1e-12 * float((np.abs(gs.take(S, 0)) @ np.abs(point[0])).max())
+            if rise <= noise and nxt[3] >= phi - noise and (
+                    alpha == alpha_max or min(float(nxt[1].max()), 0.0) - nxt[3] < gap):
                 break
             alpha *= 0.5
         else:
@@ -261,10 +264,10 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
         lam, point = trial, nxt
 
     u, phi = point[0], float(point[1].max())
+    gap = min(phi, 0.0) - point[3]
     if phi >= 0.0:
         # u = 0 is always feasible with value 0; never report a worse point
         u, phi = np.zeros(n), 0.0
-    gap = _gap(point)
     return u, phi, np.bincount(idx, lam, T), gap, gap <= tol_sub
 
 
@@ -277,30 +280,26 @@ def terms_for_a(grads, store: Optional[HessianStore], a: PartitionElement):
     sel = np.asarray(a.a, dtype=int) - 1
     w = len(sel)
     _, Q, n = grads.shape
-    gs = grads[sel].reshape(w * Q, n)
+    gs = grads.take(sel, 0).reshape(w * Q, n)
     if store is None:
-        Hs = np.broadcast_to(np.eye(n), (w * Q, n, n)).copy()
+        Hs = np.eye(n)[None].repeat(w * Q, axis=0)
     else:
-        Hs = store.matrices[sel].reshape(w * Q, n, n)
+        Hs = store.matrices.take(sel, 0).reshape(w * Q, n, n)
     return gs, Hs
 
 
-def solve_subproblem(sc: ScalarizedComponents, store: Optional[HessianStore], x,
-                     ms: MinimalStructure, tol_sub: float = 1e-10,
-                     max_inner: int = 500, warm: Optional[dict] = None,
-                     grads=None) -> SubproblemSolution:
+def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure,
+                     tol_sub: float = 1e-10, max_inner: int = 500,
+                     warm: Optional[dict] = None) -> SubproblemSolution:
     """Minimize over the partition set; ties broken by the first (lexicographic) a.
 
-    A partition set of more than PARTITION_LIMIT selectors raises PartitionTooLarge.
-
-    grads, the (p, Q, n) scalarized gradients at x, defaults to sc.gradients(x).
+    grads holds the (p, Q, n) scalarized gradients at the iterate.  A partition
+    set of more than PARTITION_LIMIT selectors raises PartitionTooLarge.
     """
     count = ms.partition_count()
     if count > PARTITION_LIMIT:
         raise PartitionTooLarge(
             f"{count} selectors over {ms.w} classes exceed the limit of {PARTITION_LIMIT}")
-    if grads is None:
-        grads = sc.gradients(x)
     best = None
     for a in partition_iter(ms):
         lam0 = warm.get(a.a) if warm is not None else None

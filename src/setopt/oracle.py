@@ -1,12 +1,14 @@
 """Brute-force reference implementations for the test suite and `check` verb.
 
 Everything here is deliberately slow and literal: bisection instead of the
-closed form, O(p^2) pairwise dominance tests, exhaustive grid scans.  The fast library
-code is validated against these.
+closed form, O(p^2) pairwise dominance tests, exhaustive grid scans, every
+support of the min-max subproblem.  The fast library code is validated
+against these.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,10 +16,12 @@ import numpy as np
 
 from . import problem as problem_mod
 from .cone import ConeSpec, in_cone
-from .errors import BracketFailure, EmptyInput, GridTooLarge
+from .errors import BracketFailure, EmptyInput, GridTooLarge, NumericalBreakdown
 from .problem import ProblemSpec
 
 GRID_GUARD = 10_000_000
+# exact_minmax keeps a support whose primal and dual values agree to this (relative).
+DUALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,80 @@ def grid_minmax(terms, grid: GridSpec, refinements: int = 2):
             best_u = cand[k].copy()
         radius *= 0.5
     return best_u, best_phi
+
+
+def _face_optimum(gs, Hs, S):
+    """Maximize the concave dual phi(lam) = min_u sum_t lam_t theta_t(u) over the
+    face lam_S > 0, sum lam_S = 1, by damped Newton steps from its barycenter.
+
+    Along the face, phi's gradient is theta_s - theta_{S[0]} and its Hessian
+    -(v_s - v_{S[0]})' H(lam)^{-1} (v_r - v_{S[0]}) with v_t = g_t + H_t u(lam),
+    so a stationary point solves the equal-theta KKT system of the face.
+    Returns lam_S and u(lam).
+    """
+    g, H = gs[list(S)], Hs[list(S)]
+
+    def at(lam):
+        H_lam = np.tensordot(lam, H, axes=1)
+        u = np.linalg.solve(H_lam, -(lam @ g))
+        theta = g @ u + 0.5 * np.einsum("i,tij,j->t", u, H, u)
+        return u, theta, g + H @ u, H_lam, float(lam @ theta)
+
+    lam = np.full(len(S), 1.0 / len(S))
+    u, theta, v, H_lam, phi = at(lam)
+    for _ in range(100 if len(S) > 1 else 0):
+        D = v[1:] - v[0]
+        try:
+            step = np.linalg.solve(D @ np.linalg.solve(H_lam, D.T), theta[1:] - theta[0])
+        except np.linalg.LinAlgError:
+            break                                       # affinely dependent v_S
+        d = np.concatenate([[-step.sum()], step])
+        # stay inside the face; ascend, or, where the rise is below rounding,
+        # even out theta on S
+        for halvings in range(40):
+            trial = lam + 0.5 ** halvings * d
+            if trial.min() > 0.0 and ((nxt := at(trial))[4] > phi
+                                      or np.ptp(nxt[1]) < np.ptp(theta)):
+                break
+        else:
+            break                                       # no progress at working precision
+        lam, (u, theta, v, H_lam, phi) = trial, nxt
+    return lam, u
+
+
+def exact_minmax(gs, Hs):
+    """Minimum of max_t [g_t'u + 1/2 u'H_t u] for SPD H_t, by enumerating supports.
+
+    Every support S of at most n + 1 distinct terms gets its face's dual
+    optimum lam_S and u(lam_S).  A candidate is kept when it is primal-dual
+    feasible: lam >= 0 on the simplex and the primal value max_t theta_t(u)
+    equals the dual value sum_S lam_t theta_t(u) to DUALITY_TOL (relative), so by weak
+    duality it is optimal.  Some optimal lam has an affinely independent
+    support of at most n + 1 terms (Caratheodory), so a candidate exists.
+    Returns (u, phi, lam) of the kept candidate of least primal value.
+    """
+    gs = np.asarray(gs, dtype=float)
+    Hs = np.asarray(Hs, dtype=float)
+    if gs.size == 0:
+        raise EmptyInput("no quadratic terms")
+    T, n = gs.shape
+    distinct = []
+    for t in range(T):
+        if not any(np.array_equal(gs[t], gs[s]) and np.array_equal(Hs[t], Hs[s]) for s in distinct):
+            distinct.append(t)
+    best = None
+    for k in range(1, min(n + 1, len(distinct)) + 1):
+        for S in itertools.combinations(distinct, k):
+            lam_S, u = _face_optimum(gs, Hs, S)
+            theta = gs @ u + 0.5 * np.einsum("i,tij,j->t", u, Hs, u)
+            primal, dual = float(theta.max()), float(lam_S @ theta[list(S)])
+            if primal - dual <= DUALITY_TOL * (1.0 + abs(primal)) and (best is None or primal < best[1]):
+                lam = np.zeros(T)
+                lam[list(S)] = lam_S
+                best = (u, primal, lam)
+    if best is None:
+        raise NumericalBreakdown("no support of at most n + 1 terms passed the duality check")
+    return best
 
 
 @dataclass(frozen=True)

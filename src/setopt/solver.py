@@ -132,7 +132,6 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {ps.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be finite, got {x}")
-    sc = problem_mod.scalarize(ps)
     c = ps.cone
     qn = cfg.method == "quasi_newton"
     store = direction_mod.init_store(ps.n, ps.p, c.Q) if qn else None
@@ -148,7 +147,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
                 J = problem_mod.eval_jacobians(ps, x)
                 grads = problem_mod.scalarized_gradients(c, J)
             ms = setorder_mod.analyze(c, F)
-            sol = direction_mod.solve_subproblem(sc, store, x, ms, warm=warm, grads=grads)
+            sol = direction_mod.solve_subproblem(grads, store, ms, warm=warm)
             u_norm = float(np.linalg.norm(sol.u))
             rec = IterateRecord(
                 k=k, x=x.copy(), images=F.copy() if cfg.trace_images else None, w=ms.w,
@@ -205,11 +204,11 @@ def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
     """Diagnostics of a point, computed after a run: the descent certificate,
     the regularity test Min = WMin on F(x) and a probe of w near x."""
     x = np.asarray(x, dtype=float).ravel()
-    sc = problem_mod.scalarize(ps)
     c = ps.cone
     F = problem_mod.eval_F(ps, x)
     ms = setorder_mod.analyze(c, F)
-    sol = direction_mod.solve_subproblem(sc, store, x, ms)
+    grads = problem_mod.scalarized_gradients(c, problem_mod.eval_jacobians(ps, x))
+    sol = direction_mod.solve_subproblem(grads, store, ms)
     min_eq_wmin = ms.minimal_indices == setorder_mod.weakly_minimal_elements(c, F)
 
     # Heuristic: compare w at 8 deterministic points on a small sphere.

@@ -1,10 +1,13 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minmax_ref
 from setopt import direction, oracle, problem, setorder, solver
-from setopt.errors import NumericalBreakdown, PartitionTooLarge
+from setopt.errors import NumericalBreakdown, PartitionTooLarge, SingularSystem
 
 
 def test_init_store():
@@ -256,6 +259,106 @@ def test_degenerate_terms_match_grid_oracle(seed, shape, identity):
     assert gphi - 1e-3 <= phi <= gphi + 1e-12
 
 
+@pytest.mark.parametrize("seed, shape, identity", [(279754, "segment", False),
+                                                    (7, "segment", True), (11, "repeats", False)])
+def test_degenerate_terms_match_exact_oracle(seed, shape, identity):
+    """Seed 279754's segment is where the grid oracle misses the kink-ridge minimum by 1e-4."""
+    gs, Hs = _degenerate_terms(np.random.default_rng(seed), shape, identity)
+    u, phi, lam, gap, ok = direction.solve_minmax(gs, Hs, max_inner=200)
+    eu, ephi, elam = oracle.exact_minmax(gs, Hs)
+    assert ok and phi == pytest.approx(ephi, abs=1e-12)
+    assert np.linalg.norm(u - eu) <= 1e-6
+    if seed == 279754:
+        assert ephi == pytest.approx(-0.2386122, abs=1e-7)
+
+
+def test_exact_oracle_equivalence():
+    """phi against the support-enumeration oracle, n = 1, 2, 3, at most 6 terms."""
+    rng = np.random.default_rng(606)
+    for trial in range(45):
+        n = 1 + trial % 3
+        T = int(rng.integers(1, 7))
+        gs = rng.uniform(-2.0, 2.0, (T, n))
+        M = rng.uniform(-1.0, 1.0, (T, n, n))
+        Hs = M @ M.transpose(0, 2, 1) + np.eye(n)
+        u, phi, lam, gap, ok = direction.solve_minmax(gs, Hs)
+        eu, ephi, elam = oracle.exact_minmax(gs, Hs)
+        assert ok and phi == pytest.approx(ephi, abs=1e-12)
+        assert np.linalg.norm(u - eu) <= 1e-6
+
+
+# --- solve_minmax against the reference (tests/minmax_ref.py) ---------------
+
+def _bits(out):
+    """The five outputs as bytes and types, so that -0.0 and the float types count."""
+    u, phi, lam, gap, ok = out
+    return (np.asarray(u).tobytes(), np.float64(phi).tobytes(), type(phi), lam.tobytes(),
+            np.float64(gap).tobytes(), type(gap), ok)
+
+
+def _minmax_instance(seed, n, distinct, repeats, identity, start):
+    """distinct terms, each repeated 1..repeats times in random order, with H_t = I
+    (a read-only broadcast, as steepest descent passes it) or SPD; lam0 None, a
+    random point of the simplex on about half the terms, or the reference's lam
+    for nearby gradients, the way the solver warm-starts."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** int(rng.integers(-2, 3))
+    order = rng.permutation(np.repeat(np.arange(distinct), rng.integers(1, repeats + 1, distinct)))
+    gs = rng.uniform(-2.0, 2.0, (distinct, n))[order] * scale
+    if identity:
+        Hs = np.broadcast_to(np.eye(n), (len(gs), n, n))
+    else:
+        M = rng.uniform(-1.0, 1.0, (distinct, n, n))
+        Hs = (M @ M.transpose(0, 2, 1) + 0.1 * np.eye(n))[order]
+    if start == "cold":
+        return gs, Hs, None
+    if start == "random":
+        lam0 = rng.random(len(gs)) * (rng.random(len(gs)) < 0.5)
+        lam0[rng.integers(len(gs))] += 0.5
+        return gs, Hs, lam0
+    return gs, Hs, minmax_ref.solve_minmax(gs + rng.normal(0.0, 1e-3 * scale, gs.shape), Hs)[2]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]), distinct=st.integers(1, 6),
+       repeats=st.sampled_from([1, 4, 40]), identity=st.booleans(),
+       start=st.sampled_from(["cold", "random", "solved"]), max_inner=st.sampled_from([500, 2, 0]))
+def test_solve_minmax_matches_reference_bit_for_bit(seed, n, distinct, repeats, identity, start,
+                                                    max_inner):
+    gs, Hs, lam0 = _minmax_instance(seed, n, distinct, repeats, identity, start)
+    assert _bits(direction.solve_minmax(gs, Hs, 1e-10, max_inner, lam0)) == \
+        _bits(minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner, lam0))
+
+
+def test_reference_draws_step_on_two_term_and_full_faces(monkeypatch):
+    """The instances above reach 2-term faces and (n + 1)-term faces for every n,
+    and match the reference bit for bit there too."""
+    sizes = collections.defaultdict(set)
+    face_step = minmax_ref._face_step
+
+    def spy(S, point):
+        sizes[point[2].shape[1]].add(len(S))
+        return face_step(S, point)
+
+    monkeypatch.setattr(minmax_ref, "_face_step", spy)
+    for seed in range(40):
+        for n in (1, 2, 3):
+            args = (seed, n, 1 + seed % 6, (1, 4, 40)[seed % 3], seed % 4 == 0,
+                    ("cold", "random", "solved")[seed % 3])
+            gs, Hs, lam0 = _minmax_instance(*args)
+            assert _bits(direction.solve_minmax(gs, Hs, lam0=lam0)) == \
+                _bits(minmax_ref.solve_minmax(gs, Hs, lam0=lam0)), args
+    assert all({2, n + 1} <= sizes[n] for n in (1, 2, 3)), dict(sizes)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("H", [np.zeros((2, 2)), np.diag([1.0, 0.0])], ids=["zero", "rank1"])
+def test_singular_averaged_matrix_raises_singular_system(H):
+    gs = np.array([[1.0, 2.0], [-1.0, 0.5]])
+    with pytest.raises(SingularSystem, match="averaged matrix H\\(lam\\) is singular"):
+        direction.solve_minmax(gs, np.array([H, H]))
+
+
 def _two_class_problem():
     """1-D, two functions with equal values but distinct gradients at x=0."""
     import setopt.cone as cone_mod
@@ -270,13 +373,17 @@ def _two_class_problem():
                                np.array([[-1.0, 1.0]]), values, jacobians)
 
 
+def _grads(ps, x):
+    """The (p, Q, n) scalarized gradients at x, as solve_subproblem takes them."""
+    return problem.scalarize(ps).gradients(np.asarray(x, dtype=float))
+
+
 def test_solve_subproblem_enumerates_partition():
     ps = _two_class_problem()
-    sc = problem.scalarize(ps)
     x = np.array([0.0])
     ms = setorder.analyze(ps.cone, problem.eval_F(ps, x))
     assert ms.w == 1 and ms.partition_count() == 2
-    sol = direction.solve_subproblem(sc, None, x, ms)
+    sol = direction.solve_subproblem(_grads(ps, x), None, ms)
     # gradients are +1 (a=(1,)) and -3 (a=(2,)); best phi is -4.5 at a=(2,)
     assert sol.a.a == (2,)
     assert sol.phi == pytest.approx(-4.5, abs=1e-8)
@@ -285,13 +392,12 @@ def test_solve_subproblem_enumerates_partition():
 
 def test_solve_subproblem_tie_breaks_first():
     ps = _two_class_problem()
-    sc = problem.scalarize(ps)
     ms = setorder.MinimalStructure((1, 2), ((1, 2),), 1, 0.0)
     # make both selections identical by overriding jacobians via x where equal
-    sol = direction.solve_subproblem(sc, None, np.array([1.0]), ms)
+    sol = direction.solve_subproblem(_grads(ps, [1.0]), None, ms)
     assert sol.a.a in ((1,), (2,))
     # deterministic repeat
-    sol2 = direction.solve_subproblem(sc, None, np.array([1.0]), ms)
+    sol2 = direction.solve_subproblem(_grads(ps, [1.0]), None, ms)
     assert sol2.a.a == sol.a.a and sol2.phi == sol.phi
 
 
@@ -330,7 +436,7 @@ def test_partition_set_over_the_limit_is_refused():
     ms = setorder.analyze(ps.cone, problem.eval_F(ps, x))
     assert ms.w == 2 and ms.partition_count() == 40_000 > direction.PARTITION_LIMIT
     with pytest.raises(PartitionTooLarge, match="40000 selectors"):
-        direction.solve_subproblem(problem.scalarize(ps), None, x, ms)
+        direction.solve_subproblem(_grads(ps, x), None, ms)
     trace = solver.run(ps, x, solver.SolverConfig())
     assert trace.status == solver.NUMERICAL_ERROR and "40000 selectors" in trace.message
     assert trace.iterations == 0
@@ -342,8 +448,8 @@ def test_partition_set_at_the_limit_is_solved(monkeypatch):
     x = np.array([0.5])
     ms = setorder.analyze(ps.cone, problem.eval_F(ps, x))
     assert ms.partition_count() == direction.PARTITION_LIMIT
-    sol = direction.solve_subproblem(problem.scalarize(ps), None, x, ms)
+    sol = direction.solve_subproblem(_grads(ps, x), None, ms)
     assert sol.a.a == (1, 11) and sol.u == pytest.approx([-1.0])
     monkeypatch.setattr(direction, "PARTITION_LIMIT", 99)
     with pytest.raises(PartitionTooLarge):
-        direction.solve_subproblem(problem.scalarize(ps), None, x, ms)
+        direction.solve_subproblem(_grads(ps, x), None, ms)

@@ -59,6 +59,23 @@ def test_grid_minmax_single_term():
         oracle.grid_minmax([], grid)
 
 
+def test_exact_minmax_examples():
+    u, phi, lam = oracle.exact_minmax([[2.0]], [[[1.0]]])
+    assert u == pytest.approx([-2.0]) and phi == pytest.approx(-2.0) and lam.tolist() == [1.0]
+    # same-sign gradients: the weaker term binds, u = -1, value -1/2
+    u, phi, lam = oracle.exact_minmax([[3.0], [1.0]], [[[1.0]], [[1.0]]])
+    assert u == pytest.approx([-1.0]) and phi == pytest.approx(-0.5) and lam.tolist() == [0.0, 1.0]
+    # gradients straddling zero: u = 0 on the segment's equal-theta point
+    u, phi, lam = oracle.exact_minmax([[3.0], [-1.0]], [[[1.0]], [[1.0]]])
+    assert u == pytest.approx([0.0], abs=1e-12) and phi == pytest.approx(0.0, abs=1e-12)
+    assert lam == pytest.approx([0.25, 0.75])
+    # an exact repeat is one term: the support of lam holds its first index only
+    _, phi, lam = oracle.exact_minmax([[1.0, 0.0], [1.0, 0.0]], np.broadcast_to(np.eye(2), (2, 2, 2)))
+    assert phi == pytest.approx(-0.5) and lam.tolist() == [1.0, 0.0]
+    with pytest.raises(EmptyInput):
+        oracle.exact_minmax(np.zeros((0, 1)), np.zeros((0, 1, 1)))
+
+
 def test_certify_violated():
     # f(x) = x^2 (p=1): x_bar = 1 is strictly dominated near 0
     ps = make_scalar_problem(lambda t: t * t, lambda t: 2.0 * t, box=(-2.0, 2.0))

@@ -67,6 +67,22 @@ def test_ex4_inner_solves_converge(monkeypatch, method, iterations):
     assert len(flags) == iterations and all(flags)
 
 
+@pytest.mark.filterwarnings("error")
+def test_singular_subproblem_ends_the_run_with_a_numerical_error(monkeypatch):
+    """A store of zero matrices makes H(lam) singular at the first subproblem."""
+    def zero_store(n, p, Q):
+        store = direction.HessianStore(n, p, Q)
+        store.matrices[:] = 0.0
+        return store
+
+    monkeypatch.setattr(direction, "init_store", zero_store)
+    ps = problem.builtin("ex1")
+    trace = solver.run(ps, bench.sample_start(ps, 7, 0), paper_cfg())
+    assert trace.status == solver.NUMERICAL_ERROR
+    assert trace.message == "averaged matrix H(lam) is singular"
+    assert trace.iterations == 0
+
+
 def test_armijo_hand_example():
     ps = make_scalar_problem(lambda t: t * t, lambda t: 2.0 * t)
     cfg = paper_cfg()
