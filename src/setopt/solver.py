@@ -113,8 +113,8 @@ def armijo_backtrack(ps: ProblemSpec, c: ConeSpec, x, a: PartitionElement, u,
         F_trial = problem_mod.eval_F(ps, x + t * u)
         rhs = f_sel + cfg.beta * t * slopes
         diff = (rhs - F_trial[sel]) @ c.A.T            # (w, Q)
-        ok = np.all(diff >= -TOL_ARMIJO, axis=1)
-        if np.all(ok):
+        ok = (diff >= -TOL_ARMIJO).all(axis=1)
+        if ok.all():
             return t, q, F_trial
     bad = int(np.flatnonzero(~ok)[0]) + 1
     raise LineSearchFailure(

@@ -7,6 +7,7 @@ import traceback
 
 import numpy as np
 import pytest
+from builtins_ref import builtin_ref, uncertainty_grid
 from expr_walk import walk_dual, walk_eval, walk_generate
 from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
@@ -57,7 +58,7 @@ def test_eval_F_trace_anchor_ex5():
 
 def test_ex7_anchor_geometry():
     ps = problem.builtin("ex7")
-    shifts = problem.uncertainty_grid()
+    shifts = uncertainty_grid()
     assert shifts.shape == (100, 2)
     # 10 equispaced values -1 + 2k/9 on each axis
     assert np.unique(np.round(shifts[:, 0], 12)).size == 10
@@ -84,9 +85,11 @@ def test_jacobians_match_finite_differences(name):
 
 @pytest.mark.parametrize("name", problem.BUILTIN_NAMES)
 def test_builtin_matches_problem_file(name):
-    b = problem.builtin(name)
+    """Each shipped file against the hand-coded reference in builtins_ref."""
+    b = builtin_ref(name)
     f = problem.load(problem.builtin_file(name))
-    assert (f.n, f.m, f.p) == (b.n, b.m, b.p)
+    assert (f.name, f.n, f.m, f.p) == (b.name, b.n, b.m, b.p)
+    assert np.array_equal(f.sample_box, b.sample_box)
     assert np.allclose(f.cone.A, b.cone.A) and np.allclose(f.cone.e, b.cone.e)
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -94,6 +97,22 @@ def test_builtin_matches_problem_file(name):
         assert np.all(np.abs(problem.eval_F(b, x) - problem.eval_F(f, x)) <= 1e-10)
         assert np.all(np.abs(problem.eval_jacobians(b, x)
                              - problem.eval_jacobians(f, x)) <= 1e-10)
+
+
+@pytest.mark.parametrize("name", problem.BUILTIN_NAMES)
+def test_builtin_is_its_problem_file(name):
+    """A builtin evaluates the code generated from its shipped file, and
+    nothing else: the same functions, the same bits."""
+    path = problem.builtin_file(name)
+    b = problem.builtin(name)
+    assert b.values_fn.__code__.co_filename == f"<{path}: values>"
+    assert b.jacobians_fn.__code__.co_filename == f"<{path}: jacobians>"
+    f = problem.load(path)
+    for k in range(20):
+        x = bench.sample_start(b, 7, k)
+        assert problem.eval_F(b, x).tobytes() == problem.eval_F(f, x).tobytes()
+        assert (problem.eval_jacobians(b, x).tobytes()
+                == problem.eval_jacobians(f, x).tobytes())
 
 
 def test_scalarize_identity_and_slanted():
@@ -349,7 +368,7 @@ def test_load_x_free_domain_error_surfaces_at_evaluation(tmp_path):
 
 
 def test_arithmetic_error_of_a_problem_callable_is_a_domain_error():
-    ps = problem.builtin("ex1")              # math.exp overflows far from the origin
+    ps = builtin_ref("ex1")                  # math.exp overflows far from the origin
     with pytest.raises(DomainError, match="OverflowError"):
         problem.eval_F(ps, [800.0])
     with pytest.raises(DomainError, match="OverflowError"):

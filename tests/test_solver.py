@@ -299,6 +299,7 @@ def test_rate_probe_soft_diagnostic():
 
 
 def test_overflow_in_a_builtin_ends_the_start_as_a_numerical_error():
+    # exp(x1), at column 4 of ex1's first function, overflows
     trace = solver.run(problem.builtin("ex1"), [800.0], solver.SolverConfig())
     assert trace.status == solver.NUMERICAL_ERROR
-    assert "OverflowError" in trace.message
+    assert "1:4: overflow" in trace.message
