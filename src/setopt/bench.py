@@ -6,9 +6,12 @@ the worker count.  The stats JSON contains only deterministic quantities
 (iteration statistics, status counts, configuration echo); wall-clock timing
 goes to a separate informational file.
 
-With jobs > 1 the starts are solved in forked worker processes.  A
-ProblemSpec holds closures and cannot be pickled, so the batch reaches the
-workers by fork; only (method, start index) tasks and RunRecords are sent.
+With jobs > 1 the caller and up to jobs - 1 children forked with os.fork
+solve the starts together.  A ProblemSpec holds closures and cannot be
+pickled, so the batch reaches the children by fork.  Every process takes the
+next task number from one shared pipe; each child sends its RunRecords back
+pickled on a pipe of its own, and each record's seconds is timed inside the
+process that solved the start.
 """
 
 from __future__ import annotations
@@ -18,13 +21,20 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import pickle
+import select
+import signal
 import statistics
+import struct
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import solver as solver_mod
+from .errors import WorkerDied
 from .problem import ProblemSpec
 from .solver import CONVERGED, MAX_ITERATIONS, IterateTrace, SolverConfig
 
@@ -179,17 +189,9 @@ def _status_counts(records) -> dict:
     return {k: counts[k] for k in sorted(counts)}
 
 
-_job = None   # (ps, x0s, cfg, seed): a pool worker's batch, set by `_adopt`
-
-
-def _adopt(*job):
-    global _job
-    _job = job
-
-
-def _solve_one(method_key: str, k: int, job=None) -> RunRecord:
-    """Solve start k of the batch (this worker's batch when job is None)."""
-    ps, x0s, cfg, seed = job or _job
+def _solve_one(method_key: str, k: int, job) -> RunRecord:
+    """Solve start k of the batch job = (ps, x0s, cfg, seed)."""
+    ps, x0s, cfg, seed = job
     run_cfg = dataclasses.replace(cfg, method=METHOD_KEYS[method_key], seed=seed)
     tick = time.perf_counter()
     trace = solver_mod.run(ps, x0s[k], run_cfg)
@@ -198,38 +200,171 @@ def _solve_one(method_key: str, k: int, job=None) -> RunRecord:
                      status=trace.status, iterations=trace.iterations, seconds=secs)
 
 
-def _forked_pool(workers: int, job):
-    """A pool of `workers` forked processes that adopt `job`; None without fork."""
-    # Imported here: a serial run need not pay their ~20 ms of import.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt, initargs=job)
-
-
 def run_bench(ps: ProblemSpec, starts: int, methods, seed: int,
               cfg: SolverConfig, jobs: int = 1, box=None) -> BenchResult:
     """Run every method from the same sampled starts; fold in index order.
 
-    With jobs > 1, up to `jobs` forked worker processes share the starts of
-    all methods; without the `fork` start method the starts run in-process.
+    With jobs > 1 the caller and up to jobs - 1 forked children share the
+    starts of all methods; without os.fork the starts run in-process.
     """
     x0s = [sample_start(ps, seed, k, box) for k in range(starts)]
     job = (ps, x0s, cfg, seed)
     tasks = [(m, k) for m in methods for k in range(starts)]
     workers = min(jobs, len(tasks))
-    pool = _forked_pool(workers, job) if workers > 1 else None
-    if pool is None:
-        recs = [_solve_one(m, k, job) for m, k in tasks]
+    if workers > 1 and hasattr(os, "fork"):
+        recs = _solve_forked(lambda t: _solve_one(*tasks[t], job), len(tasks), workers)
     else:
-        with pool:
-            recs = list(pool.map(_solve_one, *zip(*tasks)))
+        recs = [_solve_one(m, k, job) for m, k in tasks]
     result = BenchResult(problem=ps.name, starts=starts, seed=seed)
     for j, method_key in enumerate(methods):
         result.runs[method_key] = recs[j * starts:(j + 1) * starts]
     return result
+
+
+# --- forked solving ----------------------------------------------------------
+
+_TASK = struct.Struct("=I")
+
+
+class _Feed:
+    """The write end of the task queue.
+
+    It is non-blocking: task numbers 0..count-1 go in as the pipe has room, in
+    chunks of at most PIPE_BUF bytes (each written whole or not at all), and
+    the end is closed after the last, which readers see as end of file.
+    """
+
+    def __init__(self, fd: int, count: int):
+        self.fd = fd
+        self.data = memoryview(struct.pack(f"={count}I", *range(count)))
+        self.sent = 0
+
+    def top_up(self) -> bool:
+        """Write what fits; True while some task numbers are still unwritten."""
+        try:
+            while self.sent < len(self.data):
+                self.sent += os.write(self.fd, self.data[self.sent:self.sent + select.PIPE_BUF])
+        except BlockingIOError:
+            return True
+        self.close()
+        return False
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+
+def _takes(queue: int, feed: _Feed = None):
+    """Task numbers read 4 bytes at a time from the queue until its end of file.
+
+    The read end is non-blocking, because another process may empty the pipe
+    between a wait and a read.  A child waits in select; the caller, which
+    holds the write end while task numbers are left, refills the pipe instead.
+    """
+    while True:
+        if feed is None or not feed.top_up():
+            select.select([queue], [], [])
+        try:
+            data = os.read(queue, _TASK.size)
+        except BlockingIOError:
+            continue
+        if not data:
+            return
+        yield _TASK.unpack(data)[0]
+
+
+def _child(queue: int, out: int, solve) -> None:
+    """A forked child's share: send [(task, result)] or the exception on `out`."""
+    try:
+        payload = pickle.dumps([(t, solve(t)) for t in _takes(queue)])
+    except BaseException as exc:    # interrupts too: the caller raises what it gets
+        for _ in _takes(queue):     # take the rest, so the other processes stop early
+            pass
+        try:
+            payload = pickle.dumps(exc)
+            pickle.loads(payload)
+        except Exception:
+            payload = pickle.dumps(RuntimeError(repr(exc)))
+    view = memoryview(payload)
+    while view:
+        view = view[os.write(out, view):]
+
+
+def _flush_std_streams() -> None:
+    """Flush Python's stdout and stderr buffers, so that a child neither loses
+    what it prints nor prints again what the caller had buffered."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):    # None, or closed
+            pass
+
+
+def _reap(children: dict, pid: int):
+    """Read a child's pipe to its end, reap the child, return what it sent."""
+    back = children[pid]
+    chunks = []
+    while chunk := os.read(back, 1 << 16):
+        chunks.append(chunk)
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del children[pid]
+    os.close(back)
+    if status != 0 or not chunks:
+        return WorkerDied(pid, status)
+    return pickle.loads(b"".join(chunks))
+
+
+def _solve_forked(solve, count: int, workers: int) -> list:
+    """[solve(t) for t in range(count)], run here and in workers - 1 forked children.
+
+    Every process takes the next task number from one shared pipe, so a
+    slow child simply takes fewer.  Each child sends one pickled list of
+    (task, result), or its exception, on a pipe of its own and leaves by
+    os._exit; the caller places the results by task and reaps every child,
+    also when it fails itself.
+    """
+    queue, feed_fd = os.pipe()
+    os.set_blocking(queue, False)
+    os.set_blocking(feed_fd, False)
+    feed = _Feed(feed_fd, count)
+    children = {}    # pid -> read end of the child's result pipe
+    results = [None] * count
+    _flush_std_streams()
+    try:
+        feed.top_up()
+        for _ in range(workers - 1):
+            back, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    feed.close()
+                    for fd in (back, *children.values()):
+                        os.close(fd)
+                    _child(queue, out, solve)
+                    code = 0
+                finally:
+                    _flush_std_streams()
+                    os._exit(code)
+            os.close(out)
+            children[pid] = back
+        for t in _takes(queue, feed):
+            results[t] = solve(t)
+        sent = [_reap(children, pid) for pid in list(children)]
+    finally:
+        feed.close()
+        os.close(queue)
+        for pid, back in children.items():    # left only when this process failed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(back)
+    for payload in sent:
+        if isinstance(payload, BaseException):
+            raise payload
+        for t, result in payload:
+            results[t] = result
+    return results
 
 
 def stats_payload(result: BenchResult, cfg: SolverConfig) -> dict:

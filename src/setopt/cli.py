@@ -134,7 +134,8 @@ def build_parser() -> _Parser:
     bp.add_argument("--seed", type=int, default=0, help="seed of the sampled starts")
     bp.add_argument("--methods", default="qnm,sd", help="comma list from {qnm,sd}")
     bp.add_argument("--box", default=None, help="sample-box override lo:hi[,lo:hi...]")
-    bp.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process)")
+    bp.add_argument("--jobs", type=int, default=1,
+                    help="solving processes: this one and N-1 forked children (1 = in-process)")
 
     pp = sub.add_parser("plot-data", help="emit per-iteration image/decision CSVs")
     _add_solver_flags(pp)

@@ -104,6 +104,18 @@ class LineSearchFailure(SetoptError):
         super().__init__(message)
 
 
+# --- bench errors ---
+
+class WorkerDied(SetoptError):
+    """A forked bench child ended without sending its results."""
+
+    def __init__(self, pid, status):
+        self.pid = pid
+        self.status = status
+        super().__init__(f"bench child process {pid} ended with status {status} "
+                         f"before sending its results")
+
+
 # --- oracle errors ---
 
 class GridTooLarge(SetoptError):

@@ -1,15 +1,20 @@
+import contextlib
 import dataclasses
 import json
 import os
 import pickle
+import signal
 import statistics
 import subprocess
 import sys
+import time
+import types
 
 import numpy as np
 import pytest
 
 from setopt import bench, cli, problem, solver
+from setopt.errors import WorkerDied
 
 
 def cfg():
@@ -120,34 +125,43 @@ def test_pool_solves_unpicklable_spec_like_in_process():
     with pytest.raises(Exception):
         pickle.dumps(ps)
     serial = bench.run_bench(ps, 6, ["qnm", "sd"], 3, cfg(), jobs=1)
-    pooled = bench.run_bench(ps, 6, ["qnm", "sd"], 3, cfg(), jobs=2)
-    assert list(pooled.runs) == list(serial.runs) == ["qnm", "sd"]
-    for key in serial.runs:
-        assert ([dataclasses.replace(r, seconds=0.0) for r in pooled.runs[key]]
-                == [dataclasses.replace(r, seconds=0.0) for r in serial.runs[key]])
+    for jobs in (2, 3):
+        pooled = bench.run_bench(ps, 6, ["qnm", "sd"], 3, cfg(), jobs=jobs)
+        assert list(pooled.runs) == list(serial.runs) == ["qnm", "sd"]
+        for key in serial.runs:
+            assert ([dataclasses.replace(r, seconds=0.0) for r in pooled.runs[key]]
+                    == [dataclasses.replace(r, seconds=0.0) for r in serial.runs[key]])
 
 
 def test_pool_solves_in_worker_processes(tmp_path):
     log = tmp_path / "pids"
+    log.touch()
     base = problem.builtin("ex5")
+    caller = str(os.getpid())
 
     def values(x):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
+        # The caller's first start waits until a child has taken one.
+        deadline = time.monotonic() + 10.0
+        while (str(os.getpid()) == caller and set(log.read_text().split()) == {caller}
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
         return base.values_fn(x)
 
     def pids():
         found = set(log.read_text().split())
-        log.unlink()
+        log.write_text("")
         return found
 
+    # the caller solves too: two processes for jobs=2
     bench.run_bench(_lambda_spec(values), 10, ["qnm", "sd"], 3, cfg(), jobs=2)
-    workers = pids()
-    assert str(os.getpid()) not in workers and len(workers) >= 2
-    # never more workers than tasks
+    solvers = pids()
+    assert caller in solvers and len(solvers) == 2
+    # never more processes than tasks
     bench.run_bench(_lambda_spec(values), 3, ["qnm"], 3, cfg(), jobs=8)
-    workers = pids()
-    assert str(os.getpid()) not in workers and len(workers) <= 3
+    assert len(pids()) <= 3
+    _assert_no_child_left()
 
 
 def test_pool_worker_exception_reaches_caller():
@@ -156,6 +170,151 @@ def test_pool_worker_exception_reaches_caller():
 
     with pytest.raises(LookupError, match="no such image"):
         bench.run_bench(_lambda_spec(values), 4, ["qnm"], 3, cfg(), jobs=2)
+
+
+# --- forked solving: failures and scale --------------------------------------
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Turn a hang into a TimeoutError raised in the caller."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _stub_run(tmp_path, in_child):
+    """A stand-in for solver.run.  The caller's calls wait until a child has
+    started one; a child's calls run `in_child()` first."""
+    flag = tmp_path / "child-started"
+    caller = os.getpid()
+
+    def run(ps, x0, run_cfg):
+        if os.getpid() == caller:
+            deadline = time.monotonic() + 10.0
+            while not flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        else:
+            flag.touch()
+            in_child()
+        return types.SimpleNamespace(status=solver.CONVERGED, iterations=1)
+
+    return run
+
+
+def test_pool_child_exception_reaches_caller(tmp_path, monkeypatch):
+    def fail():
+        raise LookupError("only in a child")
+
+    monkeypatch.setattr(solver, "run", _stub_run(tmp_path, fail))
+    with _deadline(30), pytest.raises(LookupError, match="only in a child"):
+        bench.run_bench(problem.builtin("ex5"), 20, ["qnm"], 3, cfg(), jobs=2)
+    _assert_no_child_left()
+
+
+def test_pool_child_that_dies_is_a_typed_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "run", _stub_run(tmp_path, lambda: os._exit(3)))
+    with _deadline(30), pytest.raises(WorkerDied, match="status 3") as ei:
+        bench.run_bench(problem.builtin("ex5"), 20, ["qnm"], 3, cfg(), jobs=2)
+    assert ei.value.status == 3 and str(ei.value.pid) in str(ei.value)
+    assert ei.value.pid != os.getpid()
+    _assert_no_child_left()
+
+
+def test_pool_caller_exception_reaps_every_child(monkeypatch):
+    caller = os.getpid()
+
+    def run(ps, x0, run_cfg):
+        if os.getpid() == caller:
+            raise KeyError("in the caller's share")
+        time.sleep(0.01)
+        return types.SimpleNamespace(status=solver.CONVERGED, iterations=1)
+
+    monkeypatch.setattr(solver, "run", run)
+    with _deadline(30), pytest.raises(KeyError, match="in the caller's share"):
+        bench.run_bench(problem.builtin("ex5"), 50, ["qnm", "sd"], 3, cfg(), jobs=3)
+    _assert_no_child_left()
+
+
+def test_pool_unpicklable_child_exception_arrives_as_its_repr(tmp_path, monkeypatch):
+    class LocalError(Exception):     # a local class cannot be pickled
+        pass
+
+    def fail():
+        raise LocalError("cannot travel")
+
+    monkeypatch.setattr(solver, "run", _stub_run(tmp_path, fail))
+    with _deadline(30), pytest.raises(RuntimeError, match=r"LocalError\('cannot travel'\)"):
+        bench.run_bench(problem.builtin("ex5"), 20, ["qnm"], 3, cfg(), jobs=2)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("child_dies", [False, True])
+def test_pool_runs_more_tasks_than_a_pipe_holds(child_dies, monkeypatch):
+    caller = os.getpid()
+
+    def run(ps, x0, run_cfg):
+        if child_dies and os.getpid() != caller:
+            os._exit(3)
+        return types.SimpleNamespace(status=solver.CONVERGED, iterations=int(x0[0]))
+
+    monkeypatch.setattr(bench, "sample_start", lambda ps, seed, k, box=None: np.array([k]))
+    monkeypatch.setattr(solver, "run", run)
+    ps = problem.builtin("ex5")
+    if child_dies:
+        with _deadline(30), pytest.raises(WorkerDied, match="status 3"):
+            bench.run_bench(ps, 10000, ["qnm", "sd"], 3, cfg(), jobs=3)
+    else:
+        with _deadline(30):
+            result = bench.run_bench(ps, 10000, ["qnm", "sd"], 3, cfg(), jobs=3)
+        for key in ("qnm", "sd"):
+            assert [(r.start_index, r.iterations) for r in result.runs[key]] == \
+                [(k, k) for k in range(10000)]
+    _assert_no_child_left()
+
+
+def _run_python(code):
+    """Run `code` in a fresh interpreter whose stdout, a pipe, is block-buffered."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_pooled_run_imports_no_multiprocessing():
+    out = _run_python(
+        "import sys; from setopt import bench, problem, solver; "
+        "bench.run_bench(problem.builtin('ex5'), 4, ['qnm'], 3, solver.SolverConfig(), jobs=2); "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    assert out.strip() == "[]"
+
+
+def test_pool_prints_what_children_print_once():
+    # a child leaves by os._exit, which flushes no buffer
+    out = _run_python(
+        "import os, time; from setopt import bench, problem, solver\n"
+        "caller = os.getpid(); run = solver.run\n"
+        "def noisy(ps, x0, cfg):\n"
+        "    if os.getpid() != caller: print('child', end=';')\n"
+        "    else: time.sleep(0.005)\n"
+        "    return run(ps, x0, cfg)\n"
+        "solver.run = noisy\n"
+        "print('before', end=';')\n"
+        "bench.run_bench(problem.builtin('ex5'), 40, ['qnm'], 3, solver.SolverConfig(), jobs=2)\n")
+    assert out.count("before;") == 1 and "child;" in out
 
 
 def test_run_bench_keeps_every_knob(monkeypatch):
