@@ -13,10 +13,16 @@ gradients v_t = g_t + H_t u, so at most n + 1 terms: Newton steps on the face
 with a ratio test that drops terms, and Caratheodory steps along a null
 direction when a joining term would make the face dependent.  The duality gap
 certifies the result.
+
+The ascent runs on Python floats for n <= 2, where a numpy call costs more
+than its arithmetic: closed-form 1 x 1 and 2 x 2 inverses and eigenpairs.  For
+n >= 3 it runs on numpy arrays, bit for bit as tests/minmax_ref.py.  The two
+share their constants and steps and differ only in rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -190,34 +196,9 @@ def _face_step(S, point):
     return (-d if dependent and theta.take(S) @ d < 0.0 else d), dependent
 
 
-def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
-                 lam0: Optional[np.ndarray] = None):
-    """Solve min_u max_t [g_t'u + 1/2 u'H_t u] for SPD H_t.
-
-    Returns (u, phi, lam, gap, converged) where phi = max_t theta_t(u) <= 0
-    (u = 0 is substituted whenever the recovered point is not better than 0),
-    lam holds the dual weights of all T terms and gap is the final duality gap.
-    """
-    gs = np.asarray(gs, dtype=float)
-    T, n = gs.shape
-    Hs2 = np.asarray(Hs, dtype=float).reshape(T, n * n)
-    # a term's exact repeats merge into its first index; idx lists those, ascending
-    rows = np.concatenate((gs, Hs2), axis=1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-    first = dict(zip(reversed(keys), range(T - 1, -1, -1)))
-    idx = sorted(first.values())
-    gs, Hs2 = gs.take(idx, 0), Hs2.take(idx, 0)
-    Hs = Hs2.reshape(-1, n, n)
-    lam = np.zeros(len(idx))
-    lam0 = None if lam0 is None else np.asarray(lam0, dtype=float)
-    if lam0 is not None and lam0.shape == (T,) and lam0.min() >= 0.0 and lam0.sum() > 0.0:
-        for t in lam0.nonzero()[0].tolist():  # summed in index order, as by bincount
-            lam[idx.index(first[keys[t]])] += lam0[t]
-        lam /= lam.sum()
-    else:  # cold start at the shortest gradient, the best vertex when H_t = I
-        lam[np.einsum("ti,ti->t", gs, gs).argmin()] = 1.0
+def _ascend(lam, gs, Hs, Hs2, tol_sub, max_inner):
+    """The active-set ascent on numpy arrays: (lam, u, max_t theta_t(u), phi(lam))."""
     point = _dual_point(lam, gs, Hs, Hs2)
-
     polish = False
     for _ in range(max_inner):
         theta, phi = point[1], point[3]
@@ -262,9 +243,213 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
         else:
             break  # no ascent at working precision
         lam, point = trial, nxt
+    return lam, point[0], float(point[1].max()), point[3]
 
-    u, phi = point[0], float(point[1].max())
-    gap = min(phi, 0.0) - point[3]
+
+# --- the same ascent on Python floats, for n <= 2 ---------------------------
+#
+# With n <= 2 and a few distinct terms, every numpy call above costs more than
+# its arithmetic.  Below, a term's g_t and H_t are lists of n and n*n floats,
+# H(lam) is inverted in closed form, and a face of 2 or 3 terms is stepped on
+# in closed form; the constants, the steps and their tests are the same.
+
+def _check_det(det):
+    """Refuse a singular H(lam); leave a non-finite one to the numpy path."""
+    if det == 0.0:
+        raise SingularSystem("averaged matrix H(lam) is singular")
+    if not math.isfinite(det):
+        raise FloatingPointError("averaged matrix H(lam) is not finite")
+
+
+def _dual_point_1(lam, gs, Hs):
+    """_dual_point for n = 1."""
+    h = x = 0.0
+    for w, (g,), (H,) in zip(lam, gs, Hs):
+        if w:
+            h += w * H
+            x += w * g
+    _check_det(h)
+    Hinv = 1.0 / h
+    u = -(Hinv * x)
+    theta, v, phi = [], [], 0.0
+    for w, (g,), (H,) in zip(lam, gs, Hs):
+        Hu = H * u
+        t = g * u + 0.5 * (Hu * u)
+        theta.append(t)
+        v.append((g + Hu,))
+        phi += w * t
+    return (u,), theta, v, phi, (Hinv,)
+
+
+def _dual_point_2(lam, gs, Hs):
+    """_dual_point for n = 2, through the closed-form 2 x 2 inverse."""
+    a = b = c = d = x = y = 0.0
+    for w, (g0, g1), (h0, h1, h2, h3) in zip(lam, gs, Hs):
+        if w:
+            a += w * h0
+            b += w * h1
+            c += w * h2
+            d += w * h3
+            x += w * g0
+            y += w * g1
+    det = a * d - b * c
+    _check_det(det)
+    Hinv = (d / det, -b / det, -c / det, a / det)
+    u0 = -(Hinv[0] * x + Hinv[1] * y)
+    u1 = -(Hinv[2] * x + Hinv[3] * y)
+    theta, v, phi = [], [], 0.0
+    for w, (g0, g1), (h0, h1, h2, h3) in zip(lam, gs, Hs):
+        Hu0 = h0 * u0 + h1 * u1
+        Hu1 = h2 * u0 + h3 * u1
+        t = g0 * u0 + g1 * u1 + 0.5 * (Hu0 * u0 + Hu1 * u1)
+        theta.append(t)
+        v.append((g0 + Hu0, g1 + Hu1))
+        phi += w * t
+    return (u0, u1), theta, v, phi, Hinv
+
+
+def _form(Hinv, x, y):
+    """x' H(lam)^{-1} y."""
+    if len(x) == 1:
+        return x[0] * Hinv[0] * y[0]
+    return (x[0] * Hinv[0] + x[1] * Hinv[2]) * y[0] + (x[0] * Hinv[1] + x[1] * Hinv[3]) * y[1]
+
+
+def _eigh2(a, b, c):
+    """Ascending eigenvalues and unit eigenvectors of [[a, b], [b, c]], by one Jacobi rotation."""
+    if b == 0.0:
+        pairs = (a, (1.0, 0.0)), (c, (0.0, 1.0))
+    else:
+        tau = (c - a) / (2.0 * b)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+        cs = 1.0 / math.hypot(1.0, t)
+        sn = t * cs
+        pairs = (a - t * b, (cs, -sn)), (c + t * b, (sn, cs))
+    return pairs if pairs[0][0] <= pairs[1][0] else pairs[::-1]
+
+
+def _face_step_floats(S, point):
+    """_face_step on floats: 2 and 3 terms in closed form, more through numpy's eigh."""
+    _, theta, v, _, Hinv = point
+    if len(S) == 1:
+        return [0.0], False
+    if len(S) > 3:
+        n = len(v[0])
+        d, dependent = _face_step(np.array(S), (None, np.array(theta), np.array(v), None,
+                                                np.reshape(Hinv, (n, n))))
+        return d.tolist(), dependent
+    i = S[0]
+    D = [[a - b for a, b in zip(v[j], v[i])] for j in S[1:]]
+    r = [theta[j] - theta[i] for j in S[1:]]
+    if len(S) == 2:
+        m = _form(Hinv, D[0], D[0])
+        dependent = m <= DEPENDENT * m
+        c = 1.0 if dependent else r[0] / m
+        return ([c, -c] if dependent and r[0] < 0.0 else [-c, c]), dependent
+    (w0, q0), (w1, q1) = _eigh2(_form(Hinv, D[0], D[0]), _form(Hinv, D[1], D[0]),
+                                _form(Hinv, D[1], D[1]))
+    dependent = not w0 > DEPENDENT * w1  # a NaN counts as dependent, so no w divides below
+    if dependent:
+        c0, c1 = q0
+    else:  # Q (Q' r / w)
+        z0 = (q0[0] * r[0] + q0[1] * r[1]) / w0
+        z1 = (q1[0] * r[0] + q1[1] * r[1]) / w1
+        c0, c1 = q0[0] * z0 + q1[0] * z1, q0[1] * z0 + q1[1] * z1
+    d = [-(c0 + c1), c0, c1]
+    if dependent and theta[i] * d[0] + theta[S[1]] * c0 + theta[S[2]] * c1 < 0.0:
+        d = [-d[0], -c0, -c1]
+    return d, dependent
+
+
+def _ascend_floats(lam, gs, Hs, tol_sub, max_inner):
+    """_ascend, step for step, on lists of Python floats for n <= 2; its comments hold here."""
+    dual_point = _dual_point_1 if len(gs[0]) == 1 else _dual_point_2
+    point = dual_point(lam, gs, Hs)
+    polish = False
+    for _ in range(max_inner):
+        theta, phi = point[1], point[3]
+        top = max(theta)
+        t = theta.index(top)
+        gap = min(top, 0.0) - phi
+        if gap <= POLISH * tol_sub or (polish and gap <= tol_sub):
+            break
+        polish = gap <= tol_sub
+        S = [s for s, w in enumerate(lam) if w]
+        S_t = S if polish or lam[t] else S + [t]
+        d, dependent = _face_step_floats(S_t, point)
+        if S_t is S or (d[-1] > 0.0 and sum(theta[s] * x for s, x in zip(S_t, d)) > 0.0):
+            S = S_t
+        else:
+            d, dependent = _face_step_floats(S, point)
+        neg = [k for k, x in enumerate(d) if x < 0.0]
+        if not neg:
+            break
+        ratios = [lam[S[k]] / -d[k] for k in neg]
+        alpha_max = min(ratios)
+        drop = S[neg[ratios.index(alpha_max)]]
+        alpha = alpha_max if dependent else min(1.0, alpha_max)
+        rise, noise = sum(theta[s] * x for s, x in zip(S, d)), None
+        for _ in range(40):
+            trial = lam.copy()
+            for s, x in zip(S, d):
+                trial[s] = max(lam[s] + alpha * x, 0.0)
+            if alpha == alpha_max:
+                trial[drop] = 0.0
+            total = sum(trial)
+            trial = [w / total for w in trial]
+            nxt = dual_point(trial, gs, Hs)
+            if polish or nxt[3] > phi + 0.25 * alpha * rise:
+                break
+            if noise is None:
+                noise = 1e-12 * max(sum(abs(g) * abs(x) for g, x in zip(gs[s], point[0]))
+                                    for s in S)
+            if rise <= noise and nxt[3] >= phi - noise and (
+                    alpha == alpha_max or min(max(nxt[1]), 0.0) - nxt[3] < gap):
+                break
+            alpha *= 0.5
+        else:
+            break
+        lam, point = trial, nxt
+    return lam, np.array(point[0]), max(point[1]), point[3]
+
+
+def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
+                 lam0: Optional[np.ndarray] = None):
+    """Solve min_u max_t [g_t'u + 1/2 u'H_t u] for SPD H_t.
+
+    Returns (u, phi, lam, gap, converged) where phi = max_t theta_t(u) <= 0
+    (u = 0 is substituted whenever the recovered point is not better than 0),
+    lam holds the dual weights of all T terms and gap is the final duality gap.
+    For n <= 2 the ascent runs on Python floats, for n >= 3 on numpy arrays.
+    """
+    gs = np.asarray(gs, dtype=float)
+    T, n = gs.shape
+    Hs2 = np.asarray(Hs, dtype=float).reshape(T, n * n)
+    # a term's exact repeats merge into its first index; idx lists those, ascending
+    rows = np.concatenate((gs, Hs2), axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    first = dict(zip(reversed(keys), range(T - 1, -1, -1)))
+    idx = sorted(first.values())
+    gs, Hs2 = gs.take(idx, 0), Hs2.take(idx, 0)
+    lam = np.zeros(len(idx))
+    lam0 = None if lam0 is None else np.asarray(lam0, dtype=float)
+    if lam0 is not None and lam0.shape == (T,) and lam0.min() >= 0.0 and lam0.sum() > 0.0:
+        for t in lam0.nonzero()[0].tolist():  # summed in index order, as by bincount
+            lam[idx.index(first[keys[t]])] += lam0[t]
+        lam /= lam.sum()
+    else:  # cold start at the shortest gradient, the best vertex when H_t = I
+        lam[np.einsum("ti,ti->t", gs, gs).argmin()] = 1.0
+
+    out = None
+    if n <= 2:
+        try:
+            out = _ascend_floats(lam.tolist(), gs.tolist(), Hs2.tolist(), tol_sub, max_inner)
+        except FloatingPointError:  # a non-finite H(lam): the numpy path decides
+            pass
+    if out is None:
+        out = _ascend(lam, gs, Hs2.reshape(-1, n, n), Hs2, tol_sub, max_inner)
+    lam, u, phi, phi_dual = out
+    gap = min(phi, 0.0) - phi_dual
     if phi >= 0.0:
         # u = 0 is always feasible with value 0; never report a worse point
         u, phi = np.zeros(n), 0.0

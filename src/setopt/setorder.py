@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from .cone import ConeSpec
-from .errors import EmptyInput, NonFiniteInput
+from .errors import DimensionMismatch, EmptyInput, NonFiniteInput
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,19 @@ class MinimalStructure:
 def _order_values(c: ConeSpec, values):
     """The image set as a (p, m) array and its A v, shape (p, Q).
 
-    The order is undefined on inf and nan, so a non-finite image, or an A v
-    that overflows, is rejected.
+    A single image may be given as a vector.  Images of another width than the
+    cone's m are rejected, and so, since the order is undefined on inf and nan,
+    is a non-finite image or an A v that overflows.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
     if values.size == 0:
         raise EmptyInput("empty image set")
+    if values.ndim != 2:
+        raise DimensionMismatch(f"image set has {values.ndim} dimensions, expected 2")
+    if values.shape[1] != c.m:
+        raise DimensionMismatch(f"images have length {values.shape[1]}, expected {c.m}")
     if not np.isfinite(values).all():
         raise NonFiniteInput("the image set holds a non-finite value")
     AV = values @ c.A.T

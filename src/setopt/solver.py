@@ -106,17 +106,16 @@ def armijo_backtrack(ps: ProblemSpec, c: ConeSpec, x, a: PartitionElement, u,
     sel = np.asarray(a.a, dtype=int) - 1
     if F is None:
         F = problem_mod.eval_F(ps, x)
-    f_sel = F[sel]                                     # (w, m)
+    f_sel = F.take(sel, 0)                             # (w, m)
     slopes = jacobians @ u                             # (w, m)
+    At = c.A.T
     for q in range(cfg.max_backtracks + 1):
         t = cfg.nu ** q
         F_trial = problem_mod.eval_F(ps, x + t * u)
-        rhs = f_sel + cfg.beta * t * slopes
-        diff = (rhs - F_trial[sel]) @ c.A.T            # (w, Q)
-        ok = (diff >= -TOL_ARMIJO).all(axis=1)
-        if ok.all():
+        diff = (f_sel + cfg.beta * t * slopes - F_trial.take(sel, 0)) @ At   # (w, Q)
+        if (diff >= -TOL_ARMIJO).all():
             return t, q, F_trial
-    bad = int(np.flatnonzero(~ok)[0]) + 1
+    bad = int(np.flatnonzero(~(diff >= -TOL_ARMIJO).all(axis=1))[0]) + 1
     raise LineSearchFailure(
         f"no Armijo step within {cfg.max_backtracks} backtracks "
         f"(component j={bad} of the selector)", violating_component=bad)

@@ -319,6 +319,19 @@ def _minmax_instance(seed, n, distinct, repeats, identity, start):
     return gs, Hs, minmax_ref.solve_minmax(gs + rng.normal(0.0, 1e-3 * scale, gs.shape), Hs)[2]
 
 
+def _assert_matches_reference(out, ref, gs):
+    """n >= 3 runs the numpy path, which must return the reference's bits.  n <= 2
+    runs the ascent on Python floats: the same converged flag, and phi and u
+    within 1e-12 of the reference at the gradients' scale."""
+    if gs.shape[1] >= 3:
+        assert _bits(out) == _bits(ref)
+        return
+    s = max(1.0, float(np.abs(gs).max()))
+    assert out[4] == ref[4]
+    assert abs(out[1] - ref[1]) <= 1e-12 * s * s
+    assert np.abs(out[0] - ref[0]).max() <= 1e-12 * s
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]), distinct=st.integers(1, 6),
        repeats=st.sampled_from([1, 4, 40]), identity=st.booleans(),
@@ -326,29 +339,44 @@ def _minmax_instance(seed, n, distinct, repeats, identity, start):
 def test_solve_minmax_matches_reference_bit_for_bit(seed, n, distinct, repeats, identity, start,
                                                     max_inner):
     gs, Hs, lam0 = _minmax_instance(seed, n, distinct, repeats, identity, start)
-    assert _bits(direction.solve_minmax(gs, Hs, 1e-10, max_inner, lam0)) == \
-        _bits(minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner, lam0))
+    _assert_matches_reference(direction.solve_minmax(gs, Hs, 1e-10, max_inner, lam0),
+                              minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner, lam0), gs)
 
 
 def test_reference_draws_step_on_two_term_and_full_faces(monkeypatch):
     """The instances above reach 2-term faces and (n + 1)-term faces for every n,
-    and match the reference bit for bit there too."""
-    sizes = collections.defaultdict(set)
-    face_step = minmax_ref._face_step
+    and match the reference there too."""
+    sizes, floats = collections.defaultdict(set), collections.defaultdict(set)
+    face_step, face_step_floats = minmax_ref._face_step, direction._face_step_floats
 
     def spy(S, point):
         sizes[point[2].shape[1]].add(len(S))
         return face_step(S, point)
 
+    def floats_spy(S, point):
+        floats[len(point[0])].add(len(S))
+        return face_step_floats(S, point)
+
     monkeypatch.setattr(minmax_ref, "_face_step", spy)
+    monkeypatch.setattr(direction, "_face_step_floats", floats_spy)
     for seed in range(40):
         for n in (1, 2, 3):
             args = (seed, n, 1 + seed % 6, (1, 4, 40)[seed % 3], seed % 4 == 0,
                     ("cold", "random", "solved")[seed % 3])
             gs, Hs, lam0 = _minmax_instance(*args)
-            assert _bits(direction.solve_minmax(gs, Hs, lam0=lam0)) == \
-                _bits(minmax_ref.solve_minmax(gs, Hs, lam0=lam0)), args
+            _assert_matches_reference(direction.solve_minmax(gs, Hs, lam0=lam0),
+                                      minmax_ref.solve_minmax(gs, Hs, lam0=lam0), gs)
     assert all({2, n + 1} <= sizes[n] for n in (1, 2, 3)), dict(sizes)
+    # the float path's closed forms (2 and 3 terms) and numpy's eigh for larger faces
+    assert all({2, 3, 4} <= floats[n] for n in (1, 2)), dict(floats)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_averaged_matrix_takes_the_numpy_path():
+    """det H(lam) overflows on Python floats; the numpy path solves it, as the reference does."""
+    gs = np.array([[1.0, 2.0], [-1.0, 0.5]])
+    Hs = np.array([1e200 * np.eye(2)] * 2)
+    assert _bits(direction.solve_minmax(gs, Hs)) == _bits(minmax_ref.solve_minmax(gs, Hs))
 
 
 @pytest.mark.filterwarnings("error")

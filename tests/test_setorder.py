@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setopt import cone, oracle, problem, setorder
-from setopt.errors import EmptyInput, NonFiniteInput
+from setopt.errors import DimensionMismatch, EmptyInput, NonFiniteInput
 from setorder_ref import analyze_ref
 
 
@@ -23,6 +23,14 @@ def test_weakly_minimal_examples(orthant2):
 def test_empty_input(orthant2):
     with pytest.raises(EmptyInput):
         setorder.minimal_elements(orthant2, np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("vals", [[[1.0, 2.0, 3.0]], [[1.0], [2.0]], np.zeros((2, 2, 2))],
+                         ids=["too-wide", "too-narrow", "three-dimensional"])
+def test_images_of_the_wrong_shape_are_rejected(orthant2, vals):
+    for fn in (setorder.minimal_elements, setorder.weakly_minimal_elements, setorder.analyze):
+        with pytest.raises(DimensionMismatch):
+            fn(orthant2, vals)
 
 
 def test_grouping(orthant2):

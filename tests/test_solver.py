@@ -109,6 +109,24 @@ def test_armijo_failure_on_ascent_direction():
                                 paper_cfg(max_backtracks=20))
 
 
+def test_armijo_failure_names_the_first_violating_component():
+    """Of two selected components only the second fails the one trial allowed."""
+    def values(x):
+        return np.array([[-x[0]], [(x[0] - 0.1) ** 2]])
+
+    def jacobians(x):
+        return np.array([[[-1.0]], [[2.0 * (x[0] - 0.1)]]])
+
+    ps = problem.ProblemSpec("two", 1, 1, 2, cone.nonnegative_orthant(1),
+                             np.array([[-1.0, 1.0]]), values, jacobians)
+    x = np.zeros(1)
+    with pytest.raises(LineSearchFailure) as info:
+        solver.armijo_backtrack(ps, ps.cone, x, PartitionElement((1, 2)), [1.0],
+                                jacobians(x), paper_cfg(max_backtracks=0))
+    assert info.value.violating_component == 2
+    assert str(info.value) == "no Armijo step within 0 backtracks (component j=2 of the selector)"
+
+
 @pytest.mark.parametrize("method", solver.METHODS)
 @pytest.mark.parametrize("max_iter, status", [(100, solver.CONVERGED),
                                               (2, solver.MAX_ITERATIONS)])
