@@ -267,13 +267,15 @@ def cmd_check(args) -> int:
         failed = failed or not ok
     if "min" in args.oracle:
         ok = True
-        for _ in range(50):
+        for k in range(50):
             vals = rng.uniform(-3.0, 3.0, (rng.integers(2, 30), ps.m))
+            if k % 2:                    # rows resampled with replacement: exact repeats
+                vals = vals[rng.integers(0, len(vals), len(vals))]
             if setorder_mod.minimal_elements(ps.cone, vals) != oracle_mod.brute_min(ps.cone, vals):
                 ok = False
                 break
-        print(f"{'ok   ' if ok else 'FAIL '} minimal-element oracle: "
-              f"{'agrees on 50 random sets' if ok else 'disagreement found'}")
+        what = "agrees on 50 random sets, 25 with repeated rows" if ok else "disagreement found"
+        print(f"{'ok   ' if ok else 'FAIL '} minimal-element oracle: {what}")
         failed = failed or not ok
     if "subproblem" in args.oracle:
         n = min(ps.n, 2)

@@ -572,3 +572,13 @@ def test_python_dash_m_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert (tmp_path / "ex5_qnm_summary.json").exists()
+
+
+@pytest.mark.parametrize("name", ["ex5", "ex4"])         # Q = 2 and Q = 3
+def test_cli_check_oracles_agree_on_a_builtin(name, capsys):
+    code = cli.main(["check", "--problem", name, "--samples", "3", "--oracle", "gerstewitz",
+                     "--oracle", "min", "--oracle", "subproblem"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 5 and all(line.startswith("ok ") for line in lines)
+    assert "minimal-element oracle: agrees on 50 random sets, 25 with repeated rows" in lines[3]

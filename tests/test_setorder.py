@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from setopt import cone, oracle, problem, setorder
 from setopt.errors import DimensionMismatch, EmptyInput, NonFiniteInput
-from setorder_ref import analyze_ref
+from setorder_ref import analyze_ref, minimal_ref
 
 
 def test_minimal_elements_examples(orthant2, slanted_cone):
@@ -210,3 +210,83 @@ def test_analyze_long_chain_in_random_order(seed):
     vals = _chain(rng, c.m, 200, 1e-8)[rng.permutation(200)]
     _assert_matches_reference(c, vals)
     assert setorder.analyze(c, vals).w < 200
+
+
+# --- Q = 2: the sorted staircase against the tensor references ---------------
+
+PLANAR_CONES = (cone.nonnegative_orthant(2), problem.builtin("ex5").cone,
+                problem.builtin("ex6").cone)
+
+
+def _planar_images(kind, rng, p):
+    """p images in R^2 of one kind, each built to hit a case of the staircase."""
+    if kind == "grid":                            # exact ties, exact A v
+        return rng.integers(-4, 5, (p, 2)).astype(float)
+    if kind == "repeats":                         # exact repeats in random order
+        base = rng.uniform(-3.0, 3.0, (max(1, p // 5), 2))
+        return base[rng.integers(0, len(base), p)]
+    if kind == "large-p":                         # theta and -theta tie in v_1
+        th = 2.0 * np.pi * rng.integers(0, p, p) / p
+        off = 0.25 * np.column_stack([np.cos(th) * np.sin(th) ** 2,
+                                      np.cos(th) ** 2 * np.sin(th)])
+        return rng.uniform(-1.0, 1.0, 2) + off
+    if kind == "rounding":                        # distinct pairs whose A v may round to one value
+        base = rng.uniform(-3.0, 3.0, (max(1, p // 2), 2))
+        axis = rng.integers(0, 2, len(base))
+        base[np.arange(len(base)), axis] = 0.0
+        twin = base.copy()
+        twin[np.arange(len(base)), axis] = 1e-20
+        return np.concatenate([base, twin])[:p]
+    if kind == "signed-zero":                     # -0.0 against 0.0
+        return rng.choice([-1.0, -0.0, 0.0, 1.0], (p, 2))
+    return rng.uniform(-3.0, 3.0, (p, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, len(PLANAR_CONES) - 1),
+       st.sampled_from(["grid", "repeats", "large-p", "rounding", "signed-zero", "random"]),
+       st.one_of(st.just(1), st.integers(1, 400)), st.sampled_from([1e-8, 0.25]),
+       st.integers(0, 2**32 - 1))
+def test_planar_staircase_matches_reference(which, kind, p, tol_group, seed):
+    """The staircase decides on the rounded A v, as the tensor references do.
+    The brute-force oracle rounds A (v_i - v_j) instead, so it is compared
+    only where integer images and cone rows make both exact: near ties such
+    as large_p's theta = 0 and pi may round either way.  There it also
+    checks tol > 0, which still takes the tensor."""
+    c = PLANAR_CONES[which]
+    rng = np.random.default_rng(seed)
+    vals = _planar_images(kind, rng, p)
+    vals = vals[rng.permutation(len(vals))]
+    idx = setorder._minimal(vals @ c.A.T, 0.0)
+    minimal, classes, varsigma = analyze_ref(c, vals, tol_group)
+    assert np.all(np.diff(idx) > 0)
+    assert tuple((idx + 1).tolist()) == minimal == minimal_ref(c, vals)
+    assert setorder.minimal_elements(c, vals) == minimal
+    ms = setorder.analyze(c, vals, tol_group)
+    assert (ms.minimal_indices, ms.classes, ms.w, ms.varsigma) == (minimal, classes,
+                                                                   len(classes), varsigma)
+    if kind in ("grid", "signed-zero"):
+        assert minimal == oracle.brute_min(c, vals)
+        for tol in (0.5, 3.0):
+            assert setorder.minimal_elements(c, vals, tol) == oracle.brute_min(c, vals, tol)
+
+
+# --- a tolerance must be finite ----------------------------------------------
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_minimal_elements_rejects_a_non_finite_tol(orthant2, tol):
+    """tol=nan used to return (1, 2, 3), although (0, 0) dominates both others."""
+    with pytest.raises(ValueError, match="tol"):
+        setorder.minimal_elements(orthant2, [[0, 0], [1, 1], [2, 2]], tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_weakly_minimal_elements_rejects_a_non_finite_tol(orthant2, tol):
+    with pytest.raises(ValueError, match="tol"):
+        setorder.weakly_minimal_elements(orthant2, [[0, 0], [1, 1], [2, 2]], tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_analyze_rejects_a_non_finite_tol_group(orthant2, tol):
+    with pytest.raises(ValueError, match="tol_group"):
+        setorder.analyze(orthant2, [[0, 0], [1, 1], [2, 2]], tol_group=tol)
