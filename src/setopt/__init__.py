@@ -5,8 +5,8 @@ and brute-force verification oracles."""
 from . import bench, cli, cone, direction, expr, oracle, problem, setorder, solver
 from .cone import (ConeSpec, gerstewitz, gerstewitz_batch, in_cone, in_int_cone,
                    leq, lt, nonnegative_orthant, validate, varsigma)
-from .direction import (HessianStore, SubproblemSolution, bfgs_update, init_store,
-                        solve_minmax, solve_subproblem)
+from .direction import (HessianStore, SubproblemSolution, bfgs_update, solve_minmax,
+                        solve_subproblem)
 from .errors import SetoptError
 from .problem import (ProblemSpec, ScalarizedComponents, builtin, eval_F,
                       eval_jacobians, load, scalarize)

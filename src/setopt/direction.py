@@ -14,10 +14,11 @@ with a ratio test that drops terms, and Caratheodory steps along a null
 direction when a joining term would make the face dependent.  The duality gap
 certifies the result.
 
-The ascent runs on Python floats for n <= 2, where a numpy call costs more
-than its arithmetic: closed-form 1 x 1 and 2 x 2 inverses and eigenpairs.  For
-n >= 3 it runs on numpy arrays, bit for bit as tests/minmax_ref.py.  The two
-share their constants and steps and differ only in rounding.
+One ascent serves every n.  It keeps lam, theta_t and the face steps in
+Python floats, since the terms are few and small and a numpy call costs more
+than its arithmetic, and it takes its dual point from a function picked by n:
+the closed-form 1 x 1 or 2 x 2 inverse for n <= 2, numpy.linalg.inv for n >= 3
+and for an H(lam) whose determinant is not finite.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg  # the LAPACK kernels behind numpy.linalg
 
 from .errors import NumericalBreakdown, PartitionTooLarge, SingularSystem
 from .setorder import MinimalStructure, PartitionElement, partition_iter
@@ -58,11 +58,6 @@ class HessianStore:
     def min_eigenvalue(self) -> float:
         eigs = np.linalg.eigvalsh(self.matrices.reshape(-1, self.n, self.n))
         return float(eigs.min())
-
-
-def init_store(n: int, p: int, Q: int) -> HessianStore:
-    """All matrices start at the identity."""
-    return HessianStore(n, p, Q)
 
 
 @dataclass(frozen=True)
@@ -157,18 +152,23 @@ DEPENDENT = 1e-14
 POLISH = 1e-3
 
 
-def _dual_point(lam, gs, Hs, Hs2):
-    """u(lam), theta_t(u), v_t = g_t + H_t u, phi(lam) and H(lam)^{-1}; Hs2 is Hs flattened."""
-    n = gs.shape[1]
-    try:  # numpy.linalg.inv's kernel and error policy, without its per-call checks
+def _dual_point_n(lam, gs, Hs):
+    """u(lam), theta_t(u), v_t = g_t + H_t u, phi(lam) and H(lam)^{-1} for any n, on numpy.
+
+    gs holds T rows of n floats and Hs T rows of n*n; lists come back, H(lam)^{-1} flattened.
+    """
+    lam, gs, Hs2 = np.array(lam), np.asarray(gs), np.asarray(Hs)
+    T, n = gs.shape
+    try:  # an invalid value in H(lam) or its inverse is a singular system, not a warning
         with np.errstate(all="ignore", invalid="raise"):
-            Hinv = _umath_linalg.inv((lam @ Hs2).reshape(n, n))
-    except FloatingPointError as exc:
+            Hinv = np.linalg.inv((lam @ Hs2).reshape(n, n))
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise SingularSystem("averaged matrix H(lam) is singular") from exc
     u = -Hinv @ (lam @ gs)
-    Hu = Hs @ u
+    Hu = Hs2.reshape(T, n, n) @ u
     theta = gs @ u + 0.5 * (Hu @ u)
-    return u, theta, gs + Hu, float(lam @ theta), Hinv
+    v = gs + Hu
+    return u.tolist(), theta.tolist(), v.tolist(), float(lam @ theta), Hinv.ravel().tolist()
 
 
 def _face_step(S, point):
@@ -179,8 +179,6 @@ def _face_step(S, point):
     signed to ascend.
     """
     _, theta, v, _, Hinv = point
-    if len(S) == 1:
-        return np.zeros(1), False
     if len(S) == 2:  # the arithmetic below in scalars: LAPACK's eigh of a 1 x 1 M is (M, 1)
         i, j = S.tolist()
         D = v[j] - v[i]
@@ -196,79 +194,29 @@ def _face_step(S, point):
     return (-d if dependent and theta.take(S) @ d < 0.0 else d), dependent
 
 
-def _ascend(lam, gs, Hs, Hs2, tol_sub, max_inner):
-    """The active-set ascent on numpy arrays: (lam, u, max_t theta_t(u), phi(lam))."""
-    point = _dual_point(lam, gs, Hs, Hs2)
-    polish = False
-    for _ in range(max_inner):
-        theta, phi = point[1], point[3]
-        t = theta.argmax()
-        gap = min(float(theta[t]), 0.0) - phi  # u = 0, of value 0, stands in if max theta >= 0
-        if gap <= POLISH * tol_sub or (polish and gap <= tol_sub):
-            break
-        polish = gap <= tol_sub  # then one more full Newton step on the solved face
-        S = lam.nonzero()[0]
-        S_t = S if polish or lam[t] != 0.0 else np.append(S, t)
-        d, dependent = _face_step(S_t, point)
-        if S_t is S or (d[-1] > 0.0 and theta.take(S_t) @ d > 0.0):
-            S = S_t
-        else:  # the most violated term joins only once the larger face's step gives it weight
-            d, dependent = _face_step(S, point)
-        neg = (d < 0.0).nonzero()[0]
-        if not neg.size:
-            break  # d = 0: no ascent left at working precision
-        lam_S = lam.take(S)
-        ratios = lam_S.take(neg) / -d.take(neg)
-        k = ratios.argmin()
-        alpha_max = float(ratios[k])
-        alpha = alpha_max if dependent else min(1.0, alpha_max)
-        rise, noise = float(theta.take(S) @ d), None
-        for _ in range(40):
-            trial = lam.copy()
-            trial[S] = np.maximum(lam_S + alpha * d, 0.0)
-            if alpha == alpha_max:
-                trial[S[neg[k]]] = 0.0  # the ratio test drops this term
-            trial /= trial.sum()
-            nxt = _dual_point(trial, gs, Hs, Hs2)
-            # A step must ascend.  Where its rise is below the rounding of the products
-            # in g_t'u (noise), it must keep phi and drop a term or shrink the gap.
-            if polish or nxt[3] > phi + 0.25 * alpha * rise:
-                break
-            if noise is None:  # once per step, and only when a trial fails
-                noise = 1e-12 * float((np.abs(gs.take(S, 0)) @ np.abs(point[0])).max())
-            if rise <= noise and nxt[3] >= phi - noise and (
-                    alpha == alpha_max or min(float(nxt[1].max()), 0.0) - nxt[3] < gap):
-                break
-            alpha *= 0.5
-        else:
-            break  # no ascent at working precision
-        lam, point = trial, nxt
-    return lam, point[0], float(point[1].max()), point[3]
-
-
-# --- the same ascent on Python floats, for n <= 2 ---------------------------
+# --- closed forms on Python floats, for n <= 2 -----------------------------
 #
 # With n <= 2 and a few distinct terms, every numpy call above costs more than
 # its arithmetic.  Below, a term's g_t and H_t are lists of n and n*n floats,
 # H(lam) is inverted in closed form, and a face of 2 or 3 terms is stepped on
-# in closed form; the constants, the steps and their tests are the same.
+# in closed form.
 
-def _check_det(det):
-    """Refuse a singular H(lam); leave a non-finite one to the numpy path."""
+def _finite_det(det):
+    """Refuse a singular H(lam); False if det is not finite, for _dual_point_n to decide."""
     if det == 0.0:
         raise SingularSystem("averaged matrix H(lam) is singular")
-    if not math.isfinite(det):
-        raise FloatingPointError("averaged matrix H(lam) is not finite")
+    return math.isfinite(det)
 
 
 def _dual_point_1(lam, gs, Hs):
-    """_dual_point for n = 1."""
+    """_dual_point_n for n = 1."""
     h = x = 0.0
     for w, (g,), (H,) in zip(lam, gs, Hs):
         if w:
             h += w * H
             x += w * g
-    _check_det(h)
+    if not _finite_det(h):
+        return _dual_point_n(lam, gs, Hs)
     Hinv = 1.0 / h
     u = -(Hinv * x)
     theta, v, phi = [], [], 0.0
@@ -282,7 +230,7 @@ def _dual_point_1(lam, gs, Hs):
 
 
 def _dual_point_2(lam, gs, Hs):
-    """_dual_point for n = 2, through the closed-form 2 x 2 inverse."""
+    """_dual_point_n for n = 2, through the closed-form 2 x 2 inverse."""
     a = b = c = d = x = y = 0.0
     for w, (g0, g1), (h0, h1, h2, h3) in zip(lam, gs, Hs):
         if w:
@@ -293,7 +241,8 @@ def _dual_point_2(lam, gs, Hs):
             x += w * g0
             y += w * g1
     det = a * d - b * c
-    _check_det(det)
+    if not _finite_det(det):
+        return _dual_point_n(lam, gs, Hs)
     Hinv = (d / det, -b / det, -c / det, a / det)
     u0 = -(Hinv[0] * x + Hinv[1] * y)
     u1 = -(Hinv[2] * x + Hinv[3] * y)
@@ -329,14 +278,14 @@ def _eigh2(a, b, c):
 
 
 def _face_step_floats(S, point):
-    """_face_step on floats: 2 and 3 terms in closed form, more through numpy's eigh."""
+    """_face_step on floats: 2 and 3 terms at n <= 2 in closed form, the rest through numpy."""
     _, theta, v, _, Hinv = point
     if len(S) == 1:
         return [0.0], False
-    if len(S) > 3:
-        n = len(v[0])
+    n = len(v[0])
+    if len(S) > 3 or n > 2:
         d, dependent = _face_step(np.array(S), (None, np.array(theta), np.array(v), None,
-                                                np.reshape(Hinv, (n, n))))
+                                                np.array(Hinv).reshape(n, n)))
         return d.tolist(), dependent
     i = S[0]
     D = [[a - b for a, b in zip(v[j], v[i])] for j in S[1:]]
@@ -361,29 +310,31 @@ def _face_step_floats(S, point):
     return d, dependent
 
 
-def _ascend_floats(lam, gs, Hs, tol_sub, max_inner):
-    """_ascend, step for step, on lists of Python floats for n <= 2; its comments hold here."""
-    dual_point = _dual_point_1 if len(gs[0]) == 1 else _dual_point_2
+def _ascend(lam, gs, Hs, dual_point, tol_sub, max_inner):
+    """The active-set ascent from lam, a list: (lam, u, max_t theta_t(u), phi(lam)).
+
+    dual_point(lam, gs, Hs) returns u, theta, v, phi and H(lam)^{-1} in Python floats.
+    """
     point = dual_point(lam, gs, Hs)
     polish = False
     for _ in range(max_inner):
         theta, phi = point[1], point[3]
         top = max(theta)
         t = theta.index(top)
-        gap = min(top, 0.0) - phi
+        gap = min(top, 0.0) - phi  # u = 0, of value 0, stands in if max theta >= 0
         if gap <= POLISH * tol_sub or (polish and gap <= tol_sub):
             break
-        polish = gap <= tol_sub
+        polish = gap <= tol_sub  # then one more full Newton step on the solved face
         S = [s for s, w in enumerate(lam) if w]
         S_t = S if polish or lam[t] else S + [t]
         d, dependent = _face_step_floats(S_t, point)
         if S_t is S or (d[-1] > 0.0 and sum(theta[s] * x for s, x in zip(S_t, d)) > 0.0):
             S = S_t
-        else:
+        else:  # the most violated term joins only once the larger face's step gives it weight
             d, dependent = _face_step_floats(S, point)
         neg = [k for k, x in enumerate(d) if x < 0.0]
         if not neg:
-            break
+            break  # d = 0: no ascent left at working precision
         ratios = [lam[S[k]] / -d[k] for k in neg]
         alpha_max = min(ratios)
         drop = S[neg[ratios.index(alpha_max)]]
@@ -394,13 +345,15 @@ def _ascend_floats(lam, gs, Hs, tol_sub, max_inner):
             for s, x in zip(S, d):
                 trial[s] = max(lam[s] + alpha * x, 0.0)
             if alpha == alpha_max:
-                trial[drop] = 0.0
+                trial[drop] = 0.0  # the ratio test drops this term
             total = sum(trial)
             trial = [w / total for w in trial]
             nxt = dual_point(trial, gs, Hs)
+            # A step must ascend.  Where its rise is below the rounding of the products
+            # in g_t'u (noise), it must keep phi and drop a term or shrink the gap.
             if polish or nxt[3] > phi + 0.25 * alpha * rise:
                 break
-            if noise is None:
+            if noise is None:  # once per step, and only when a trial fails
                 noise = 1e-12 * max(sum(abs(g) * abs(x) for g, x in zip(gs[s], point[0]))
                                     for s in S)
             if rise <= noise and nxt[3] >= phi - noise and (
@@ -408,7 +361,7 @@ def _ascend_floats(lam, gs, Hs, tol_sub, max_inner):
                 break
             alpha *= 0.5
         else:
-            break
+            break  # no ascent at working precision
         lam, point = trial, nxt
     return lam, np.array(point[0]), max(point[1]), point[3]
 
@@ -420,7 +373,6 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
     Returns (u, phi, lam, gap, converged) where phi = max_t theta_t(u) <= 0
     (u = 0 is substituted whenever the recovered point is not better than 0),
     lam holds the dual weights of all T terms and gap is the final duality gap.
-    For n <= 2 the ascent runs on Python floats, for n >= 3 on numpy arrays.
     """
     gs = np.asarray(gs, dtype=float)
     T, n = gs.shape
@@ -440,15 +392,11 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
     else:  # cold start at the shortest gradient, the best vertex when H_t = I
         lam[np.einsum("ti,ti->t", gs, gs).argmin()] = 1.0
 
-    out = None
-    if n <= 2:
-        try:
-            out = _ascend_floats(lam.tolist(), gs.tolist(), Hs2.tolist(), tol_sub, max_inner)
-        except FloatingPointError:  # a non-finite H(lam): the numpy path decides
-            pass
-    if out is None:
-        out = _ascend(lam, gs, Hs2.reshape(-1, n, n), Hs2, tol_sub, max_inner)
-    lam, u, phi, phi_dual = out
+    if n <= 2:  # closed forms on Python floats
+        dual_point, gs, Hs2 = (_dual_point_1, _dual_point_2)[n - 1], gs.tolist(), Hs2.tolist()
+    else:
+        dual_point = _dual_point_n
+    lam, u, phi, phi_dual = _ascend(lam.tolist(), gs, Hs2, dual_point, tol_sub, max_inner)
     gap = min(phi, 0.0) - phi_dual
     if phi >= 0.0:
         # u = 0 is always feasible with value 0; never report a worse point

@@ -133,7 +133,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
         raise ValueError(f"x0 must be finite, got {x}")
     c = ps.cone
     qn = cfg.method == "quasi_newton"
-    store = direction_mod.init_store(ps.n, ps.p, c.Q) if qn else None
+    store = direction_mod.HessianStore(ps.n, ps.p, c.Q) if qn else None
     trace = IterateTrace(problem=ps.name, method=cfg.method, store=store)
     warm: dict = {}
 

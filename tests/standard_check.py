@@ -1,8 +1,9 @@
 """The standard check: fixed-seed runs whose statuses and iteration counts a
 change must keep, and a digest of every bit of their traces.
 
-Runs the seven builtins, their hand-coded references from `builtins_ref.py`
-and `large_p_spec(200)` from `perfbench/workloads.py`, both methods, from the
+Runs the seven builtins, their hand-coded references from `builtins_ref.py`,
+`large_p_spec(200)` from `perfbench/workloads.py` and `ex3_n3.prob`, an n = 3
+lift of ex3 for the inner solve at n >= 3, both methods, from the
 15 starts `bench.sample_start(ps, s, k)` for each seed s in 3, 5 and 7, at the
 default `SolverConfig`.  Per (problem, method) it prints two lines:
 
@@ -43,6 +44,7 @@ def problems():
     for name in problem.BUILTIN_NAMES:
         yield f"{name}-ref", builtin_ref(name)
     yield "large-p", large_p_spec(200)
+    yield "ex3-n3", problem.load(str(ROOT / "tests" / "ex3_n3.prob"))
 
 
 def _feed(h, value):

@@ -11,7 +11,7 @@ from setopt.errors import NumericalBreakdown, PartitionTooLarge, SingularSystem
 
 
 def test_init_store():
-    store = direction.init_store(n=2, p=3, Q=2)
+    store = direction.HessianStore(n=2, p=3, Q=2)
     assert store.matrices.shape == (3, 2, 2, 2)
     assert np.array_equal(store.matrices[1, 1], np.eye(2))
     assert store.spd_check()
@@ -19,34 +19,34 @@ def test_init_store():
 
 
 def test_bfgs_fixed_point():
-    store = direction.init_store(2, 1, 1)
+    store = direction.HessianStore(2, 1, 1)
     rep = direction.bfgs_update(store, [1.0, 0.0], np.array([[[1.0, 0.0]]]))
     assert rep.applied == [(1, 1)]
     assert np.allclose(store.matrices[0, 0], np.eye(2))
 
 
 def test_bfgs_diagonal_stretch():
-    store = direction.init_store(2, 1, 1)
+    store = direction.HessianStore(2, 1, 1)
     direction.bfgs_update(store, [1.0, 0.0], np.array([[[2.0, 0.0]]]))
     assert np.allclose(store.matrices[0, 0], np.diag([2.0, 1.0]))
 
 
 def test_bfgs_cautious_skip():
-    store = direction.init_store(2, 1, 1)
+    store = direction.HessianStore(2, 1, 1)
     rep = direction.bfgs_update(store, [1.0, 0.0], np.array([[[-1.0, 0.0]]]))
     assert rep.skipped == [(1, 1)] and rep.applied == []
     assert np.array_equal(store.matrices[0, 0], np.eye(2))
 
 
 def test_bfgs_zero_step():
-    store = direction.init_store(2, 1, 1)
+    store = direction.HessianStore(2, 1, 1)
     with pytest.raises(NumericalBreakdown):
         direction.bfgs_update(store, [0.0, 0.0], np.zeros((1, 1, 2)))
 
 
 def test_bfgs_secant_and_spd_random():
     rng = np.random.default_rng(8)
-    store = direction.init_store(3, 2, 2)
+    store = direction.HessianStore(3, 2, 2)
     for _ in range(30):
         s = rng.standard_normal(3)
         y_all = rng.standard_normal((2, 2, 3))
@@ -85,10 +85,10 @@ def _reference_bfgs(store, s, y_all, c_curv=1e-8):
 
 
 def _twin_stores(n, p, Q, rng):
-    fast = direction.init_store(n, p, Q)
+    fast = direction.HessianStore(n, p, Q)
     M = rng.standard_normal((p, Q, n, n))
     fast.matrices[:] = M @ M.transpose(0, 1, 3, 2) + np.eye(n)
-    ref = direction.init_store(n, p, Q)
+    ref = direction.HessianStore(n, p, Q)
     ref.matrices[:] = fast.matrices
     return fast, ref
 
@@ -343,6 +343,24 @@ def test_solve_minmax_matches_reference_bit_for_bit(seed, n, distinct, repeats, 
                               minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner, lam0), gs)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 6]), distinct=st.integers(7, 24),
+       repeats=st.sampled_from([1, 4, 40]), identity=st.booleans(),
+       start=st.sampled_from(["cold", "random", "solved"]), max_inner=st.sampled_from([500, 2, 0]))
+def test_solve_minmax_matches_reference_beyond_six_terms(seed, n, distinct, repeats, identity,
+                                                         start, max_inner):
+    """With more than 6 distinct terms, the ascent's left-to-right sums over the terms may
+    round apart from the reference's numpy reductions: the same converged flag, and phi
+    and u within 1e-12 of the reference at the gradients' scale s."""
+    gs, Hs, lam0 = _minmax_instance(seed, n, distinct, repeats, identity, start)
+    out = direction.solve_minmax(gs, Hs, 1e-10, max_inner, lam0)
+    ref = minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner, lam0)
+    s = max(1.0, float(np.abs(gs).max()))
+    assert out[4] == ref[4]
+    assert abs(out[1] - ref[1]) <= 1e-12 * s * s
+    assert np.abs(out[0] - ref[0]).max() <= 1e-12 * s
+
+
 def test_reference_draws_step_on_two_term_and_full_faces(monkeypatch):
     """The instances above reach 2-term faces and (n + 1)-term faces for every n,
     and match the reference there too."""
@@ -373,16 +391,30 @@ def test_reference_draws_step_on_two_term_and_full_faces(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_non_finite_averaged_matrix_takes_the_numpy_path():
-    """det H(lam) overflows on Python floats; the numpy path solves it, as the reference does."""
+    """det H(lam) overflows on Python floats; numpy's dual point takes it, as in the reference."""
     gs = np.array([[1.0, 2.0], [-1.0, 0.5]])
     Hs = np.array([1e200 * np.eye(2)] * 2)
     assert _bits(direction.solve_minmax(gs, Hs)) == _bits(minmax_ref.solve_minmax(gs, Hs))
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("H", [np.zeros((2, 2)), np.diag([1.0, 0.0])], ids=["zero", "rank1"])
+@pytest.mark.parametrize("H", [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.zeros((3, 3)),
+                               np.diag([1.0, 0.0, 0.0])],
+                         ids=["zero", "rank1", "zero-n3", "rank1-n3"])
 def test_singular_averaged_matrix_raises_singular_system(H):
-    gs = np.array([[1.0, 2.0], [-1.0, 0.5]])
+    gs = np.array([[1.0, 2.0, 0.5], [-1.0, 0.5, 2.0]])[:, :len(H)]
+    with pytest.raises(SingularSystem, match="averaged matrix H\\(lam\\) is singular"):
+        direction.solve_minmax(gs, np.array([H, H]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_non_finite_term_matrix_raises_singular_system(n):
+    """An H_t with an inf entry makes H(lam) non-finite: a SingularSystem, not a NaN
+    direction with a RuntimeWarning, for the closed forms and for numpy's inverse alike."""
+    H = np.eye(n)
+    H[0, 0] = np.inf
+    gs = np.array([[1.0, 2.0, 0.5], [-1.0, 0.5, 2.0]])[:, :n]
     with pytest.raises(SingularSystem, match="averaged matrix H\\(lam\\) is singular"):
         direction.solve_minmax(gs, np.array([H, H]))
 
@@ -430,7 +462,7 @@ def test_solve_subproblem_tie_breaks_first():
 
 
 def test_bfgs_report_reads_pairs_from_its_mask():
-    store = direction.init_store(2, 3, 2)
+    store = direction.HessianStore(2, 3, 2)
     s = np.array([1.0, 0.0])
     y_all = np.zeros((3, 2, 2))
     y_all[0, 1] = y_all[2, 0] = s                          # only (1,2) and (3,1) curve

@@ -70,12 +70,12 @@ def test_ex4_inner_solves_converge(monkeypatch, method, iterations):
 @pytest.mark.filterwarnings("error")
 def test_singular_subproblem_ends_the_run_with_a_numerical_error(monkeypatch):
     """A store of zero matrices makes H(lam) singular at the first subproblem."""
-    def zero_store(n, p, Q):
-        store = direction.HessianStore(n, p, Q)
-        store.matrices[:] = 0.0
-        return store
+    class ZeroStore(direction.HessianStore):
+        def __init__(self, n, p, Q):
+            super().__init__(n, p, Q)
+            self.matrices[:] = 0.0
 
-    monkeypatch.setattr(direction, "init_store", zero_store)
+    monkeypatch.setattr(direction, "HessianStore", ZeroStore)
     ps = problem.builtin("ex1")
     trace = solver.run(ps, bench.sample_start(ps, 7, 0), paper_cfg())
     assert trace.status == solver.NUMERICAL_ERROR
