@@ -349,9 +349,9 @@ def test_solve_minmax_matches_reference_bit_for_bit(seed, n, distinct, repeats, 
        start=st.sampled_from(["cold", "random", "solved"]), max_inner=st.sampled_from([500, 2, 0]))
 def test_solve_minmax_matches_reference_beyond_six_terms(seed, n, distinct, repeats, identity,
                                                          start, max_inner):
-    """With more than 6 distinct terms, the ascent's left-to-right sums over the terms may
-    round apart from the reference's numpy reductions: the same converged flag, and phi
-    and u within 1e-12 of the reference at the gradients' scale s."""
+    """With more than 6 distinct terms, the ascent's left-to-right sum of a trial lam may
+    round apart from numpy's pairwise sum in the reference: the same converged flag, and
+    phi and u within 1e-12 of the reference at the gradients' scale s."""
     gs, Hs, lam0 = _minmax_instance(seed, n, distinct, repeats, identity, start)
     out = direction.solve_minmax(gs, Hs, 1e-10, max_inner, lam0)
     ref = minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner, lam0)
