@@ -8,10 +8,12 @@ goes to a separate informational file.
 
 With jobs > 1 the caller and up to jobs - 1 children forked with os.fork
 solve the starts together.  A ProblemSpec holds closures and cannot be
-pickled, so the batch reaches the children by fork.  Every process takes the
-next task number from one shared pipe; each child sends its RunRecords back
-pickled on a pipe of its own, and each record's seconds is timed inside the
-process that solved the start.
+pickled, so the batch reaches the children by fork.  The task queue is one
+pipe, written whole before the first fork: one task per token up to
+PIPE_BUF / 4 tasks, and runs of consecutive tasks beyond that.  Every process
+reads the next token until the pipe is empty; each child sends its RunRecords
+back pickled on a pipe of its own, and each record's seconds is timed inside
+the process that solved the start.
 """
 
 from __future__ import annotations
@@ -184,20 +186,14 @@ def time_stats(seconds) -> dict:
     }
 
 
+def _in_stats(records) -> list:
+    """The runs that enter the statistics: converged or out of iterations."""
+    return [r for r in records if r.status in (CONVERGED, MAX_ITERATIONS)]
+
+
 def _status_counts(records) -> dict:
     counts = collections.Counter(r.status for r in records)
     return {k: counts[k] for k in sorted(counts)}
-
-
-def _solve_one(method_key: str, k: int, job) -> RunRecord:
-    """Solve start k of the batch job = (ps, x0s, cfg, seed)."""
-    ps, x0s, cfg, seed = job
-    run_cfg = dataclasses.replace(cfg, method=METHOD_KEYS[method_key], seed=seed)
-    tick = time.perf_counter()
-    trace = solver_mod.run(ps, x0s[k], run_cfg)
-    secs = time.perf_counter() - tick
-    return RunRecord(start_index=k, x0=tuple(float(v) for v in x0s[k]),
-                     status=trace.status, iterations=trace.iterations, seconds=secs)
 
 
 def run_bench(ps: ProblemSpec, starts: int, methods, seed: int,
@@ -208,13 +204,23 @@ def run_bench(ps: ProblemSpec, starts: int, methods, seed: int,
     starts of all methods; without os.fork the starts run in-process.
     """
     x0s = [sample_start(ps, seed, k, box) for k in range(starts)]
-    job = (ps, x0s, cfg, seed)
-    tasks = [(m, k) for m in methods for k in range(starts)]
-    workers = min(jobs, len(tasks))
+    run_cfgs = [dataclasses.replace(cfg, method=METHOD_KEYS[m], seed=seed) for m in methods]
+
+    def solve(t: int) -> RunRecord:
+        """Task t: start t % starts with method t // starts."""
+        k = t % starts
+        tick = time.perf_counter()
+        trace = solver_mod.run(ps, x0s[k], run_cfgs[t // starts])
+        secs = time.perf_counter() - tick
+        return RunRecord(start_index=k, x0=tuple(float(v) for v in x0s[k]),
+                         status=trace.status, iterations=trace.iterations, seconds=secs)
+
+    count = starts * len(methods)
+    workers = min(jobs, count)
     if workers > 1 and hasattr(os, "fork"):
-        recs = _solve_forked(lambda t: _solve_one(*tasks[t], job), len(tasks), workers)
+        recs = _solve_forked(solve, count, workers)
     else:
-        recs = [_solve_one(m, k, job) for m, k in tasks]
+        recs = [solve(t) for t in range(count)]
     result = BenchResult(problem=ps.name, starts=starts, seed=seed)
     for j, method_key in enumerate(methods):
         result.runs[method_key] = recs[j * starts:(j + 1) * starts]
@@ -226,60 +232,12 @@ def run_bench(ps: ProblemSpec, starts: int, methods, seed: int,
 _TASK = struct.Struct("=I")
 
 
-class _Feed:
-    """The write end of the task queue.
-
-    It is non-blocking: task numbers 0..count-1 go in as the pipe has room, in
-    chunks of at most PIPE_BUF bytes (each written whole or not at all), and
-    the end is closed after the last, which readers see as end of file.
-    """
-
-    def __init__(self, fd: int, count: int):
-        self.fd = fd
-        self.data = memoryview(struct.pack(f"={count}I", *range(count)))
-        self.sent = 0
-
-    def top_up(self) -> bool:
-        """Write what fits; True while some task numbers are still unwritten."""
-        try:
-            while self.sent < len(self.data):
-                self.sent += os.write(self.fd, self.data[self.sent:self.sent + select.PIPE_BUF])
-        except BlockingIOError:
-            return True
-        self.close()
-        return False
-
-    def close(self) -> None:
-        if self.fd >= 0:
-            os.close(self.fd)
-            self.fd = -1
-
-
-def _takes(queue: int, feed: _Feed = None):
-    """Task numbers read 4 bytes at a time from the queue until its end of file.
-
-    The read end is non-blocking, because another process may empty the pipe
-    between a wait and a read.  A child waits in select; the caller, which
-    holds the write end while task numbers are left, refills the pipe instead.
-    """
-    while True:
-        if feed is None or not feed.top_up():
-            select.select([queue], [], [])
-        try:
-            data = os.read(queue, _TASK.size)
-        except BlockingIOError:
-            continue
-        if not data:
-            return
-        yield _TASK.unpack(data)[0]
-
-
-def _child(queue: int, out: int, solve) -> None:
+def _child(takes, out: int, solve) -> None:
     """A forked child's share: send [(task, result)] or the exception on `out`."""
     try:
-        payload = pickle.dumps([(t, solve(t)) for t in _takes(queue)])
+        payload = pickle.dumps([(t, solve(t)) for t in takes()])
     except BaseException as exc:    # interrupts too: the caller raises what it gets
-        for _ in _takes(queue):     # take the rest, so the other processes stop early
+        for _ in takes():           # take the rest, so the other processes stop early
             pass
         try:
             payload = pickle.dumps(exc)
@@ -318,42 +276,49 @@ def _reap(children: dict, pid: int):
 def _solve_forked(solve, count: int, workers: int) -> list:
     """[solve(t) for t in range(count)], run here and in workers - 1 forked children.
 
-    Every process takes the next task number from one shared pipe, so a
-    slow child simply takes fewer.  Each child sends one pickled list of
-    (task, result), or its exception, on a pipe of its own and leaves by
-    os._exit; the caller places the results by task and reaps every child,
+    The whole task queue goes into one pipe before the first fork, in one
+    write of at most PIPE_BUF bytes, and its write end is closed.  Each 4-byte
+    token names the first of `chunk` consecutive tasks: one task per token up
+    to PIPE_BUF / 4 tasks.  Every process reads the next token until end of
+    file, so a slow child simply takes fewer.  Each child sends one pickled
+    list of (task, result), or its exception, on a pipe of its own and leaves
+    by os._exit; the caller places the results by task and reaps every child,
     also when it fails itself.
     """
-    queue, feed_fd = os.pipe()
-    os.set_blocking(queue, False)
-    os.set_blocking(feed_fd, False)
-    feed = _Feed(feed_fd, count)
+    chunk = -(-count // (select.PIPE_BUF // _TASK.size))
+    firsts = range(0, count, chunk)
+
+    def takes():    # task numbers, token by token, until end of file
+        while token := os.read(queue, _TASK.size):
+            first = _TASK.unpack(token)[0]
+            yield from range(first, min(first + chunk, count))
+
     children = {}    # pid -> read end of the child's result pipe
     results = [None] * count
+    queue, feed = os.pipe()
     _flush_std_streams()
     try:
-        feed.top_up()
+        with open(feed, "wb", buffering=0) as fh:    # one os.write, then the end is closed
+            fh.write(struct.pack(f"={len(firsts)}I", *firsts))
         for _ in range(workers - 1):
             back, out = os.pipe()
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    feed.close()
                     for fd in (back, *children.values()):
                         os.close(fd)
-                    _child(queue, out, solve)
+                    _child(takes, out, solve)
                     code = 0
                 finally:
                     _flush_std_streams()
                     os._exit(code)
             os.close(out)
             children[pid] = back
-        for t in _takes(queue, feed):
+        for t in takes():
             results[t] = solve(t)
         sent = [_reap(children, pid) for pid in list(children)]
     finally:
-        feed.close()
         os.close(queue)
         for pid, back in children.items():    # left only when this process failed
             os.kill(pid, signal.SIGKILL)
@@ -371,8 +336,7 @@ def stats_payload(result: BenchResult, cfg: SolverConfig) -> dict:
     """Deterministic statistics: identical bytes for identical (seed, config)."""
     per_method = {}
     for method_key, recs in result.runs.items():
-        kept = [r.iterations for r in recs
-                if r.status in (CONVERGED, MAX_ITERATIONS)]
+        kept = [r.iterations for r in _in_stats(recs)]
         per_method[method_key] = {
             "iterations": iteration_stats(kept) if kept else None,
             "statuses": _status_counts(recs),
@@ -394,8 +358,7 @@ def timing_payload(result: BenchResult) -> dict:
     """Wall-clock statistics; informational only, machine-dependent."""
     per_method = {}
     for method_key, recs in result.runs.items():
-        kept = [r.seconds for r in recs
-                if r.status in (CONVERGED, MAX_ITERATIONS)]
+        kept = [r.seconds for r in _in_stats(recs)]
         per_method[method_key] = time_stats(kept) if kept else None
     return {"format": FORMAT_VERSION, "problem": result.problem,
             "seconds": per_method}
@@ -430,15 +393,12 @@ def format_table(result: BenchResult) -> str:
     lines = [f"problem {result.problem}  starts {result.starts}  seed {result.seed}",
              f"{'method':<8}{'':<6}{'Min':>8}{'Max':>8}{'Mean':>9}{'Median':>9}{'Mode':>7}{'SD':>9}"]
     for method_key, recs in result.runs.items():
-        kept_it = [r.iterations for r in recs
-                   if r.status in (CONVERGED, MAX_ITERATIONS)]
-        kept_s = [r.seconds for r in recs
-                  if r.status in (CONVERGED, MAX_ITERATIONS)]
-        if not kept_it:
+        kept = _in_stats(recs)
+        if not kept:
             lines.append(f"{method_key:<8}  (no successful runs)")
             continue
-        it = iteration_stats(kept_it)
-        ts = time_stats(kept_s)
+        it = iteration_stats(r.iterations for r in kept)
+        ts = time_stats(r.seconds for r in kept)
         lines.append(f"{method_key:<8}{'iter':<6}{it['min']:>8}{it['max']:>8}"
                      f"{it['mean']:>9.2f}{it['median']:>9.1f}{it['mode']:>7}{it['sd']:>9.2f}")
         lines.append(f"{'':<8}{'sec':<6}{ts['min']:>8.3f}{ts['max']:>8.3f}"

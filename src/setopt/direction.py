@@ -159,15 +159,15 @@ def _dual_point_n(lam, gs, Hs):
     """
     lam, gs, Hs2 = np.array(lam), np.asarray(gs), np.asarray(Hs)
     T, n = gs.shape
-    try:  # an invalid value in H(lam) or its inverse is a singular system, not a warning
+    try:  # an invalid value in H(lam), its inverse or the point is a singular system
         with np.errstate(all="ignore", invalid="raise"):
             Hinv = np.linalg.inv((lam @ Hs2).reshape(n, n))
+            u = -Hinv @ (lam @ gs)
+            Hu = Hs2.reshape(T, n, n) @ u
+            theta = gs @ u + 0.5 * (Hu @ u)
+            v = gs + Hu
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise SingularSystem("averaged matrix H(lam) is singular") from exc
-    u = -Hinv @ (lam @ gs)
-    Hu = Hs2.reshape(T, n, n) @ u
-    theta = gs @ u + 0.5 * (Hu @ u)
-    v = gs + Hu
     return u.tolist(), theta.tolist(), v.tolist(), float(lam @ theta), Hinv.ravel().tolist()
 
 

@@ -10,6 +10,14 @@ default `SolverConfig`.  Per (problem, method) it prints two lines:
     <problem> <method> counts <status initial><iterations> per start
     <problem> <method> digest <sha256 of every trace's bits>
 
+After a builtin's lines comes one more,
+
+    <builtin> stats <sha256 at jobs=1> <sha256 at jobs=2>
+
+each the digest of the sorted JSON of `bench.stats_payload` for 20 starts of
+both methods at seed 5: two equal hashes say that `bench --jobs` writes the
+same `*_stats.json` bytes as a serial run.
+
 The count lines are what the ROADMAP's re-base protocol compares between two
 commits; the digests show whether any bit of a trace moved.  Run it from the
 repository root as
@@ -21,6 +29,7 @@ It is not a test module, so pytest does not collect it.
 
 import dataclasses
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -69,6 +78,12 @@ def digest(h, trace):
             _feed(h, value)
 
 
+def stats_hash(ps, jobs):
+    cfg = solver.SolverConfig()
+    payload = bench.stats_payload(bench.run_bench(ps, 20, ["qnm", "sd"], 5, cfg, jobs=jobs), cfg)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def main():
     runs = iterations = 0
     for name, ps in problems():
@@ -84,6 +99,8 @@ def main():
                     iterations += trace.iterations
             print(f"{name} {key} counts {' '.join(counts)}")
             print(f"{name} {key} digest {h.hexdigest()}", flush=True)
+        if name in problem.BUILTIN_NAMES:
+            print(f"{name} stats {stats_hash(ps, 1)} {stats_hash(ps, 2)}", flush=True)
     print(f"total {runs} runs {iterations} iterations")
 
 

@@ -260,8 +260,11 @@ def test_pool_unpicklable_child_exception_arrives_as_its_repr(tmp_path, monkeypa
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("child_dies", [False, True])
-def test_pool_runs_more_tasks_than_a_pipe_holds(child_dies, monkeypatch):
+@pytest.mark.parametrize("child_dies, starts, methods",
+                         [(False, 10000, ["qnm", "sd"]), (True, 10000, ["qnm", "sd"]),
+                          (False, 1025, ["qnm"])],    # 1025: the last token holds one task
+                         ids=["False", "True", "1025"])
+def test_pool_runs_more_tasks_than_a_pipe_holds(child_dies, starts, methods, monkeypatch):
     caller = os.getpid()
 
     def run(ps, x0, run_cfg):
@@ -274,13 +277,13 @@ def test_pool_runs_more_tasks_than_a_pipe_holds(child_dies, monkeypatch):
     ps = problem.builtin("ex5")
     if child_dies:
         with _deadline(30), pytest.raises(WorkerDied, match="status 3"):
-            bench.run_bench(ps, 10000, ["qnm", "sd"], 3, cfg(), jobs=3)
+            bench.run_bench(ps, starts, methods, 3, cfg(), jobs=3)
     else:
         with _deadline(30):
-            result = bench.run_bench(ps, 10000, ["qnm", "sd"], 3, cfg(), jobs=3)
-        for key in ("qnm", "sd"):
+            result = bench.run_bench(ps, starts, methods, 3, cfg(), jobs=3)
+        for key in methods:
             assert [(r.start_index, r.iterations) for r in result.runs[key]] == \
-                [(k, k) for k in range(10000)]
+                [(k, k) for k in range(starts)]
     _assert_no_child_left()
 
 

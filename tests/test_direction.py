@@ -408,15 +408,17 @@ def test_singular_averaged_matrix_raises_singular_system(H):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_non_finite_term_matrix_raises_singular_system(n):
+@pytest.mark.parametrize("n, terms", [(1, 2), (2, 2), (3, 2), (1, 1), (2, 1), (3, 1)],
+                         ids=["1", "2", "3", "1-one-term", "2-one-term", "3-one-term"])
+def test_non_finite_term_matrix_raises_singular_system(n, terms):
     """An H_t with an inf entry makes H(lam) non-finite: a SingularSystem, not a NaN
-    direction with a RuntimeWarning, for the closed forms and for numpy's inverse alike."""
+    direction with a RuntimeWarning, for the closed forms and for numpy's inverse alike,
+    also when that one term holds all the weight."""
     H = np.eye(n)
     H[0, 0] = np.inf
-    gs = np.array([[1.0, 2.0, 0.5], [-1.0, 0.5, 2.0]])[:, :n]
+    gs = np.array([[1.0, 2.0, 0.5], [-1.0, 0.5, 2.0]])[:terms, :n]
     with pytest.raises(SingularSystem, match="averaged matrix H\\(lam\\) is singular"):
-        direction.solve_minmax(gs, np.array([H, H]))
+        direction.solve_minmax(gs, np.array([H] * terms))
 
 
 def _two_class_problem():
