@@ -9,7 +9,7 @@ from .direction import (HessianStore, SubproblemSolution, bfgs_update, solve_min
                         solve_subproblem)
 from .errors import SetoptError
 from .problem import (ProblemSpec, ScalarizedComponents, builtin, eval_F,
-                      eval_jacobians, load, scalarize)
+                      eval_jacobians, load)
 from .setorder import (MinimalStructure, PartitionElement, analyze,
                        minimal_elements, partition_iter, weakly_minimal_elements)
 from .solver import IterateTrace, SolverConfig, run, stationarity_report

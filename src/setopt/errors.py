@@ -63,7 +63,9 @@ class VariableOutOfRange(ExprError):
 class DomainError(ExprError):
     """A failed domain check during evaluation."""
 
-    index = None   # the family index i it failed at; set by `expr.eval`/`eval_dual`
+    # the family index i it failed at; set by every generated evaluator and
+    # by `problem._call`
+    index = None
 
 
 # --- problem errors ---

@@ -15,6 +15,7 @@ array.
 
 from __future__ import annotations
 
+import copy
 import linecache
 import math
 import operator
@@ -297,15 +298,15 @@ def _print(node: Node) -> str:
 # entries of a variable's unit vector are operands like any other; `x * 1.0`
 # is `x`, and operations on constants are done once, at generation.
 #
-# A check that fails on some lanes records each lane's first failure in
-# evaluation order (the dict E, lane -> site) and substitutes a harmless
-# value there; one that fails on every lane raises _Fail, since the first
-# lane's first failure is then settled, and so does a `math` call or float **
-# that raises, found by its generated line (`_math_site`).  The lowest
-# failing lane's first failure is raised, which is the error a walk over
-# i = 1, 2, ... meets first; a family reports the lowest index, then the
-# lowest component.  Checks whose operands are constants or folds are
-# decided at generation.
+# The error raised is the one a walk over i = 1, 2, ... meets first: a
+# family reports the lowest index, then the lowest component.  The first
+# check to fail on any lane raises _Fail with the lanes it failed on; so does
+# a fold with failing lanes where the walk meets it, and on every lane a
+# `math` call or float ** that raises, found by its generated line
+# (`_math_site`).  No check failed before it, so it is the first failure of
+# its lowest lane k.  A lower lane may fail at a later check, so `_raise`
+# evaluates lanes[:k] alone first, which raises if one does.  Checks whose
+# operands are constants or folds are decided at generation.
 
 _X, _I = 1, 2
 _XI = _X | _I
@@ -346,36 +347,19 @@ def _postorder(root):
 # run-time support of the generated code
 
 class _Fail(Exception):
-    """A check failed on every lane, or on the one lane being folded."""
+    """The first failed check: its site, and `bad`, the mask of the lanes it
+    failed on, or True for every lane."""
 
-    def __init__(self, site):
+    def __init__(self, site, bad=True):
         super().__init__(site)
-        self.site = site
+        self.site, self.bad = site, bad
 
 
-def _mark(E, bad, site):
-    """Record `site` as the first failure of each lane where `bad` holds."""
-    for k in np.flatnonzero(bad).tolist():
-        E.setdefault(k, site)
-
-
-def _check(E, bad, site) -> bool:
+def _check(bad, site):
     """A check whose condition is a Python or a numpy bool, known only at run
-    time: whether it failed."""
-    if isinstance(bad, np.ndarray):
-        if not bad.any():
-            return False
-        _mark(E, bad, site)
-        return True
-    if bad:
-        raise _Fail(site)
-    return False
-
-
-def _replay(E, failed):
-    """A fold's failures, at the point where the walk meets them."""
-    for k, site in failed.items():
-        E.setdefault(k, site)
+    time."""
+    if np.any(bad):
+        raise _Fail(site, bad)
 
 
 def _math_site(risky, exc):
@@ -393,33 +377,27 @@ def _math_site(risky, exc):
 
 
 def _fold_lanes(fn, lanes, risky):
-    """A subtree free of x over the lanes: values, failures (lane -> site)
-    and nondifferentiable flags; a failing lane is nan."""
-    values, failed, kinks = [], {}, []
-    for k, i in enumerate(lanes):
+    """A subtree free of x over the lanes: values, nondifferentiable flags,
+    and None or the _Fail of its lowest failing lane, naming every failing
+    lane; a failing lane is nan."""
+    values, kinks, sites = [], [], []
+    for i in lanes:
+        site = None
         try:
             value, kink = fn(i)
         except _Fail as fail:
-            value, kink, failed[k] = math.nan, False, fail.site
+            value, kink, site = math.nan, False, fail.site
         except (OverflowError, ValueError) as exc:
-            value, kink, failed[k] = math.nan, False, _math_site(risky, exc)
+            value, kink, site = math.nan, False, _math_site(risky, exc)
         values.append(value)
         kinks.append(kink)
-    return values, failed, kinks
-
-
-def _raise(lanes, E):
-    k = min(E)
-    component, line, column, message = E[k]
-    exc = DomainError(message, line, column)
-    exc.index = lanes[k]
-    if component is not None:
-        exc.args = (f"f^{exc.index} component {component + 1}: {exc}",)
-    raise exc
+        sites.append(site)
+    bad = np.array([site is not None for site in sites])
+    return values, kinks, _Fail(sites[bad.argmax()], bad) if bad.any() else None
 
 
 # numpy overflows to inf where `math` and float ** raise; a finite check
-# after them marks it.
+# after them fails there.
 def _nexp(v):
     with np.errstate(over="ignore"):
         return np.exp(v)
@@ -478,7 +456,7 @@ def _spow(a, b, overflow, domain):
         raise _Fail(domain) from None
 
 
-def _pow_grad(E, lanes, sites, av, bv, value, ag, bg):
+def _pow_grad(lanes, sites, av, bv, value, ag, bg):
     """Gradient of a^b where whether the exponent moves is known only at
     run time, on lanes or on Python floats (then exactly one branch runs)."""
     positive, unbounded, overflow, domain = sites
@@ -487,21 +465,20 @@ def _pow_grad(E, lanes, sites, av, bv, value, ag, bg):
         moving = moving | (g != 0.0)
     grad = None
     if np.any(moving):
-        _check(E, moving & (av <= 0.0), positive)
+        _check(moving & (av <= 0.0), positive)
         pos = np.where(av > 0.0, av, 1.0) if lanes else (av if av > 0.0 else 1.0)
         log = np.log(pos) if lanes else math.log(pos)
         grad = _tscale(value, _tplus(_tscale(log, bg), _tover(_tscale(bv, ag), pos)))
     if not np.all(moving):
         zero = av == 0.0
-        _check(E, np.logical_not(moving) & zero
+        _check(np.logical_not(moving) & zero
                & np.logical_not((bv == 1.0) | (bv > 1.0) | (bv == 0.0)), unbounded)
         if lanes:
             base = np.where(zero, 1.0, av)
             power = _npow(base, bv - 1.0)
             bad = np.isinf(power) & np.logical_not(moving) & np.isfinite(base)
             bad &= np.isfinite(bv - 1.0)
-            if _check(E, bad, overflow):
-                power = np.where(bad, math.nan, power)
+            _check(bad, overflow)
             coef = np.where(zero, np.where(bv == 1.0, 1.0, 0.0), bv * power)
         else:
             power = _spow(1.0 if zero else av, bv - 1.0, overflow, domain)
@@ -516,8 +493,7 @@ def _pow_grad(E, lanes, sites, av, bv, value, ag, bg):
 
 
 _RUNTIME = {
-    "_Fail": _Fail, "_mark": _mark, "_replay": _replay,
-    "_math_site": _math_site,
+    "_Fail": _Fail, "_math_site": _math_site,
     "_tneg": _tneg, "_tplus": _tplus, "_tminus": _tminus, "_tscale": _tscale,
     "_tover": _tover, "_put": _put, "_pow_grad": _pow_grad, "_nexp": _nexp,
     "_npow": _npow, "_empty": np.empty, "_nan": math.nan, "_inf": math.inf,
@@ -723,49 +699,27 @@ class _Emitter:
         return self.let(f"_nnot(_nisfinite({b.code}) & ({b.code} == _nfloor({b.code})))",
                         _N, "b")
 
-    def check(self, bad, node, message, then=()):
-        """Fail where `bad` holds.  On lanes, record them and run the lines
-        `then`; returns the name of a flag saying whether that happened, or
-        None where a failure raises."""
+    def check(self, bad, node, message):
+        """Fail where `bad` holds: raise _Fail with the lanes it holds on."""
         if bad.kind == _C:
             if bad.value:
                 self.put([f"raise _Fail({self.site(node, message)})"])
-            return None
+            return
         site = self.site(node, message)
         if bad.kind == _S:
             self.put([f"if {bad.code}:", f"    raise _Fail({site})"])
-            return None
-        flag = self.name("b")
-        self.put([f"{flag} = {bad.code}.any()", f"if {flag}:",
-                  f"    _mark(E, {bad.code}, {site})"] + ["    " + t for t in then],
-                 [flag] + [t.split(" = ")[0] for t in then])
-        return flag
-
-    def replace(self, flags, bad, fill, a) -> _V:
-        """a, or where(bad, fill, a) where one of the checks `flags` fired on
-        lanes.  A Python float becomes a lane array either way, so that what
-        follows knows its kind."""
-        flags = [f for f in flags if f is not None]
-        if not flags:
-            return a
-        if a.kind != _N:
-            return self.let(f"_nwhere({bad.code}, {fill}, {a.code})", _N)
-        target = self.name()
-        self.put([f"if {' or '.join(flags)}:",
-                  f"    {target} = _nwhere({bad.code}, {fill}, {a.code})",
-                  "else:", f"    {target} = {a.code}"], (target,), pure=True)
-        return _V(target, _N)
+        else:
+            self.put([f"if {bad.code}.any():", f"    raise _Fail({site}, {bad.code})"])
 
     def finite(self, node, v, *operands) -> _V:
-        """On lanes: mark where finite operands gave an infinite v; it becomes nan."""
+        """On lanes: fail where finite operands gave an infinite v."""
         terms = [f"_nisinf({v.code})"]
         for a in operands:
             if a.kind != _C:
                 terms.append(f"_nisfinite({a.code})")
             elif not math.isfinite(a.value):
                 return v
-        bad = self.let(" & ".join(terms), _N, "b")
-        self.check(bad, node, "overflow", then=[f"{v.code} = _nwhere({bad.code}, _nan, {v.code})"])
+        self.check(self.let(" & ".join(terms), _N, "b"), node, "overflow")
         return v
 
     def power(self, node, a, b) -> _V:
@@ -843,8 +797,7 @@ class _Emitter:
 
     def divide(self, node, left, right):
         (a, ag), (b, bg) = left, right
-        bad = self.compare(b, "==", 0.0)
-        b = self.replace([self.check(bad, node, "division by zero")], bad, "1.0", b)
+        self.check(self.compare(b, "==", 0.0), node, "division by zero")
         value = self.arith("/", a, b)
         if not self.dual:
             return value, None
@@ -860,9 +813,13 @@ class _Emitter:
         (a, ag), (b, bg) = left, right
         zero_neg = self.both(self.compare(a, "==", 0.0), self.compare(b, "<", 0.0))
         neg_frac = self.both(self.compare(a, "<", 0.0), self.nonint(b))
-        flags = [self.check(zero_neg, node, "zero raised to a negative power"),
-                 self.check(neg_frac, node, "negative base with non-integer exponent")]
-        a = self.replace(flags, self.either(zero_neg, neg_frac), "1.0", a)
+        self.check(zero_neg, node, "zero raised to a negative power")
+        self.check(neg_frac, node, "negative base with non-integer exponent")
+        if a.kind == _S and _N in (zero_neg.kind, neg_frac.kind):
+            # a scalar base checked on lanes enters as lanes (the checks
+            # passed, so it is `a` on each): numpy's power rounds a scalar
+            # operand differently
+            a = self.let(f"_nwhere({self.either(zero_neg, neg_frac).code}, 1.0, {a.code})", _N)
         value = self.power(node, a, b)
         if not self.dual:
             return value, None
@@ -877,7 +834,7 @@ class _Emitter:
                 "non-constant exponent needs a positive base",
                 "derivative of x^b unbounded at x=0 for 0<b<1", "overflow", "math domain error"))
             return value, self.let(
-                f"_pow_grad(E, {self.lanes}, ({sites}), {a.code}, {b.code}, "
+                f"_pow_grad({self.lanes}, ({sites}), {a.code}, {b.code}, "
                 f"{value.code}, {self.tup(ag)}, {self.tup(bg)})", _T, "g", pure=False)
         if moving:
             self.check(self.compare(a, "<=", 0.0), node,
@@ -916,18 +873,15 @@ class _Emitter:
         return e, self.g_scale(e, g)
 
     def f_log(self, node, a, g):
-        bad = self.compare(a, "<=", 0.0)
-        a = self.replace([self.check(bad, node, "log of a non-positive value")], bad, "1.0", a)
+        self.check(self.compare(a, "<=", 0.0), node, "log of a non-positive value")
         return self.call("log", a), self.g_over(g, a)
 
     def f_sqrt(self, node, a, g):
-        negative = self.compare(a, "<", 0.0)
-        flag = self.check(negative, node, "sqrt of a negative value")
+        self.check(self.compare(a, "<", 0.0), node, "sqrt of a negative value")
         if not self.dual:
-            return self.call("sqrt", self.replace([flag], negative, "0.0", a)), None
-        zero = self.compare(a, "==", 0.0)
-        flags = [self.check(zero, node, "sqrt derivative at zero"), flag]
-        s = self.call("sqrt", self.replace(flags, self.compare(a, "<=", 0.0), "1.0", a))
+            return self.call("sqrt", a), None
+        self.check(self.compare(a, "==", 0.0), node, "sqrt derivative at zero")
+        s = self.call("sqrt", a)
         return s, self.g_over(g, self.arith("*", _const(2.0), s))
 
     def f_abs(self, node, a, g):
@@ -1031,8 +985,8 @@ class _Family:
         self.folder = fns[:len(folds)], risky
         self.consts = {}
         for key, fn in fns[len(folds):]:
-            (value,), failed, (kink,) = _fold_lanes(fn, [None], risky)
-            self.consts[key] = value, failed.get(0), kink
+            (value,), (kink,), fail = _fold_lanes(fn, [None], risky)
+            self.consts[key] = value, kink, fail
 
     def bind(self, lanes: list):
         """The evaluator x -> result for the index vector `lanes` (a list)."""
@@ -1042,8 +996,8 @@ class _Family:
         folded = dict(self.consts)
         floats = [float(i) for i in lanes]
         for key, fn in folds:
-            values, failed, kinks = _fold_lanes(fn, floats, risky)
-            folded[key] = (np.array(values, dtype=float), failed, np.array(kinks, dtype=bool))
+            values, kinks, fail = _fold_lanes(fn, floats, risky)
+            folded[key] = np.array(values, dtype=float), np.array(kinks, dtype=bool), fail
         em = self._emitter(dict(self.ns))
         p, m, n = len(lanes), len(self.asts), self.n
         em.put(["xs = x.tolist()"])
@@ -1072,21 +1026,35 @@ class _Family:
                     results[id(node)] = em.node(node, args)
             outputs.append(results[id(self.asts[c].root)])
         self._outputs(em, outputs, p, m, n)
-        src = [f"def {self.function}(x):", "    E = {}"]
-        src += ["    K = False"] * em.kinks + ["    try:"]
+        src = [f"def {self.function}(x):"] + ["    K = False"] * em.kinks + ["    try:"]
         src += em.program(8)
-        src += ["    except _Fail as fail:", "        E.setdefault(0, fail.site)",
+        src += ["    except _Fail as fail:", "        _raise(fail, x)",
                 "    except (OverflowError, ValueError) as exc:",
-                "        E.setdefault(0, _math_site(_RISKY, exc))",
-                "    if E:", "        _raise(_LANES, E)", f"    return {self.returns}"]
+                "        _raise(_Fail(_math_site(_RISKY, exc)), x)", f"    return {self.returns}"]
         filename = f"<{self.filename or 'setopt.expr'}: {self.function}>"
         src, risky = _source(src, filename)
         if self.filename is not None:
             linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
         ns = em.ns
-        ns.update(_raise=_raise, _LANES=list(lanes), _RISKY=risky)
+        ns.update(_raise=lambda fail, x: self._raise(lanes, fail, x), _RISKY=risky)
         exec(compile(src, filename, "exec"), ns)
         return ns[self.function]
+
+    def _raise(self, lanes, fail, x):
+        """Raise the DomainError of the first failed check at x, whose lowest
+        failing lane k failed there first.  A lower lane may fail at a later
+        check, so lanes[:k] are evaluated first and raise if one does."""
+        k = int(np.argmax(fail.bad))
+        if k:
+            lower = copy.copy(self)
+            lower.filename = None          # keeps the linecache entry of `lanes`
+            lower.bind(lanes[:k])(x)
+        component, line, column, message = fail.site
+        exc = DomainError(message, line, column)
+        exc.index = lanes[k]
+        if component is not None:
+            exc.args = (f"f^{exc.index} component {component + 1}: {exc}",)
+        raise exc from None
 
     @staticmethod
     def _lanes(em, v, p) -> _V:
@@ -1096,17 +1064,16 @@ class _Family:
         return em.glob("F", values, _N, values)
 
     @staticmethod
-    def _folded(em, values, failed, kinks) -> _V:
-        """A folded subtree as an operand; its failures and kinks replayed."""
-        if isinstance(failed, tuple):                 # a constant that fails
-            em.put([f"raise _Fail({em.glob('S', failed).code})"])
+    def _folded(em, values, kinks, fail) -> _V:
+        """A folded subtree as an operand: its failure raised, or its kinks
+        recorded."""
+        if fail is not None:
+            em.put([f"raise _Fail({em.glob('S', fail.site).code}, {em.glob('M', fail.bad).code})"])
             return _const(math.nan)
         if em.kinks and np.any(kinks):
             em.put([f"K = K | {em.glob('K', kinks).code}"])
         if isinstance(values, float):
             return _const(values)
-        if failed:
-            em.put([f"_replay(E, {em.glob('R', failed).code})"])
         return em.glob("F", values, _N, values)
 
     @property
@@ -1154,6 +1121,8 @@ def generate(asts, n: int, index, filename=None):
 
 def _evaluate(ast, x, i, dual):
     x = np.asarray(x, dtype=float).ravel()
+    if x.shape[0] != ast.n:
+        raise DomainError(f"x has length {x.shape[0]}, expected {ast.n}")
     iv = np.asarray(i)
     scalar = iv.ndim == 0
     iv = iv.reshape(-1)

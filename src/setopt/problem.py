@@ -104,10 +104,6 @@ def scalarized_gradients(c: ConeSpec, J) -> np.ndarray:
     return G
 
 
-def scalarize(ps: ProblemSpec) -> ScalarizedComponents:
-    return ScalarizedComponents(ps)
-
-
 # --- built-in families -----------------------------------------------------
 
 def builtin(name: str) -> ProblemSpec:

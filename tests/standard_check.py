@@ -18,6 +18,17 @@ each the digest of the sorted JSON of `bench.stats_payload` for 20 starts of
 both methods at seed 5: two equal hashes say that `bench --jobs` writes the
 same `*_stats.json` bytes as a serial run.
 
+Before the total comes one line for the code generator,
+
+    expr <families> values <n> jacobians <n> errors <n> <sha256>
+
+over families of 1 to 3 expressions drawn from the grammar of
+`test_expr.py` by a seeded `random.Random`, for p = 1..6 and n = 3, each
+generated by `expr.generate` and evaluated at two points: the counts of
+value and Jacobian calls that returned and of DomainErrors, and the digest
+of every returned array's bytes and every error's (index, line, column,
+message).
+
 The count lines are what the ROADMAP's re-base protocol compares between two
 commits; the digests show whether any bit of a trace moved.  Run it from the
 repository root as
@@ -30,6 +41,7 @@ It is not a test module, so pytest does not collect it.
 import dataclasses
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -39,12 +51,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from builtins_ref import builtin_ref  # noqa: E402
-from setopt import bench, problem, solver  # noqa: E402
+from setopt import bench, expr, problem, solver  # noqa: E402
+from setopt.errors import DomainError  # noqa: E402
 from workloads import large_p_spec  # noqa: E402
 
 SEEDS = (3, 5, 7)
 STARTS = 15
 METHODS = (("qnm", "quasi_newton"), ("sd", "steepest_descent"))
+EXPR_FAMILIES = 1000
+EXPR_POINTS = 2
 
 
 def problems():
@@ -84,6 +99,64 @@ def stats_hash(ps, jobs):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+# test_expr.py's grammar: at most 10 leaves, and 4 in an x-free subtree
+LEAVES = ("x1", "x2", "x3", "i", "pi", "0", "1", "2", "3", "0.5", "2.5")
+X_FREE_LEAVES = ("i", "1", "2", "3", "0.5", "10")
+CALLS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
+
+
+def _split(rng, draw, leaves):
+    left = rng.randint(1, leaves - 1)
+    return draw(rng, left), draw(rng, leaves - left)
+
+
+def x_free(rng, leaves=4):
+    if leaves <= 1 or rng.random() < 0.4:
+        return rng.choice(X_FREE_LEAVES)
+    a, b = _split(rng, x_free, leaves)
+    return f"({a} {rng.choice('+-*/^')} {b})"
+
+
+def expression(rng, leaves=10):
+    if leaves <= 1 or rng.random() < 0.3:
+        return rng.choice(LEAVES)
+    kind = rng.randrange(6)
+    if kind == 0:
+        a, b = _split(rng, expression, leaves)
+        return f"({a} {rng.choice('+-*/^')} {b})"
+    if kind == 1:
+        return f"(-{expression(rng, leaves - 1)})"
+    if kind == 2:
+        return f"{rng.choice(CALLS)}({expression(rng, leaves - 1)})"
+    if kind == 3:
+        return "pow({}, {})".format(*_split(rng, expression, leaves))
+    if kind == 4:
+        return f"floor({x_free(rng)} / 3)"
+    return f"mod({x_free(rng)}, {x_free(rng)})"
+
+
+def expr_line():
+    rng = random.Random(2023)
+    h = hashlib.sha256()
+    counts = {"values": 0, "jacobians": 0, "errors": 0}
+    for _ in range(EXPR_FAMILIES):
+        m, p = rng.randint(1, 3), rng.randint(1, 6)
+        asts = [expr.parse(expression(rng), 3) for _ in range(m)]
+        fns = expr.generate(asts, 3, np.arange(1, p + 1))
+        for _ in range(EXPR_POINTS):
+            x = np.array([rng.choice((0.0, 1.0, -1.0, 0.5)) if rng.random() < 0.5
+                          else rng.uniform(-2.0, 2.0) for _ in range(3)])
+            for what, fn in zip(("values", "jacobians"), fns):
+                try:
+                    _feed(h, fn(x))
+                    counts[what] += 1
+                except DomainError as exc:
+                    _feed(h, (exc.index, exc.line, exc.column, str(exc)))
+                    counts["errors"] += 1
+    return (f"expr {EXPR_FAMILIES} values {counts['values']} jacobians {counts['jacobians']}"
+            f" errors {counts['errors']} {h.hexdigest()}")
+
+
 def main():
     runs = iterations = 0
     for name, ps in problems():
@@ -101,6 +174,7 @@ def main():
             print(f"{name} {key} digest {h.hexdigest()}", flush=True)
         if name in problem.BUILTIN_NAMES:
             print(f"{name} stats {stats_hash(ps, 1)} {stats_hash(ps, 2)}", flush=True)
+    print(expr_line(), flush=True)
     print(f"total {runs} runs {iterations} iterations")
 
 

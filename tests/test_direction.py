@@ -437,7 +437,7 @@ def _two_class_problem():
 
 def _grads(ps, x):
     """The (p, Q, n) scalarized gradients at x, as solve_subproblem takes them."""
-    return problem.scalarize(ps).gradients(np.asarray(x, dtype=float))
+    return problem.ScalarizedComponents(ps).gradients(np.asarray(x, dtype=float))
 
 
 def test_solve_subproblem_enumerates_partition():

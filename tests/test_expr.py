@@ -117,6 +117,14 @@ def test_error_positions():
     assert ei.value.column == 5
 
 
+@pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0]])
+def test_x_of_the_wrong_length_is_a_domain_error(x):
+    ast = expr.parse("x1 + x2", 2)
+    for evaluate in (expr.eval, expr.eval_dual):
+        with pytest.raises(DomainError, match=f"x has length {len(x)}, expected 2"):
+            evaluate(ast, x, 1)
+
+
 # --- compiled evaluator against the reference walk ------------------------
 
 def _binary(children):

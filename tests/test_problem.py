@@ -4,6 +4,7 @@ import sys
 import tempfile
 import threading
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -117,12 +118,12 @@ def test_builtin_is_its_problem_file(name):
 
 def test_scalarize_identity_and_slanted():
     ps = problem.builtin("ex1")
-    sc = problem.scalarize(ps)
+    sc = problem.ScalarizedComponents(ps)
     x = np.array([1.7])
     assert np.allclose(sc.values(x), problem.eval_F(ps, x))  # A=I, e=ones
 
     ps5 = problem.builtin("ex5")
-    sc5 = problem.scalarize(ps5)
+    sc5 = problem.ScalarizedComponents(ps5)
     x = np.array([3.1])
     F = problem.eval_F(ps5, x)
     assert sc5.values(x)[:, 0] == pytest.approx((6 * F[:, 0] - 2 * F[:, 1]) / 4.0)
@@ -264,6 +265,32 @@ def test_generated_family_matches_walk(tmp_path, sources, p, x):
         assume(np.all(np.isfinite(want)))
         got = evaluate(ps, x)
         assert got.shape == want.shape and np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("src, column", [
+    # at x1 = 0 the sqrt fails first, on i = 6 (i = 5 as well for its
+    # derivative), the division on i = 3, and the log, last, on i = 1 and 2
+    ("sqrt(5 - i + x1) + 1/(i - 3 + x1*i) + log(i - 1 + x1*i)", 39),
+    # the x-free 1/(i - 5) fails on i = 5 before the log fails on i = 1
+    ("1/(i - 5) + log(x1 + i - 2)", 13),
+])
+def test_lowest_index_fails_at_a_later_check(tmp_path, src, column):
+    ps = problem.load(_family_file(tmp_path, ["x1 + i", src], 6))
+    ast = expr.parse(src, 3)
+    x = np.zeros(3)
+    calls = [(lambda: problem.eval_F(ps, x), "f^1 component 2: "),
+             (lambda: problem.eval_jacobians(ps, x), "f^1 component 2: "),
+             (lambda: expr.eval(ast, x, np.arange(1, 7)), ""),
+             (lambda: expr.eval_dual(ast, x, np.arange(1, 7)), "")]
+    for call, prefix in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no numpy RuntimeWarning either
+            with pytest.raises(DomainError) as ei:
+                call()
+        assert (ei.value.index, ei.value.line, ei.value.column) == (1, 1, column)
+        assert str(ei.value) == f"{prefix}1:{column}: log of a non-positive value"
+        # no internal exception shows as its context
+        assert ei.value.__context__ is None or ei.value.__suppress_context__
 
 
 def _nested(depth):
