@@ -10,8 +10,8 @@ from .direction import (HessianStore, SubproblemSolution, bfgs_update, solve_min
 from .errors import SetoptError
 from .problem import (ProblemSpec, ScalarizedComponents, builtin, eval_F,
                       eval_jacobians, load)
-from .setorder import (MinimalStructure, PartitionElement, analyze,
-                       minimal_elements, partition_iter, weakly_minimal_elements)
+from .setorder import (MinimalStructure, analyze, minimal_elements,
+                       weakly_minimal_elements)
 from .solver import IterateTrace, SolverConfig, run, stationarity_report
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, EmptyMatrix, NotInterior, RankDeficient
+from .errors import (DimensionMismatch, EmptyInput, EmptyMatrix, NonFiniteInput, NotInterior,
+                     RankDeficient)
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,19 @@ class ConeSpec:
 def validate(A, e) -> ConeSpec:
     """Build a ConeSpec, checking pointedness and that e is interior.
 
-    Raises EmptyMatrix, DimensionMismatch, RankDeficient, or NotInterior.
+    Raises EmptyMatrix, DimensionMismatch (an A that is not 2-D, or an e of
+    another length than A's rows), NonFiniteInput (an inf or nan in A or e),
+    RankDeficient, or NotInterior.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     e = np.asarray(e, dtype=float).ravel()
     if A.size == 0:
         raise EmptyMatrix("cone matrix A is empty")
+    if A.ndim != 2:
+        raise DimensionMismatch(f"cone matrix A has {A.ndim} dimensions, expected 2")
+    for name, v in (("cone matrix A", A), ("interior direction e", e)):
+        if not np.isfinite(v).all():
+            raise NonFiniteInput(f"{name} holds a non-finite value")
     Q, m = A.shape
     if e.shape[0] != m:
         raise DimensionMismatch(f"e has length {e.shape[0]}, expected {m}")

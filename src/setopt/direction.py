@@ -1,7 +1,8 @@
 """Descent-direction machinery: BFGS approximations and the inner min-max solve.
 
 One symmetric positive definite matrix is maintained per cone-scalarized
-scalar component h^{i,q}; the direction subproblem for a selector a becomes
+scalar component h^{i,q}; the direction subproblem for a selector a, the
+tuple of one 1-based family index per class of equal minimal value, becomes
 
     min_u max_t [ g_t' u + 1/2 u' H_t u ],    t = (j, q) over w*Q terms,
 
@@ -23,14 +24,15 @@ and for an H(lam) whose determinant is not finite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalBreakdown, PartitionTooLarge, SingularSystem
-from .setorder import MinimalStructure, PartitionElement, partition_iter
+from .errors import EmptyInput, NumericalBreakdown, PartitionTooLarge, SingularSystem
+from .setorder import MinimalStructure
 
 
 class HessianStore:
@@ -136,7 +138,7 @@ def bfgs_update(store: HessianStore, s, y_all, c_curv: float = 1e-8) -> UpdateRe
 
 @dataclass
 class SubproblemSolution:
-    a: PartitionElement
+    a: tuple                       # the selector: one 1-based index per class
     u: np.ndarray
     phi: float
     gap: float
@@ -373,8 +375,11 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
     Returns (u, phi, lam, gap, converged) where phi = max_t theta_t(u) <= 0
     (u = 0 is substituted whenever the recovered point is not better than 0),
     lam holds the dual weights of all T terms and gap is the final duality gap.
+    No terms raise EmptyInput.
     """
     gs = np.asarray(gs, dtype=float)
+    if gs.size == 0:
+        raise EmptyInput("no quadratic terms")
     T, n = gs.shape
     Hs2 = np.asarray(Hs, dtype=float).reshape(T, n * n)
     # a term's exact repeats merge into its first index; idx lists those, ascending
@@ -404,42 +409,34 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
     return u, phi, np.bincount(idx, lam, T), gap, gap <= tol_sub
 
 
-def terms_for_a(grads, store: Optional[HessianStore], a: PartitionElement):
-    """Collect (g_t, H_t) over t = (j, q), j-major, for a selector a.
-
-    grads is the full (p, Q, n) array of scalarized gradients at the iterate;
-    store=None means H_t = I.
-    """
-    sel = np.asarray(a.a, dtype=int) - 1
-    w = len(sel)
-    _, Q, n = grads.shape
-    gs = grads.take(sel, 0).reshape(w * Q, n)
-    if store is None:
-        Hs = np.eye(n)[None].repeat(w * Q, axis=0)
-    else:
-        Hs = store.matrices.take(sel, 0).reshape(w * Q, n, n)
-    return gs, Hs
-
-
 def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure,
                      tol_sub: float = 1e-10, max_inner: int = 500,
                      warm: Optional[dict] = None) -> SubproblemSolution:
     """Minimize over the partition set; ties broken by the first (lexicographic) a.
 
-    grads holds the (p, Q, n) scalarized gradients at the iterate.  A partition
-    set of more than PARTITION_LIMIT selectors raises PartitionTooLarge.
+    The selectors a run over the product of ms.classes.  The terms of a are
+    t = (j, q), j-major: g_t from the (p, Q, n) scalarized gradients grads, H_t
+    from store, or I when store is None.  A partition set of more than
+    PARTITION_LIMIT selectors raises PartitionTooLarge.
     """
     count = ms.partition_count()
     if count > PARTITION_LIMIT:
         raise PartitionTooLarge(
             f"{count} selectors over {ms.w} classes exceed the limit of {PARTITION_LIMIT}")
+    _, Q, n = grads.shape
+    T = ms.w * Q
     best = None
-    for a in partition_iter(ms):
-        lam0 = warm.get(a.a) if warm is not None else None
-        gs, Hs = terms_for_a(grads, store, a)
+    for a in itertools.product(*ms.classes):
+        sel = np.array(a) - 1
+        gs = grads.take(sel, 0).reshape(T, n)
+        if store is None:
+            Hs = np.eye(n)[None].repeat(T, axis=0)
+        else:
+            Hs = store.matrices.take(sel, 0).reshape(T, n, n)
+        lam0 = warm.get(a) if warm is not None else None
         u, phi, lam, gap, ok = solve_minmax(gs, Hs, tol_sub, max_inner, lam0)
         if warm is not None:
-            warm[a.a] = lam
+            warm[a] = lam
         if best is None or phi < best.phi:
             best = SubproblemSolution(a=a, u=u, phi=phi, gap=gap, converged=ok)
     return best

@@ -28,7 +28,8 @@ class EmptyInput(SetoptError):
 
 
 class NonFiniteInput(SetoptError):
-    """An image set holds inf or nan, where the order is undefined."""
+    """An image set, a cone matrix or an interior direction holds inf or nan,
+    where the order is undefined."""
 
 
 # --- expression language errors ---

@@ -294,7 +294,9 @@ def certify_weak_minimality(ps: ProblemSpec, x_bar, grid: GridSpec) -> WeakMinim
 
 
 def fd_jacobian(ps: ProblemSpec, x, i: int, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of f^i at x, shape (m, n)."""
+    """Central-difference Jacobian of f^i at x, shape (m, n); i outside 1..p raises ValueError."""
+    if not 1 <= i <= ps.p:
+        raise ValueError(f"family index i must lie in 1..{ps.p}, got {i}")
     x = np.asarray(x, dtype=float).ravel()
     J = np.empty((ps.m, ps.n))
     for j in range(ps.n):

@@ -1,26 +1,19 @@
 """Minimal-element structure of finite image sets under a cone order.
 
-Indices are 1-based throughout, matching the family numbering f^1..f^p.
+Indices are 1-based throughout, matching the family numbering f^1..f^p.  A
+selector, one index of each class of equal minimal value, is a plain tuple;
+the partition set is the product of the classes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .cone import ConeSpec
 from .errors import DimensionMismatch, EmptyInput, NonFiniteInput
-
-
-@dataclass(frozen=True)
-class PartitionElement:
-    """One selector: one function index per minimal-value class."""
-
-    a: tuple
 
 
 @dataclass(frozen=True)
@@ -33,7 +26,7 @@ class MinimalStructure:
     """
 
     minimal_indices: tuple            # I(x), sorted
-    classes: tuple                    # w groups, each a sorted tuple of indices
+    classes: tuple                    # w sorted tuples; a selector picks one index of each
     w: int
     varsigma: float                   # min over F(x) of the scalarizing functional
 
@@ -172,9 +165,3 @@ def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
     varsigma = float((AV / c.Ae).max(axis=1).min())   # as cone.varsigma computes it
     return MinimalStructure(minimal_indices=minimal, classes=classes, w=len(classes),
                             varsigma=varsigma)
-
-
-def partition_iter(ms: MinimalStructure) -> Iterator[PartitionElement]:
-    """Lazily enumerate the partition set in lexicographic order."""
-    for combo in itertools.product(*ms.classes):
-        yield PartitionElement(a=combo)

@@ -2,11 +2,14 @@
 line search, stopping tests, and per-iteration tracing.
 
 Both methods share one loop; steepest descent fixes every subproblem matrix
-at the identity and performs no curvature updates.
+at the identity and performs no curvature updates.  The selector a that an
+iterate's subproblem picks is a tuple of 1-based family indices; the Armijo
+test reads its rows of F and J itself.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -16,11 +19,9 @@ import numpy as np
 from . import direction as direction_mod
 from . import problem as problem_mod
 from . import setorder as setorder_mod
-from .cone import ConeSpec
 from .direction import HessianStore
 from .errors import LineSearchFailure, SetoptError
 from .problem import ProblemSpec
-from .setorder import PartitionElement
 
 METHODS = ("quasi_newton", "steepest_descent")
 
@@ -49,8 +50,11 @@ class SolverConfig:
         if not 0.0 < self.eps_stop < np.inf:
             raise ValueError(f"eps_stop must be finite and positive, got {self.eps_stop}")
         for name, least in (("max_iter", 1), ("max_backtracks", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -93,22 +97,20 @@ class IterateTrace:
 TOL_ARMIJO = 1e-12
 
 
-def armijo_backtrack(ps: ProblemSpec, c: ConeSpec, x, a: PartitionElement, u,
-                     jacobians, cfg: SolverConfig, F=None):
+def armijo_backtrack(ps: ProblemSpec, x, a: tuple, u, F, J, cfg: SolverConfig):
     """Smallest backtrack count q such that t = nu^q satisfies the cone
-    Armijo inequality for every selected component.
+    Armijo inequality for every component of the selector a.
 
-    F is the image set at x (evaluated here when omitted).  Returns
-    (t, q, F_trial) with F_trial the full image set at x + t*u.
+    F and J are the full image set and Jacobians at x; the rows of a's
+    1-based indices are read from both.  Returns (t, q, F_trial) with F_trial
+    the full image set at x + t*u.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    sel = np.asarray(a.a, dtype=int) - 1
-    if F is None:
-        F = problem_mod.eval_F(ps, x)
+    sel = np.array(a) - 1
     f_sel = F.take(sel, 0)                             # (w, m)
-    slopes = jacobians @ u                             # (w, m)
-    At = c.A.T
+    slopes = J.take(sel, 0) @ u                        # (w, m)
+    At = ps.cone.A.T
     for q in range(cfg.max_backtracks + 1):
         t = cfg.nu ** q
         F_trial = problem_mod.eval_F(ps, x + t * u)
@@ -150,7 +152,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
             u_norm = float(np.linalg.norm(sol.u))
             rec = IterateRecord(
                 k=k, x=x.copy(), images=F.copy() if cfg.trace_images else None, w=ms.w,
-                partition_count=ms.partition_count(), a=sol.a.a,
+                partition_count=ms.partition_count(), a=sol.a,
                 u=sol.u.copy(), u_norm=u_norm, phi=sol.phi, t=0.0,
                 backtracks=0, varsigma=ms.varsigma, gap=sol.gap, bfgs_skips=0, millis=0.0)
 
@@ -160,8 +162,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
                 trace.status = CONVERGED
                 break
 
-            jac_sel = J[np.asarray(sol.a.a, dtype=int) - 1]
-            t, q, F_new = armijo_backtrack(ps, c, x, sol.a, sol.u, jac_sel, cfg, F=F)
+            t, q, F_new = armijo_backtrack(ps, x, sol.a, sol.u, F, J, cfg)
             x_new = x + t * sol.u
             J_new = grads_new = None
             skips = 0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from setopt import cone, oracle
-from setopt.errors import (DimensionMismatch, EmptyInput, EmptyMatrix,
+from setopt.errors import (DimensionMismatch, EmptyInput, EmptyMatrix, NonFiniteInput,
                            NotInterior, RankDeficient)
 
 vec2 = arrays(np.float64, (2,), elements=st.floats(-100, 100))
@@ -24,6 +24,24 @@ def test_validate_slanted(slanted_cone):
 def test_validate_rank_deficient():
     with pytest.raises(RankDeficient):
         cone.validate(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("A, e, name", [
+    ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0], "interior direction e"),
+    ([[1.0, 0.0], [0.0, 1.0]], [np.inf, 1.0], "interior direction e"),
+    ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0], "cone matrix A"),
+    ([[1.0, 0.0], [0.0, -np.inf]], [1.0, 1.0], "cone matrix A"),
+], ids=["nan-e", "inf-e", "nan-A", "inf-A"])
+def test_validate_rejects_a_non_finite_cone(A, e, name):
+    with pytest.raises(NonFiniteInput, match=f"{name} holds a non-finite value"):
+        cone.validate(A, e)
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_rejects_a_matrix_that_is_not_2d():
+    with pytest.raises(DimensionMismatch, match="3 dimensions"):
+        cone.validate(np.ones((2, 2, 2)), [1.0, 1.0])
 
 
 def test_validate_not_interior():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import minmax_ref
 from setopt import direction, oracle, problem, setorder, solver
-from setopt.errors import NumericalBreakdown, PartitionTooLarge, SingularSystem
+from setopt.errors import EmptyInput, NumericalBreakdown, PartitionTooLarge, SingularSystem
 
 
 def test_init_store():
@@ -447,7 +447,7 @@ def test_solve_subproblem_enumerates_partition():
     assert ms.w == 1 and ms.partition_count() == 2
     sol = direction.solve_subproblem(_grads(ps, x), None, ms)
     # gradients are +1 (a=(1,)) and -3 (a=(2,)); best phi is -4.5 at a=(2,)
-    assert sol.a.a == (2,)
+    assert sol.a == (2,)
     assert sol.phi == pytest.approx(-4.5, abs=1e-8)
     assert sol.u == pytest.approx([3.0], abs=1e-6)
 
@@ -457,10 +457,37 @@ def test_solve_subproblem_tie_breaks_first():
     ms = setorder.MinimalStructure((1, 2), ((1, 2),), 1, 0.0)
     # make both selections identical by overriding jacobians via x where equal
     sol = direction.solve_subproblem(_grads(ps, [1.0]), None, ms)
-    assert sol.a.a in ((1,), (2,))
+    assert sol.a in ((1,), (2,))
     # deterministic repeat
     sol2 = direction.solve_subproblem(_grads(ps, [1.0]), None, ms)
-    assert sol2.a.a == sol.a.a and sol2.phi == sol.phi
+    assert sol2.a == sol.a and sol2.phi == sol.phi
+
+
+def test_solve_subproblem_walks_the_partition_set_in_order():
+    """Every selector is solved, in lexicographic order, and a tie keeps the first."""
+    grads = np.random.default_rng(5).standard_normal((5, 2, 2))
+    ms = setorder.MinimalStructure((1, 2, 3), ((1, 2), (3,)), 2, 0.0)
+    warm = {}
+    direction.solve_subproblem(grads, None, ms, warm=warm)
+    assert list(warm) == [(1, 3), (2, 3)]
+
+    ms2 = setorder.MinimalStructure((1, 2, 3, 4, 5), ((1, 2), (3, 4, 5)), 2, 0.0)
+    warm = {}
+    direction.solve_subproblem(grads, direction.HessianStore(2, 5, 2), ms2, warm=warm)
+    assert list(warm) == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
+    assert len(warm) == 6 == ms2.partition_count()
+
+    # phi is -1/2 at a = (1,) and -9/2 at the tied a = (2,) and a = (3,)
+    ms3 = setorder.MinimalStructure((1, 2, 3), ((1, 2, 3),), 1, 0.0)
+    sol = direction.solve_subproblem(np.array([[[1.0]], [[-3.0]], [[-3.0]]]), None, ms3)
+    assert sol.a == (2,) and type(sol.a) is tuple
+    assert sol.phi == pytest.approx(-4.5, abs=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_minmax_without_terms_is_empty_input():
+    with pytest.raises(EmptyInput, match="no quadratic terms"):
+        direction.solve_minmax(np.zeros((0, 2)), np.zeros((0, 2, 2)))
 
 
 def test_bfgs_report_reads_pairs_from_its_mask():
@@ -511,7 +538,7 @@ def test_partition_set_at_the_limit_is_solved(monkeypatch):
     ms = setorder.analyze(ps.cone, problem.eval_F(ps, x))
     assert ms.partition_count() == direction.PARTITION_LIMIT
     sol = direction.solve_subproblem(_grads(ps, x), None, ms)
-    assert sol.a.a == (1, 11) and sol.u == pytest.approx([-1.0])
+    assert sol.a == (1, 11) and sol.u == pytest.approx([-1.0])
     monkeypatch.setattr(direction, "PARTITION_LIMIT", 99)
     with pytest.raises(PartitionTooLarge):
         direction.solve_subproblem(_grads(ps, x), None, ms)

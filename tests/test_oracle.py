@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setopt import cone, oracle
+from setopt import cone, oracle, problem
 from setopt.errors import EmptyInput, GridTooLarge
 
 from conftest import make_scalar_problem
@@ -92,6 +92,14 @@ def test_certify_none_found_at_resolution():
     # a grid that excludes the dominating region is (soundly) silent
     verdict2 = oracle.certify_weak_minimality(ps, [1.0], oracle.grid1d(1.5, 2.0, 0.01))
     assert not verdict2.violated
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("i", [0, -1, 26])
+def test_fd_jacobian_rejects_an_index_outside_the_family(i):
+    ps = problem.builtin("ex3")
+    with pytest.raises(ValueError, match="1..25"):
+        oracle.fd_jacobian(ps, np.zeros(ps.n), i)
 
 
 def test_fd_jacobian_scalar():

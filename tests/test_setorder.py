@@ -55,17 +55,6 @@ def test_grouping_idempotent(any_cone):
     assert ms2.w == ms.w
 
 
-def test_partition_iter():
-    ms = setorder.MinimalStructure(minimal_indices=(1, 2, 3), classes=((1, 2), (3,)), w=2,
-                                   varsigma=0.0)
-    elems = list(setorder.partition_iter(ms))
-    assert [e.a for e in elems] == [(1, 3), (2, 3)]
-    assert ms.partition_count() == 2
-
-    ms2 = setorder.MinimalStructure((1, 2, 3, 4, 5), ((1, 2), (3, 4, 5)), 2, 0.0)
-    assert len(list(setorder.partition_iter(ms2))) == 6 == ms2.partition_count()
-
-
 def test_brute_force_equivalence(any_cone):
     rng = np.random.default_rng(17)
     for _ in range(40):

@@ -5,7 +5,6 @@ import pytest
 
 from setopt import bench, cone, direction, problem, setorder, solver
 from setopt.errors import LineSearchFailure
-from setopt.setorder import PartitionElement
 
 from conftest import make_scalar_problem
 
@@ -27,6 +26,19 @@ def test_config_validation():
     with pytest.raises(ValueError, match="max_backtracks"):
         solver.SolverConfig(max_backtracks=-1)
     assert solver.SolverConfig(max_backtracks=0).max_backtracks == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, value", [("max_iter", 2.5), ("max_backtracks", 1.5),
+                                         ("max_iter", "5"), ("max_iter", 5.0)])
+def test_config_counts_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        solver.SolverConfig(**{name: value})
+
+
+def test_config_counts_accept_numpy_integers():
+    cfg = solver.SolverConfig(max_iter=np.int64(3), max_backtracks=np.int32(0))
+    assert solver.run(problem.builtin("ex1"), [1.0], cfg).iterations <= 3
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
@@ -86,16 +98,16 @@ def test_singular_subproblem_ends_the_run_with_a_numerical_error(monkeypatch):
 def test_armijo_hand_example():
     ps = make_scalar_problem(lambda t: t * t, lambda t: 2.0 * t)
     cfg = paper_cfg()
-    t, q, _ = solver.armijo_backtrack(ps, ps.cone, [1.0], PartitionElement((1,)),
-                                      [-2.0], np.array([[[2.0]]]), cfg)
+    t, q, _ = solver.armijo_backtrack(ps, [1.0], (1,), [-2.0], problem.eval_F(ps, [1.0]),
+                                      np.array([[[2.0]]]), cfg)
     assert q == 2 and t == pytest.approx(0.36)
 
 
 def test_armijo_linear_accepts_full_step():
     c = 3.0
     ps = make_scalar_problem(lambda t: c * t, lambda t: c)
-    t, q, _ = solver.armijo_backtrack(ps, ps.cone, [0.0], PartitionElement((1,)),
-                                      [-c], np.array([[[c]]]), paper_cfg())
+    t, q, _ = solver.armijo_backtrack(ps, [0.0], (1,), [-c], problem.eval_F(ps, [0.0]),
+                                      np.array([[[c]]]), paper_cfg())
     assert q == 0 and t == 1.0
 
 
@@ -104,9 +116,8 @@ def test_armijo_failure_on_ascent_direction():
     with pytest.raises(LineSearchFailure):
         # u points uphill yet we feed a fake negative slope; the backtrack cap
         # is kept low enough that the 1e-12 slack cannot absorb the violation
-        solver.armijo_backtrack(ps, ps.cone, [1.0], PartitionElement((1,)),
-                                [2.0], np.array([[[-2.0]]]),
-                                paper_cfg(max_backtracks=20))
+        solver.armijo_backtrack(ps, [1.0], (1,), [2.0], problem.eval_F(ps, [1.0]),
+                                np.array([[[-2.0]]]), paper_cfg(max_backtracks=20))
 
 
 def test_armijo_failure_names_the_first_violating_component():
@@ -121,8 +132,8 @@ def test_armijo_failure_names_the_first_violating_component():
                              np.array([[-1.0, 1.0]]), values, jacobians)
     x = np.zeros(1)
     with pytest.raises(LineSearchFailure) as info:
-        solver.armijo_backtrack(ps, ps.cone, x, PartitionElement((1, 2)), [1.0],
-                                jacobians(x), paper_cfg(max_backtracks=0))
+        solver.armijo_backtrack(ps, x, (1, 2), [1.0], values(x), jacobians(x),
+                                paper_cfg(max_backtracks=0))
     assert info.value.violating_component == 2
     assert str(info.value) == "no Armijo step within 0 backtracks (component j=2 of the selector)"
 
