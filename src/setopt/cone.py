@@ -42,8 +42,8 @@ def validate(A, e) -> ConeSpec:
     """Build a ConeSpec, checking pointedness and that e is interior.
 
     Raises EmptyMatrix, DimensionMismatch (an A that is not 2-D, or an e of
-    another length than A's rows), NonFiniteInput (an inf or nan in A or e),
-    RankDeficient, or NotInterior.
+    another length than A's rows), NonFiniteInput (an inf or nan in A or e,
+    or an A e that overflows), RankDeficient, or NotInterior.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     e = np.asarray(e, dtype=float).ravel()
@@ -59,7 +59,10 @@ def validate(A, e) -> ConeSpec:
         raise DimensionMismatch(f"e has length {e.shape[0]}, expected {m}")
     if Q < m or np.linalg.matrix_rank(A) < m:
         raise RankDeficient("cone {z : Az >= 0} is not pointed (rank(A) < m)")
-    Ae = A @ e
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ae = A @ e
+    if not np.isfinite(Ae).all():
+        raise NonFiniteInput("A e holds a non-finite value (overflow)")
     if np.any(Ae <= 0):
         bad = int(np.argmin(Ae))
         raise NotInterior(f"(Ae)_{bad + 1} = {Ae[bad]:g} <= 0; e is not in the interior")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,9 +295,10 @@ def certify_weak_minimality(ps: ProblemSpec, x_bar, grid: GridSpec) -> WeakMinim
 
 
 def fd_jacobian(ps: ProblemSpec, x, i: int, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of f^i at x, shape (m, n); i outside 1..p raises ValueError."""
-    if not 1 <= i <= ps.p:
-        raise ValueError(f"family index i must lie in 1..{ps.p}, got {i}")
+    """Central-difference Jacobian of f^i at x, shape (m, n); an i that is not
+    an integer in 1..p raises ValueError."""
+    if not isinstance(i, numbers.Integral) or not 1 <= i <= ps.p:
+        raise ValueError(f"family index i must be an integer in 1..{ps.p}, got {i!r}")
     x = np.asarray(x, dtype=float).ravel()
     J = np.empty((ps.m, ps.n))
     for j in range(ps.n):

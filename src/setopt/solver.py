@@ -4,7 +4,18 @@ line search, stopping tests, and per-iteration tracing.
 Both methods share one loop; steepest descent fixes every subproblem matrix
 at the identity and performs no curvature updates.  The selector a that an
 iterate's subproblem picks is a tuple of 1-based family indices; the Armijo
-test reads its rows of F and J itself.
+test reads the selector's rows of F, tested against beta*t*phi, with phi the
+subproblem value: f_j(x + t*u) <=_K f_j(x) + beta*t*phi*e for every j.
+
+This is the test of Fliege, Grana Drummond & Svaiter (SIAM J. Optim. 2009)
+and Povalej (J. Comput. Appl. Math. 2014), on the value of the min-max
+subproblem.  Since theta_t(u) = g_t'u + u'H_t u/2 <= phi with H_t SPD,
+g_t'u < phi: every step the first-order test f_j(x + t*u) <=_K f_j(x) +
+beta*t*J_j u accepts, this test accepts too, so the existence of an Armijo
+step at a non-stationary iterate carries over.  The solver does not use that
+first-order reading of the paper's test: at beta = 1/2 it rejects the unit
+step of any active term whose curvature is above the lam-weighted mean, so
+few quasi-Newton steps were unit steps.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ class SolverConfig:
                                  f"got {getattr(self, name)}")
         if not 0.0 < self.eps_stop < np.inf:
             raise ValueError(f"eps_stop must be finite and positive, got {self.eps_stop}")
-        for name, least in (("max_iter", 1), ("max_backtracks", 0)):
+        for name, least in (("max_iter", 1), ("max_backtracks", 0), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -97,24 +108,24 @@ class IterateTrace:
 TOL_ARMIJO = 1e-12
 
 
-def armijo_backtrack(ps: ProblemSpec, x, a: tuple, u, F, J, cfg: SolverConfig):
+def armijo_backtrack(ps: ProblemSpec, x, a: tuple, u, F, phi: float, cfg: SolverConfig):
     """Smallest backtrack count q such that t = nu^q satisfies the cone
-    Armijo inequality for every component of the selector a.
+    Armijo inequality f_j(x + t*u) <=_K f_j(x) + beta*t*phi*e for every
+    component j of the selector a.
 
-    F and J are the full image set and Jacobians at x; the rows of a's
-    1-based indices are read from both.  Returns (t, q, F_trial) with F_trial
-    the full image set at x + t*u.
+    F is the full image set at x, whose rows of a's 1-based indices are read,
+    and phi < 0 the subproblem value at x.  Returns (t, q, F_trial) with
+    F_trial the full image set at x + t*u.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     sel = np.array(a) - 1
     f_sel = F.take(sel, 0)                             # (w, m)
-    slopes = J.take(sel, 0) @ u                        # (w, m)
     At = ps.cone.A.T
     for q in range(cfg.max_backtracks + 1):
         t = cfg.nu ** q
         F_trial = problem_mod.eval_F(ps, x + t * u)
-        diff = (f_sel + cfg.beta * t * slopes - F_trial.take(sel, 0)) @ At   # (w, Q)
+        diff = (f_sel - F_trial.take(sel, 0)) @ At + cfg.beta * t * phi * ps.cone.Ae   # (w, Q)
         if (diff >= -TOL_ARMIJO).all():
             return t, q, F_trial
     bad = int(np.flatnonzero(~(diff >= -TOL_ARMIJO).all(axis=1))[0]) + 1
@@ -162,7 +173,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
                 trace.status = CONVERGED
                 break
 
-            t, q, F_new = armijo_backtrack(ps, x, sol.a, sol.u, F, J, cfg)
+            t, q, F_new = armijo_backtrack(ps, x, sol.a, sol.u, F, sol.phi, cfg)
             x_new = x + t * sol.u
             J_new = grads_new = None
             skips = 0

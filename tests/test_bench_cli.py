@@ -404,6 +404,14 @@ def test_cli_bench_non_finite_box_is_a_usage_error(box, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_bench_negative_seed_is_a_usage_error(tmp_path, capsys):
+    code = cli.main(["bench", "--problem", "ex1", "--starts", "2", "--seed", "-1",
+                     "--out", str(tmp_path)])
+    assert code == 64
+    assert "seed must be at least 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf"])
 def test_cli_solve_non_finite_eps_is_a_usage_error(eps, tmp_path, capsys):
     code = cli.main(["solve", "--problem", "ex1", "--x0", "2.3", "--eps", eps,

@@ -32,7 +32,8 @@ def test_validate_rank_deficient():
     ([[1.0, 0.0], [0.0, 1.0]], [np.inf, 1.0], "interior direction e"),
     ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0], "cone matrix A"),
     ([[1.0, 0.0], [0.0, -np.inf]], [1.0, 1.0], "cone matrix A"),
-], ids=["nan-e", "inf-e", "nan-A", "inf-A"])
+    ([[1e300, 0.0], [0.0, 1e300]], [1e10, 1.0], "A e"),
+], ids=["nan-e", "inf-e", "nan-A", "inf-A", "overflowing-Ae"])
 def test_validate_rejects_a_non_finite_cone(A, e, name):
     with pytest.raises(NonFiniteInput, match=f"{name} holds a non-finite value"):
         cone.validate(A, e)

@@ -95,7 +95,7 @@ def test_certify_none_found_at_resolution():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("i", [0, -1, 26])
+@pytest.mark.parametrize("i", [0, -1, 26, 1.5])
 def test_fd_jacobian_rejects_an_index_outside_the_family(i):
     ps = problem.builtin("ex3")
     with pytest.raises(ValueError, match="1..25"):

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -25,12 +27,14 @@ def test_config_validation():
         solver.SolverConfig(max_iter=0)
     with pytest.raises(ValueError, match="max_backtracks"):
         solver.SolverConfig(max_backtracks=-1)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        solver.SolverConfig(seed=-1)
     assert solver.SolverConfig(max_backtracks=0).max_backtracks == 0
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, value", [("max_iter", 2.5), ("max_backtracks", 1.5),
-                                         ("max_iter", "5"), ("max_iter", 5.0)])
+                                         ("max_iter", "5"), ("max_iter", 5.0), ("seed", 2.5)])
 def test_config_counts_must_be_integers(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         solver.SolverConfig(**{name: value})
@@ -61,7 +65,7 @@ def test_images_are_recorded_only_when_asked(trace_images):
     assert all((r.images is not None) == trace_images for r in trace.records)
 
 
-@pytest.mark.parametrize("method, iterations", [("quasi_newton", 7), ("steepest_descent", 14)])
+@pytest.mark.parametrize("method, iterations", [("quasi_newton", 3), ("steepest_descent", 8)])
 def test_ex4_inner_solves_converge(monkeypatch, method, iterations):
     """ex4's subproblems repeat each of 3 terms 10 times; every inner solve converges."""
     flags = []
@@ -96,32 +100,40 @@ def test_singular_subproblem_ends_the_run_with_a_numerical_error(monkeypatch):
 
 
 def test_armijo_hand_example():
+    """f = x^2 at x = 1 with H = 1: u = -2 and phi = 2u + u^2/2 = -2.
+
+    t = 1 gives f(-1) = 1 > 1 - 0.5*2; t = 0.6 gives f(-0.2) = 0.04 <= 1 - 0.5*0.6*2.
+    """
     ps = make_scalar_problem(lambda t: t * t, lambda t: 2.0 * t)
     cfg = paper_cfg()
     t, q, _ = solver.armijo_backtrack(ps, [1.0], (1,), [-2.0], problem.eval_F(ps, [1.0]),
-                                      np.array([[[2.0]]]), cfg)
-    assert q == 2 and t == pytest.approx(0.36)
+                                      -2.0, cfg)
+    assert q == 1 and t == pytest.approx(0.6)
 
 
 def test_armijo_linear_accepts_full_step():
     c = 3.0
     ps = make_scalar_problem(lambda t: c * t, lambda t: c)
+    # H = 1: u = -c and phi = -c^2/2
     t, q, _ = solver.armijo_backtrack(ps, [0.0], (1,), [-c], problem.eval_F(ps, [0.0]),
-                                      np.array([[[c]]]), paper_cfg())
+                                      -0.5 * c * c, paper_cfg())
     assert q == 0 and t == 1.0
 
 
 def test_armijo_failure_on_ascent_direction():
     ps = make_scalar_problem(lambda t: t * t, lambda t: 2.0 * t)
     with pytest.raises(LineSearchFailure):
-        # u points uphill yet we feed a fake negative slope; the backtrack cap
+        # u points uphill yet we feed a fake negative phi; the backtrack cap
         # is kept low enough that the 1e-12 slack cannot absorb the violation
         solver.armijo_backtrack(ps, [1.0], (1,), [2.0], problem.eval_F(ps, [1.0]),
-                                np.array([[[-2.0]]]), paper_cfg(max_backtracks=20))
+                                -2.0, paper_cfg(max_backtracks=20))
 
 
 def test_armijo_failure_names_the_first_violating_component():
-    """Of two selected components only the second fails the one trial allowed."""
+    """Of two selected components only the second fails the one trial allowed.
+
+    At t = 1 and phi = -1: -1 <= 0 - 0.5 holds, 0.81 <= 0.01 - 0.5 does not.
+    """
     def values(x):
         return np.array([[-x[0]], [(x[0] - 0.1) ** 2]])
 
@@ -132,10 +144,66 @@ def test_armijo_failure_names_the_first_violating_component():
                              np.array([[-1.0, 1.0]]), values, jacobians)
     x = np.zeros(1)
     with pytest.raises(LineSearchFailure) as info:
-        solver.armijo_backtrack(ps, x, (1, 2), [1.0], values(x), jacobians(x),
+        solver.armijo_backtrack(ps, x, (1, 2), [1.0], values(x), -1.0,
                                 paper_cfg(max_backtracks=0))
     assert info.value.violating_component == 2
     assert str(info.value) == "no Armijo step within 0 backtracks (component j=2 of the selector)"
+
+
+def first_order_backtracks(ps, x, a, u, F, J, cfg):
+    """q of the first-order test f_j(x + t*u) <=_K f_j(x) + beta*t*J_j u on
+    every j of a, written out; max_backtracks + 1 if no trial passes."""
+    for q in range(cfg.max_backtracks + 1):
+        t = cfg.nu ** q
+        F_trial = problem.eval_F(ps, x + t * u)
+        if all(cone.leq(ps.cone, F_trial[i - 1], F[i - 1] + cfg.beta * t * J[i - 1] @ u,
+                        tol=solver.TOL_ARMIJO) for i in a):
+            return q
+    return cfg.max_backtracks + 1
+
+
+# ex5 is left out: every run of it stops at its first iterate, with no step
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "ex6", "ex7", "large-p"])
+def test_phi_test_backtracks_no_more_than_the_first_order_test(name):
+    """theta_t(u) <= phi with H_t SPD gives g_t'u < phi, so at the same
+    iterate every step the first-order test accepts, the phi test accepts."""
+    if name == "large-p":
+        sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+        from workloads import large_p_spec
+        ps = large_p_spec(200)
+    else:
+        ps = problem.builtin(name)
+    cfg = paper_cfg()
+    steps = 0
+    for method in solver.METHODS:
+        for k in range(3):
+            trace = solver.run(ps, bench.sample_start(ps, 3, k), paper_cfg(method=method))
+            for r in trace.records:
+                if r.t == 0.0:
+                    continue
+                F, J = problem.eval_F(ps, r.x), problem.eval_jacobians(ps, r.x)
+                q = solver.armijo_backtrack(ps, r.x, r.a, r.u, F, r.phi, cfg)[1]
+                assert q == r.backtracks
+                assert q <= first_order_backtracks(ps, r.x, r.a, r.u, F, J, cfg)
+                steps += 1
+    assert steps > 0
+
+
+def test_ex7_counts_do_not_depend_on_the_armijo_slack(monkeypatch):
+    """ex7's images reach about 2e3, and a Newton step of its quadratics lands
+    on the beta = 1/2 boundary of the first-order test, where a rounding of
+    3e-13 decided t = 1.  The phi test keeps a margin of beta*t*|phi| there."""
+    ps = problem.builtin("ex7")
+    starts = [np.array([-47.036068827724094, 8.14046340434038])]
+    starts += [bench.sample_start(ps, s, k) for s in (3, 5, 7) for k in range(15)]
+    outcomes = []
+    for tol in (0.0, 1e-12, 1e-9):
+        monkeypatch.setattr(solver, "TOL_ARMIJO", tol)
+        outcomes.append([(trace.status, trace.iterations)
+                         for method in solver.METHODS for x0 in starts
+                         for trace in [solver.run(ps, x0, paper_cfg(method=method))]])
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert all(status == solver.CONVERGED for status, _ in outcomes[0])
 
 
 @pytest.mark.parametrize("method", solver.METHODS)
@@ -220,10 +288,8 @@ def test_set_descent_against_armijo_model():
     assert trace.status == solver.CONVERGED
     for prev, nxt in zip(trace.records, trace.records[1:]):
         F_next = problem.eval_F(ps, nxt.x)
-        jac = problem.eval_jacobians(ps, prev.x)[np.asarray(prev.a) - 1]
-        for j, i in enumerate(prev.a):
-            model = (problem.eval_F(ps, prev.x)[i - 1]
-                     + 0.5 * prev.t * jac[j] @ prev.u)
+        for i in prev.a:
+            model = problem.eval_F(ps, prev.x)[i - 1] + 0.5 * prev.t * prev.phi * ps.cone.e
             assert any(cone.leq(ps.cone, v, model, tol=1e-9) for v in F_next)
 
 
@@ -325,6 +391,22 @@ def test_rate_probe_soft_diagnostic():
         dists = [np.linalg.norm(x - x_bar) for x in xs[-6:-1]]
         ratios = [b / a for a, b in zip(dists, dists[1:]) if a > 0]
         assert all(r <= 1.5 for r in ratios)
+
+
+@pytest.mark.parametrize("name, least", [("ex4", 19), ("ex6", 20)])
+def test_late_steps_are_unit_steps(name, least):
+    """The hard counterpart of the soft probe above: from 20 seeded starts run
+    to eps_stop = 1e-9, the last three accepted steps are t = 1 on at least
+    the measured number of starts."""
+    ps = problem.builtin(name)
+    cfg = paper_cfg(eps_stop=1e-9, max_iter=200)
+    unit_tails = 0
+    for k in range(20):
+        trace = solver.run(ps, bench.sample_start(ps, 3, k), cfg)
+        assert trace.status == solver.CONVERGED
+        steps = [r.t for r in trace.records if r.t > 0.0]
+        unit_tails += steps[-3:] == [1.0, 1.0, 1.0]
+    assert unit_tails >= least
 
 
 def test_overflow_in_a_builtin_ends_the_start_as_a_numerical_error():
