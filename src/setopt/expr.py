@@ -2,15 +2,17 @@
 
 Problem files describe each image component as one expression in the decision
 variables ``x1..xn`` and the function-family parameter ``i``.  Evaluation is
-plain IEEE double arithmetic; `eval_dual` carries an n-vector of derivatives
+plain IEEE double arithmetic; the Jacobians carry an n-vector of derivatives
 through every operation, so one pass yields the exact gradient.
 
 Expressions are translated into Python source, one assignment per node, and
 compiled (see "evaluation by generated code" below): `generate` makes one
-function for all m expressions of a problem file, and `eval` and `eval_dual`
-one for a single expression at its first call.  They take the family index
-as an int or as an index array, and one call evaluates every index in the
-array.
+values and one Jacobian function for all m expressions of a problem file, over
+an index array.  `eval` and `eval_dual` are views of `generate` for a single
+expression, at an int family index or an index array; one call evaluates
+every index in the array.  Their errors are `generate`'s, "f^i component 1:
+line:column: message", and `eval_dual`'s nondifferentiable flag comes from
+the generated values of the expression's `abs` arguments.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ class Call(Node):
 class ExprAst:
     """Parsed expression plus the dimension it was parsed against.
 
-    `families` caches the generated evaluators of `eval` and `eval_dual`,
-    made at their first call.
+    `families` holds the `generate` functions of `eval` and of `eval_dual`
+    (whose family adds one expression per `abs` argument) for the index
+    they were last called with.
     """
 
     root: Node
@@ -377,23 +380,22 @@ def _math_site(risky, exc):
 
 
 def _fold_lanes(fn, lanes, risky):
-    """A subtree free of x over the lanes: values, nondifferentiable flags,
-    and None or the _Fail of its lowest failing lane, naming every failing
-    lane; a failing lane is nan."""
-    values, kinks, sites = [], [], []
+    """A subtree free of x over the lanes: values, and None or the _Fail of
+    its lowest failing lane, naming every failing lane; a failing lane is
+    nan."""
+    values, sites = [], []
     for i in lanes:
         site = None
         try:
-            value, kink = fn(i)
+            value = fn(i)
         except _Fail as fail:
-            value, kink, site = math.nan, False, fail.site
+            value, site = math.nan, fail.site
         except (OverflowError, ValueError) as exc:
-            value, kink, site = math.nan, False, _math_site(risky, exc)
+            value, site = math.nan, _math_site(risky, exc)
         values.append(value)
-        kinks.append(kink)
         sites.append(site)
     bad = np.array([site is not None for site in sites])
-    return values, kinks, _Fail(sites[bad.argmax()], bad) if bad.any() else None
+    return values, _Fail(sites[bad.argmax()], bad) if bad.any() else None
 
 
 # numpy overflows to inf where `math` and float ** raise; a finite check
@@ -434,8 +436,6 @@ def _tscale(v, g):
 def _tover(g, d):
     if g is None:
         return None
-    if type(d) is float and d == 0.0:
-        d = np.float64(d)       # divides like numpy: inf or nan, not an exception
     return tuple(a / d for a in g)
 
 
@@ -497,7 +497,6 @@ _RUNTIME = {
     "_tneg": _tneg, "_tplus": _tplus, "_tminus": _tminus, "_tscale": _tscale,
     "_tover": _tover, "_put": _put, "_pow_grad": _pow_grad, "_nexp": _nexp,
     "_npow": _npow, "_empty": np.empty, "_nan": math.nan, "_inf": math.inf,
-    "_F64ZERO": np.float64(0.0),
     "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
     "_log": math.log, "_sqrt": math.sqrt, "_copysign": math.copysign,
     "_isfinite": math.isfinite, "_floor": math.floor,
@@ -556,13 +555,12 @@ class _Emitter:
     on x and i; `component` goes into its failure sites.
     """
 
-    def __init__(self, ns, dual, kinks):
+    def __init__(self, ns, dual):
         self.ns = ns
         self.dual = dual
-        self.kinks = kinks
         self.stmts = []
         self.count = 0
-        self.component = None
+        self.component = 0
         self.lanes = False
 
     # statements and names
@@ -799,14 +797,11 @@ class _Emitter:
         (a, ag), (b, bg) = left, right
         self.check(self.compare(b, "==", 0.0), node, "division by zero")
         value = self.arith("/", a, b)
-        if not self.dual:
+        if not self.dual or ag is None and bg is None:     # no derivative to overflow
             return value, None
         numerator = self.g_minus(self.g_scale(b, ag), self.g_scale(a, bg))
         d = self.arith("*", b, b)
-        if d.kind == _C and d.value == 0.0:
-            d = _V("_F64ZERO", _S)
-        elif d.kind == _S:     # bv*bv underflows: divide like numpy, not raise
-            self.put([f"if {d.code} == 0.0:", f"    {d.code} = _F64ZERO"], [d.code], pure=True)
+        self.check(self.compare(d, "==", 0.0), node, "overflow")     # b*b underflowed
         return value, self.g_over(numerator, d)
 
     def pow(self, node, left, right):
@@ -889,9 +884,6 @@ class _Emitter:
         if not self.dual:
             return value, None
         kink = self.compare(a, "==", 0.0)
-        if self.kinks:
-            self.put([f"K = K | {kink.code}"] if self.lanes else
-                     [f"if {kink.code}:", "    K = True"])
         sign = self.let(f"_{'n' if self.lanes else ''}copysign(1.0, {a.code})",
                         _N if self.lanes else _S)
         return value, self.g_scale(self.select(kink, _ZERO, sign), g)
@@ -933,31 +925,24 @@ def _analyse(asts):
 
 
 class _Family:
-    """Generated evaluators of m expressions over one point x.
+    """Generated evaluator of m expressions over one point x: their values
+    (p, m), or with `dual` their Jacobians (p, m, n)."""
 
-    `dual` gives Jacobians (p, m, n) instead of values (p, m); `single`
-    evaluates one expression for `eval`/`eval_dual`, returning values,
-    derivatives and nondifferentiable flags, with errors named by node only.
-    """
-
-    def __init__(self, asts, n, dual, single=False, filename=None):
-        self.asts, self.n, self.dual, self.single = asts, n, dual, single
+    def __init__(self, asts, n, dual, filename=None):
+        self.asts, self.n, self.dual = asts, n, dual
         self.filename = filename
         self.comps = _analyse(asts)
         self.ns = dict(_RUNTIME)
         self.consts = None
         self.folder = None
 
-    def _emitter(self, ns):
-        return _Emitter(ns, self.dual, self.dual and self.single)
-
     def _fold_functions(self):
         """Compile one function `fold<j>(i)` per subtree free of x, and
         evaluate the constants among them (free of i as well) once."""
-        em = self._emitter(self.ns)
+        em = _Emitter(self.ns, self.dual)
         consts, folds = [], []
         for c, (_, deps, roots) in enumerate(self.comps):
-            em.component = None if self.single else c
+            em.component = c
             for root in roots:
                 start = len(em.stmts)
                 results = {}
@@ -976,8 +961,8 @@ class _Family:
                 (folds if deps[id(root)] else consts).append((root, body, value))
         src = []
         for j, (root, body, value) in enumerate(folds + consts):
-            src += [f"def fold{j}(i):", "    K = False"]
-            src += [("    " + line, risky) for line, risky in body] + [f"    return {value}, K"]
+            src += [f"def fold{j}(i):"]
+            src += [("    " + line, risky) for line, risky in body] + [f"    return {value}"]
         filename = f"<{self.filename or 'setopt.expr'}: folds>"
         src, risky = _source(src, filename)
         exec(compile(src, filename, "exec"), self.ns)
@@ -985,8 +970,8 @@ class _Family:
         self.folder = fns[:len(folds)], risky
         self.consts = {}
         for key, fn in fns[len(folds):]:
-            (value,), (kink,), fail = _fold_lanes(fn, [None], risky)
-            self.consts[key] = value, kink, fail
+            (value,), fail = _fold_lanes(fn, [None], risky)
+            self.consts[key] = value, fail
 
     def bind(self, lanes: list):
         """The evaluator x -> result for the index vector `lanes` (a list)."""
@@ -996,16 +981,16 @@ class _Family:
         folded = dict(self.consts)
         floats = [float(i) for i in lanes]
         for key, fn in folds:
-            values, kinks, fail = _fold_lanes(fn, floats, risky)
-            folded[key] = np.array(values, dtype=float), np.array(kinks, dtype=bool), fail
-        em = self._emitter(dict(self.ns))
+            values, fail = _fold_lanes(fn, floats, risky)
+            folded[key] = np.array(values, dtype=float), fail
+        em = _Emitter(dict(self.ns), self.dual)
         p, m, n = len(lanes), len(self.asts), self.n
         em.put(["xs = x.tolist()"])
         for j in range(n):
             em.put([f"x{j} = xs[{j}]"], [f"x{j}"], pure=True)
         outputs = []
         for c, (order, deps, roots) in enumerate(self.comps):
-            em.component = None if self.single else c
+            em.component = c
             results = {}
             fold_roots = {id(root) for root in roots}
             for node in order:
@@ -1026,19 +1011,19 @@ class _Family:
                     results[id(node)] = em.node(node, args)
             outputs.append(results[id(self.asts[c].root)])
         self._outputs(em, outputs, p, m, n)
-        src = [f"def {self.function}(x):"] + ["    K = False"] * em.kinks + ["    try:"]
-        src += em.program(8)
+        function, returns = ("jacobians", "J") if self.dual else ("values", "out")
+        src = [f"def {function}(x):", "    try:"] + em.program(8)
         src += ["    except _Fail as fail:", "        _raise(fail, x)",
                 "    except (OverflowError, ValueError) as exc:",
-                "        _raise(_Fail(_math_site(_RISKY, exc)), x)", f"    return {self.returns}"]
-        filename = f"<{self.filename or 'setopt.expr'}: {self.function}>"
+                "        _raise(_Fail(_math_site(_RISKY, exc)), x)", f"    return {returns}"]
+        filename = f"<{self.filename or 'setopt.expr'}: {function}>"
         src, risky = _source(src, filename)
         if self.filename is not None:
             linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
         ns = em.ns
         ns.update(_raise=lambda fail, x: self._raise(lanes, fail, x), _RISKY=risky)
         exec(compile(src, filename, "exec"), ns)
-        return ns[self.function]
+        return ns[function]
 
     def _raise(self, lanes, fail, x):
         """Raise the DomainError of the first failed check at x, whose lowest
@@ -1052,8 +1037,7 @@ class _Family:
         component, line, column, message = fail.site
         exc = DomainError(message, line, column)
         exc.index = lanes[k]
-        if component is not None:
-            exc.args = (f"f^{exc.index} component {component + 1}: {exc}",)
+        exc.args = (f"f^{exc.index} component {component + 1}: {exc}",)
         raise exc from None
 
     @staticmethod
@@ -1064,34 +1048,20 @@ class _Family:
         return em.glob("F", values, _N, values)
 
     @staticmethod
-    def _folded(em, values, kinks, fail) -> _V:
-        """A folded subtree as an operand: its failure raised, or its kinks
-        recorded."""
+    def _folded(em, values, fail) -> _V:
+        """A folded subtree as an operand, or its failure raised."""
         if fail is not None:
             em.put([f"raise _Fail({em.glob('S', fail.site).code}, {em.glob('M', fail.bad).code})"])
             return _const(math.nan)
-        if em.kinks and np.any(kinks):
-            em.put([f"K = K | {em.glob('K', kinks).code}"])
         if isinstance(values, float):
             return _const(values)
         return em.glob("F", values, _N, values)
 
-    @property
-    def function(self):
-        return "jacobians" if self.dual else "values"
-
-    @property
-    def returns(self):
-        if not self.dual:
-            return "out"
-        return "out, J, K" if self.single else "J"
-
     def _outputs(self, em, outputs, p, m, n):
-        if not self.dual or self.single:
+        if not self.dual:
             em.put([f"out = _empty(({p}, {m}))"])
             for c, (value, _) in enumerate(outputs):
                 em.put([f"out[:, {c}] = {value.code}"])
-        if not self.dual:
             return
         em.put([f"J = _empty(({p}, {m}, {n}))"])
         for c, (_, g) in enumerate(outputs):
@@ -1129,36 +1099,43 @@ def _evaluate(ast, x, i, dual):
     if iv.shape[0] == 0:
         empty = np.empty(0)
         return DualNumber(empty, np.zeros((0, ast.n)), np.zeros(0, dtype=bool)) if dual else empty
-    family = ast.families.get(dual)
-    if family is None:
-        family = ast.families[dual] = [_Family([ast], ast.n, dual, single=True), None, None]
     key = (iv.dtype.str, iv.tobytes())
-    if family[1] != key:
-        family[1:] = key, family[0].bind(iv.tolist())
-    out = family[2](x)
+    cached = ast.families.get(dual)
+    if cached is None or cached[0] != key:
+        # for the nondifferentiable flag: a column per `abs` argument
+        abs_args = [ExprAst(node.args[0], ast.n) for node in _postorder(ast.root)
+                    if dual and isinstance(node, Call) and node.name == "abs"]
+        cached = ast.families[dual] = key, generate([ast] + abs_args, ast.n, iv)
+    values, jacobians = cached[1]
     if not dual:
-        return float(out[0, 0]) if scalar else out[:, 0]
-    values, J, kinks = out
-    kinks = np.broadcast_to(kinks, (iv.shape[0],)).copy()
+        out = values(x)[:, 0]
+        return float(out[0]) if scalar else out
+    J = jacobians(x)[:, 0]      # first: its checks hold every check of `values`
+    out = values(x)
+    kinks = (out[:, 1:] == 0.0).any(axis=1)
     if scalar:
-        return DualNumber(float(values[0, 0]), J[0, 0], bool(kinks[0]))
-    return DualNumber(values[:, 0], J[:, 0], kinks)
+        return DualNumber(float(out[0, 0]), J[0], bool(kinks[0]))
+    return DualNumber(out[:, 0], J, kinks)
 
 
 def eval(ast: ExprAst, x, i):  # noqa: A001 - spec operation name
-    """Evaluate at x with family index i.
+    """Evaluate at x with family index i: the values function of
+    `generate([ast], ast.n, i)`.
 
     An int i gives a float; an index array gives one value per index.  A
-    failed domain check raises DomainError at the failing node's line:column,
-    for the first failing index, which is also stored as its `index`.
+    failed domain check raises `generate`'s DomainError, "f^i component 1:
+    line:column: message", with the first failing index as its `index`.
     """
     return _evaluate(ast, x, i, False)
 
 
 def eval_dual(ast: ExprAst, x, i) -> DualNumber:
-    """Evaluate with the exact gradient with respect to x (i as in `eval`).
+    """Evaluate with the exact gradient with respect to x (i as in `eval`):
+    the Jacobian function of `generate`, then its values function, whose
+    checks the Jacobian's include.
 
-    `abs` at exactly 0 returns derivative 0 and sets the
-    nondifferentiable flag instead of failing.
+    `abs` at exactly 0 returns derivative 0 instead of failing.  Every `abs`
+    argument is generated as one more expression; the nondifferentiable
+    flag is set where one of them is 0.0.
     """
     return _evaluate(ast, x, i, True)

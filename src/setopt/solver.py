@@ -137,7 +137,8 @@ def armijo_backtrack(ps: ProblemSpec, x, a: tuple, u, F, phi: float, cfg: Solver
 def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
     """Execute the main loop from x0 and record a full iterate trace.
 
-    F and J are evaluated at most once per accepted point and carried forward.
+    F and J are evaluated at most once per accepted point; F and the
+    scalarized gradients of J are carried forward.
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     if x.shape[0] != ps.n:
@@ -152,12 +153,11 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
 
     try:
         F = problem_mod.eval_F(ps, x)
-        J = None
+        grads = None
         for k in range(cfg.max_iter):
             tick = time.perf_counter()
-            if J is None:
-                J = problem_mod.eval_jacobians(ps, x)
-                grads = problem_mod.scalarized_gradients(c, J)
+            if grads is None:
+                grads = problem_mod.scalarized_gradients(c, problem_mod.eval_jacobians(ps, x))
             ms = setorder_mod.analyze(c, F)
             sol = direction_mod.solve_subproblem(grads, store, ms, warm=warm)
             u_norm = float(np.linalg.norm(sol.u))
@@ -175,11 +175,11 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
 
             t, q, F_new = armijo_backtrack(ps, x, sol.a, sol.u, F, sol.phi, cfg)
             x_new = x + t * sol.u
-            J_new = grads_new = None
+            grads_new = None
             skips = 0
             if qn:
-                J_new = problem_mod.eval_jacobians(ps, x_new)
-                grads_new = problem_mod.scalarized_gradients(c, J_new)
+                grads_new = problem_mod.scalarized_gradients(
+                    c, problem_mod.eval_jacobians(ps, x_new))
                 report = direction_mod.bfgs_update(store, x_new - x, grads_new - grads)
                 skips = report.mask.size - int(np.count_nonzero(report.mask))
             rec.t = t
@@ -187,7 +187,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
             rec.bfgs_skips = skips
             rec.millis = (time.perf_counter() - tick) * 1e3
             trace.records.append(rec)
-            x, F, J, grads = x_new, F_new, J_new, grads_new
+            x, F, grads = x_new, F_new, grads_new
         else:
             trace.status = MAX_ITERATIONS
     except LineSearchFailure as exc:

@@ -2,9 +2,10 @@
 before expressions were compiled, extended with `floor` and `mod`.
 
 `walk_eval` and `walk_dual` evaluate one family index i per call by walking
-the tree with Python floats, `math` and the point's numpy scalars.  The
-tests compare the compiled evaluator against them; keep this module
-independent of `setopt.expr`'s evaluation code.
+the tree with Python floats, `math` and the point's numpy scalars, whose
+overflows give inf or nan without a RuntimeWarning.  The tests compare the
+compiled evaluator against them; keep this module independent of
+`setopt.expr`'s evaluation code.
 """
 
 import math
@@ -18,7 +19,8 @@ from setopt.expr import BinOp, Call, Const, DualNumber, Neg, Param, Var
 def walk_eval(ast, x, i: int) -> float:
     """Evaluate at x with family index i."""
     x = np.asarray(x, dtype=float).ravel()
-    return _eval(ast.root, x, float(i))
+    with np.errstate(all="ignore"):
+        return _eval(ast.root, x, float(i))
 
 
 def walk_dual(ast, x, i: int) -> DualNumber:
@@ -29,7 +31,8 @@ def walk_dual(ast, x, i: int) -> DualNumber:
     """
     x = np.asarray(x, dtype=float).ravel()
     flag = [False]
-    value, grad = _eval_dual(ast.root, x, float(i), flag)
+    with np.errstate(all="ignore"):
+        value, grad = _eval_dual(ast.root, x, float(i), flag)
     return DualNumber(value=value, derivatives=grad, nondifferentiable=flag[0])
 
 
@@ -58,6 +61,17 @@ def walk_generate(asts, n, index, filename=None):
 
 def _fail(node, message):
     raise DomainError(message, node.line, node.column)
+
+
+def _has_x(node):
+    """Whether a subtree reads some xj, so that it has a derivative."""
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Neg):
+        return _has_x(node.child)
+    if isinstance(node, BinOp):
+        return _has_x(node.left) or _has_x(node.right)
+    return isinstance(node, Call) and any(_has_x(a) for a in node.args)
 
 
 def _eval(node, x, i):
@@ -148,6 +162,8 @@ def _eval_dual(node, x, i, flag):
         if node.op == "/":
             if bv == 0.0:
                 _fail(node, "division by zero")
+            if bv * bv == 0.0 and _has_x(node):     # the derivative's divisor underflowed
+                _fail(node, "overflow")
             return av / bv, (ag * bv - av * bg) / (bv * bv)
         return _pow_dual(node, av, ag, bv, bg)
     if isinstance(node, Call):

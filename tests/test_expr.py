@@ -69,11 +69,20 @@ def test_domain_errors():
         expr.eval(expr.parse("(-2)^0.5", 1), [0.0], 1)
 
 
-def test_abs_kink_flag():
-    d = expr.eval_dual(expr.parse("abs(x1)", 1), [0.0], 1)
-    assert d.value == 0.0 and d.derivatives[0] == 0.0 and d.nondifferentiable
-    d = expr.eval_dual(expr.parse("abs(x1)", 1), [-2.0], 1)
-    assert d.value == 2.0 and d.derivatives[0] == -1.0 and not d.nondifferentiable
+@pytest.mark.parametrize("src, x, i, value, derivative, flag", [
+    pytest.param("abs(x1)", 0.0, 1, 0.0, 0.0, True, id="at-zero"),
+    pytest.param("abs(x1)", -2.0, 1, 2.0, -1.0, False, id="off-zero"),
+    pytest.param("abs(x1 - i)", 2.0, np.arange(1, 4), [1.0, 0.0, 1.0], [1.0, 0.0, -1.0],
+                 [False, True, False], id="index-array"),
+    pytest.param("x1 + abs(i - 2)", 0.5, np.arange(1, 4), [1.5, 0.5, 1.5], [1.0, 1.0, 1.0],
+                 [False, True, False], id="x-free-argument"),
+    pytest.param("abs(abs(x1 - i) - 1)", 2.0, np.arange(1, 5), [0.0, 1.0, 0.0, 1.0],
+                 [0.0, 0.0, 0.0, -1.0], [True, True, True, False], id="nested"),
+])
+def test_abs_kink_flag(src, x, i, value, derivative, flag):
+    d = expr.eval_dual(expr.parse(src, 1), [x], i)
+    assert np.array_equal(d.value, value) and np.array_equal(d.derivatives[..., 0], derivative)
+    assert np.array_equal(d.nondifferentiable, flag)
 
 
 SOURCES = [
@@ -244,9 +253,9 @@ def test_array_lane_overflow_is_a_domain_error(src, x, where):
                     evaluate(ast, [x], i)
                 assert (ei.value.index, ei.value.line, ei.value.column) == where
     # the scalar subtree raised before; an x-and-i subtree now raises alike
-    with pytest.raises(DomainError, match="^1:1: overflow$"):
+    with pytest.raises(DomainError, match=r"^f\^1 component 1: 1:1: overflow$"):
         expr.eval(expr.parse("exp(x1*i)", 1), [800.0], 1)
-    with pytest.raises(DomainError, match="^1:1: overflow$"):
+    with pytest.raises(DomainError, match=r"^f\^1 component 1: 1:1: overflow$"):
         expr.eval(expr.parse("exp(x1)", 1), [800.0], 1)
 
 

@@ -280,8 +280,8 @@ def test_lowest_index_fails_at_a_later_check(tmp_path, src, column):
     x = np.zeros(3)
     calls = [(lambda: problem.eval_F(ps, x), "f^1 component 2: "),
              (lambda: problem.eval_jacobians(ps, x), "f^1 component 2: "),
-             (lambda: expr.eval(ast, x, np.arange(1, 7)), ""),
-             (lambda: expr.eval_dual(ast, x, np.arange(1, 7)), "")]
+             (lambda: expr.eval(ast, x, np.arange(1, 7)), "f^1 component 1: "),
+             (lambda: expr.eval_dual(ast, x, np.arange(1, 7)), "f^1 component 1: ")]
     for call, prefix in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")      # no numpy RuntimeWarning either
@@ -291,6 +291,22 @@ def test_lowest_index_fails_at_a_later_check(tmp_path, src, column):
         assert str(ei.value) == f"{prefix}1:{column}: log of a non-positive value"
         # no internal exception shows as its context
         assert ei.value.__context__ is None or ei.value.__suppress_context__
+
+
+@pytest.mark.filterwarnings("error")
+def test_quotient_derivative_underflow_is_an_overflow(tmp_path):
+    # 1/(x1*i) is finite at x1 = 1e-170; its derivative's (x1*i)^2 underflows to 0
+    ps = problem.load(_family_file(tmp_path, ["1/(x1*i)"], 2))
+    x = [1e-170, 0.0, 0.0]
+    assert np.all(np.isfinite(problem.eval_F(ps, x)))
+    for call in (lambda: expr.eval_dual(expr.parse("1/(x1*i)", 3), x, np.arange(1, 3)),
+                 lambda: problem.eval_jacobians(ps, x)):
+        with pytest.raises(DomainError, match="overflow") as ei:
+            call()
+        assert (ei.value.index, ei.value.line, ei.value.column) == (1, 1, 2)
+    # a quotient free of x has no derivative to overflow
+    d = expr.eval_dual(expr.parse("x1 + 1/(1e-170*i)", 3), x, np.arange(1, 3))
+    assert np.array_equal(d.derivatives, [[1.0, 0.0, 0.0]] * 2)
 
 
 def _nested(depth):
