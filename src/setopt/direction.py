@@ -368,14 +368,14 @@ def _ascend(lam, gs, Hs, dual_point, tol_sub, max_inner):
     return lam, np.array(point[0]), max(point[1]), point[3]
 
 
-def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
-                 lam0: Optional[np.ndarray] = None):
+def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500):
     """Solve min_u max_t [g_t'u + 1/2 u'H_t u] for SPD H_t.
 
-    Returns (u, phi, lam, gap, converged) where phi = max_t theta_t(u) <= 0
-    (u = 0 is substituted whenever the recovered point is not better than 0),
-    lam holds the dual weights of all T terms and gap is the final duality gap.
-    No terms raise EmptyInput.
+    The ascent starts with all weight on the shortest gradient, the best
+    vertex when H_t = I.  Returns (u, phi, lam, gap, converged) where
+    phi = max_t theta_t(u) <= 0 (u = 0 is substituted whenever the recovered
+    point is not better than 0), lam holds the dual weights of all T terms and
+    gap is the final duality gap.  No terms raise EmptyInput.
     """
     gs = np.asarray(gs, dtype=float)
     if gs.size == 0:
@@ -389,13 +389,7 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
     idx = sorted(first.values())
     gs, Hs2 = gs.take(idx, 0), Hs2.take(idx, 0)
     lam = np.zeros(len(idx))
-    lam0 = None if lam0 is None else np.asarray(lam0, dtype=float)
-    if lam0 is not None and lam0.shape == (T,) and lam0.min() >= 0.0 and lam0.sum() > 0.0:
-        for t in lam0.nonzero()[0].tolist():  # summed in index order, as by bincount
-            lam[idx.index(first[keys[t]])] += lam0[t]
-        lam /= lam.sum()
-    else:  # cold start at the shortest gradient, the best vertex when H_t = I
-        lam[np.einsum("ti,ti->t", gs, gs).argmin()] = 1.0
+    lam[np.einsum("ti,ti->t", gs, gs).argmin()] = 1.0
 
     if n <= 2:  # closed forms on Python floats
         dual_point, gs, Hs2 = (_dual_point_1, _dual_point_2)[n - 1], gs.tolist(), Hs2.tolist()
@@ -410,8 +404,7 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500,
 
 
 def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure,
-                     tol_sub: float = 1e-10, max_inner: int = 500,
-                     warm: Optional[dict] = None) -> SubproblemSolution:
+                     tol_sub: float = 1e-10, max_inner: int = 500) -> SubproblemSolution:
     """Minimize over the partition set; ties broken by the first (lexicographic) a.
 
     The selectors a run over the product of ms.classes.  The terms of a are
@@ -433,10 +426,7 @@ def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure,
             Hs = np.eye(n)[None].repeat(T, axis=0)
         else:
             Hs = store.matrices.take(sel, 0).reshape(T, n, n)
-        lam0 = warm.get(a) if warm is not None else None
-        u, phi, lam, gap, ok = solve_minmax(gs, Hs, tol_sub, max_inner, lam0)
-        if warm is not None:
-            warm[a] = lam
+        u, phi, _, gap, ok = solve_minmax(gs, Hs, tol_sub, max_inner)
         if best is None or phi < best.phi:
             best = SubproblemSolution(a=a, u=u, phi=phi, gap=gap, converged=ok)
     return best

@@ -94,14 +94,7 @@ class ScalarizedComponents:
 
 def scalarized_gradients(c: ConeSpec, J) -> np.ndarray:
     """Map Jacobians (p, m, n) to the (p, Q, n) gradients of every h^{i,q}."""
-    # (A @ J_i) summed over the m rows of J_i in order, scaled per row by
-    # 1/(Ae)_q: the bits of np.einsum("qm,imn->iqn", A, J) / Ae, in fewer calls
-    A = c.A
-    G = A[None, :, 0, None] * J[:, None, 0, :]
-    for k in range(1, A.shape[1]):
-        G += A[None, :, k, None] * J[:, None, k, :]
-    G /= c.Ae[None, :, None]
-    return G
+    return (c.A / c.Ae[:, None]) @ J
 
 
 # --- built-in families -----------------------------------------------------

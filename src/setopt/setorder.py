@@ -58,20 +58,14 @@ def _order_values(c: ConeSpec, values):
     return values, AV
 
 
-def _finite_tol(name: str, tol: float) -> None:
-    """A nan or infinite tolerance makes every comparison false or true."""
-    if not math.isfinite(tol):
-        raise ValueError(f"{name} must be finite, got {tol}")
-
-
-def _minimal(AV: np.ndarray, tol: float) -> np.ndarray:
-    """0-based i with no j such that v_j <= v_i (at tol) and v_j != v_i, sorted.
+def _minimal(AV: np.ndarray) -> np.ndarray:
+    """0-based i with no j such that v_j <= v_i and v_j != v_i, sorted.
 
     AV is the (p, Q) array of A v.  Both tests read the same rounded A v:
     comparing the raw v for distinctness would let two images that round to
     one A v dominate each other and empty the minimal set.
 
-    At tol 0 with Q = 2 the minimal points form a staircase (Kung, Luccio &
+    With Q = 2 the minimal points form a staircase (Kung, Luccio &
     Preparata 1975): sorted by (A v)_0, then (A v)_1, every j with
     v_j <= v_i comes before i, so i is minimal when its (A v)_1 is strictly
     below that of every earlier point.  An exact repeat fails that test
@@ -83,7 +77,7 @@ def _minimal(AV: np.ndarray, tol: float) -> np.ndarray:
     input A v_i - A v_j >= 0 exactly when A v_i >= A v_j, and given
     v_j <= v_i, v_j != v_i is not v_i <= v_j.
     """
-    if tol == 0.0 and AV.shape[1] == 2:
+    if AV.shape[1] == 2:
         z = np.ascontiguousarray(AV).view(np.complex128).ravel()   # (A v)_0 + i (A v)_1
         order = z.argsort()
         z = z[order]
@@ -95,28 +89,19 @@ def _minimal(AV: np.ndarray, tol: float) -> np.ndarray:
         return np.sort(order[keep])
     AVt = np.ascontiguousarray(AV.T)                       # (Q, p)
     below = (AVt[:, None, :] >= AVt[:, :, None]).all(axis=0)    # [j, i]: v_j <= v_i
-    leq = below if tol == 0.0 else (AVt[:, None, :] >= AVt[:, :, None] - tol).all(axis=0)
-    return np.flatnonzero(~(leq > (below & below.T)).any(axis=0))   # leq and not equal
+    return np.flatnonzero(~(below > below.T).any(axis=0))   # v_j <= v_i and not v_i <= v_j
 
 
-def minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
-    """Indices i with no j such that v_j <= v_i and v_j != v_i (1-based).
-
-    A non-finite tol raises ValueError.
-    """
-    _finite_tol("tol", tol)
+def minimal_elements(c: ConeSpec, values) -> tuple:
+    """Indices i with no j such that v_j <= v_i and v_j != v_i (1-based)."""
     _, AV = _order_values(c, values)
-    return tuple((_minimal(AV, tol) + 1).tolist())
+    return tuple((_minimal(AV) + 1).tolist())
 
 
-def weakly_minimal_elements(c: ConeSpec, values, tol: float = 0.0) -> tuple:
-    """Indices i with no j such that v_j < v_i strictly (1-based).
-
-    A non-finite tol raises ValueError.
-    """
-    _finite_tol("tol", tol)
+def weakly_minimal_elements(c: ConeSpec, values) -> tuple:
+    """Indices i with no j such that v_j < v_i strictly (1-based)."""
     AVt = np.ascontiguousarray(_order_values(c, values)[1].T)
-    dominated = (AVt[:, None, :] > AVt[:, :, None] + tol).all(axis=0).any(axis=0)
+    dominated = (AVt[:, None, :] > AVt[:, :, None]).all(axis=0).any(axis=0)
     return tuple((np.flatnonzero(~dominated) + 1).tolist())
 
 
@@ -124,7 +109,7 @@ def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
     """Minimal indices of the image set, their classes of equal value and varsigma.
 
     This is all a solver iterate reads of F(x).  The minimal indices come
-    from _minimal at tol 0: one lexicographic sort and a running minimum when
+    from _minimal: one lexicographic sort and a running minimum when
     Q = 2, one boolean pass over the p^2 pairs when Q >= 3.  Classes are
     connected components of the graph linking minimal indices whose images
     differ by at most tol_group in the infinity norm, found from the (m, k, k)
@@ -133,9 +118,10 @@ def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
     class is a singleton no Python step runs per index.  A non-finite
     tol_group raises ValueError.
     """
-    _finite_tol("tol_group", tol_group)
+    if not math.isfinite(tol_group):  # a nan or inf makes every comparison false or true
+        raise ValueError(f"tol_group must be finite, got {tol_group}")
     values, AV = _order_values(c, values)
-    idx = _minimal(AV, 0.0)
+    idx = _minimal(AV)
     if not idx.size:
         raise EmptyInput("empty minimal index set")
     minimal = tuple((idx + 1).tolist())

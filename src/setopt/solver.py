@@ -149,7 +149,6 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
     qn = cfg.method == "quasi_newton"
     store = direction_mod.HessianStore(ps.n, ps.p, c.Q) if qn else None
     trace = IterateTrace(problem=ps.name, method=cfg.method, store=store)
-    warm: dict = {}
 
     try:
         F = problem_mod.eval_F(ps, x)
@@ -159,7 +158,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
             if grads is None:
                 grads = problem_mod.scalarized_gradients(c, problem_mod.eval_jacobians(ps, x))
             ms = setorder_mod.analyze(c, F)
-            sol = direction_mod.solve_subproblem(grads, store, ms, warm=warm)
+            sol = direction_mod.solve_subproblem(grads, store, ms)
             u_norm = float(np.linalg.norm(sol.u))
             rec = IterateRecord(
                 k=k, x=x.copy(), images=F.copy() if cfg.trace_images else None, w=ms.w,

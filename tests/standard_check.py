@@ -30,10 +30,16 @@ of every returned array's bytes and every error's (index, line, column,
 message).
 
 The count lines are what the ROADMAP's re-base protocol compares between two
-commits; the digests show whether any bit of a trace moved.  Run it from the
-repository root as
+commits; the digests show whether any bit of a trace moved.  The count lines
+are committed as `standard_counts.txt`, which `test_standard_counts.py`
+regenerates and compares; a change that moves a count updates that file.
+Run it from the repository root as
 
     python tests/standard_check.py > check.txt
+
+and rewrite the committed counts with
+
+    grep ' counts ' check.txt > tests/standard_counts.txt
 
 It is not a test module, so pytest does not collect it.
 """
@@ -157,21 +163,34 @@ def expr_line():
             f" errors {counts['errors']} {h.hexdigest()}")
 
 
+def group(name, ps, key, method):
+    """The counts line, the digest line and the iteration total of one (problem, method)."""
+    cfg = solver.SolverConfig(method=method)
+    counts, h, iterations = [], hashlib.sha256(), 0
+    for seed in SEEDS:
+        for k in range(STARTS):
+            trace = solver.run(ps, bench.sample_start(ps, seed, k), cfg)
+            counts.append(f"{trace.status[0]}{trace.iterations}")
+            digest(h, trace)
+            iterations += trace.iterations
+    return (f"{name} {key} counts {' '.join(counts)}", f"{name} {key} digest {h.hexdigest()}",
+            iterations)
+
+
+def count_lines():
+    """The counts lines, one per (problem, method), as main prints them."""
+    return [group(name, ps, key, method)[0] for name, ps in problems() for key, method in METHODS]
+
+
 def main():
     runs = iterations = 0
     for name, ps in problems():
         for key, method in METHODS:
-            cfg = solver.SolverConfig(method=method)
-            counts, h = [], hashlib.sha256()
-            for seed in SEEDS:
-                for k in range(STARTS):
-                    trace = solver.run(ps, bench.sample_start(ps, seed, k), cfg)
-                    counts.append(f"{trace.status[0]}{trace.iterations}")
-                    digest(h, trace)
-                    runs += 1
-                    iterations += trace.iterations
-            print(f"{name} {key} counts {' '.join(counts)}")
-            print(f"{name} {key} digest {h.hexdigest()}", flush=True)
+            counts, digest_line, group_iterations = group(name, ps, key, method)
+            print(counts)
+            print(digest_line, flush=True)
+            runs += len(SEEDS) * STARTS
+            iterations += group_iterations
         if name in problem.BUILTIN_NAMES:
             print(f"{name} stats {stats_hash(ps, 1)} {stats_hash(ps, 2)}", flush=True)
     print(expr_line(), flush=True)

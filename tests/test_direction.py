@@ -296,11 +296,9 @@ def _bits(out):
             np.float64(gap).tobytes(), type(gap), ok)
 
 
-def _minmax_instance(seed, n, distinct, repeats, identity, start):
+def _minmax_instance(seed, n, distinct, repeats, identity):
     """distinct terms, each repeated 1..repeats times in random order, with H_t = I
-    (a read-only broadcast, as steepest descent passes it) or SPD; lam0 None, a
-    random point of the simplex on about half the terms, or the reference's lam
-    for nearby gradients, the way the solver warm-starts."""
+    (a read-only broadcast, as steepest descent passes it) or SPD."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** int(rng.integers(-2, 3))
     order = rng.permutation(np.repeat(np.arange(distinct), rng.integers(1, repeats + 1, distinct)))
@@ -310,13 +308,7 @@ def _minmax_instance(seed, n, distinct, repeats, identity, start):
     else:
         M = rng.uniform(-1.0, 1.0, (distinct, n, n))
         Hs = (M @ M.transpose(0, 2, 1) + 0.1 * np.eye(n))[order]
-    if start == "cold":
-        return gs, Hs, None
-    if start == "random":
-        lam0 = rng.random(len(gs)) * (rng.random(len(gs)) < 0.5)
-        lam0[rng.integers(len(gs))] += 0.5
-        return gs, Hs, lam0
-    return gs, Hs, minmax_ref.solve_minmax(gs + rng.normal(0.0, 1e-3 * scale, gs.shape), Hs)[2]
+    return gs, Hs
 
 
 def _assert_matches_reference(out, ref, gs):
@@ -335,26 +327,26 @@ def _assert_matches_reference(out, ref, gs):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]), distinct=st.integers(1, 6),
        repeats=st.sampled_from([1, 4, 40]), identity=st.booleans(),
-       start=st.sampled_from(["cold", "random", "solved"]), max_inner=st.sampled_from([500, 2, 0]))
-def test_solve_minmax_matches_reference_bit_for_bit(seed, n, distinct, repeats, identity, start,
+       max_inner=st.sampled_from([500, 2, 0]))
+def test_solve_minmax_matches_reference_bit_for_bit(seed, n, distinct, repeats, identity,
                                                     max_inner):
-    gs, Hs, lam0 = _minmax_instance(seed, n, distinct, repeats, identity, start)
-    _assert_matches_reference(direction.solve_minmax(gs, Hs, 1e-10, max_inner, lam0),
-                              minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner, lam0), gs)
+    gs, Hs = _minmax_instance(seed, n, distinct, repeats, identity)
+    _assert_matches_reference(direction.solve_minmax(gs, Hs, 1e-10, max_inner),
+                              minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner), gs)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 6]), distinct=st.integers(7, 24),
        repeats=st.sampled_from([1, 4, 40]), identity=st.booleans(),
-       start=st.sampled_from(["cold", "random", "solved"]), max_inner=st.sampled_from([500, 2, 0]))
+       max_inner=st.sampled_from([500, 2, 0]))
 def test_solve_minmax_matches_reference_beyond_six_terms(seed, n, distinct, repeats, identity,
-                                                         start, max_inner):
+                                                         max_inner):
     """With more than 6 distinct terms, the ascent's left-to-right sum of a trial lam may
     round apart from numpy's pairwise sum in the reference: the same converged flag, and
     phi and u within 1e-12 of the reference at the gradients' scale s."""
-    gs, Hs, lam0 = _minmax_instance(seed, n, distinct, repeats, identity, start)
-    out = direction.solve_minmax(gs, Hs, 1e-10, max_inner, lam0)
-    ref = minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner, lam0)
+    gs, Hs = _minmax_instance(seed, n, distinct, repeats, identity)
+    out = direction.solve_minmax(gs, Hs, 1e-10, max_inner)
+    ref = minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner)
     s = max(1.0, float(np.abs(gs).max()))
     assert out[4] == ref[4]
     assert abs(out[1] - ref[1]) <= 1e-12 * s * s
@@ -379,14 +371,13 @@ def test_reference_draws_step_on_two_term_and_full_faces(monkeypatch):
     monkeypatch.setattr(direction, "_face_step_floats", floats_spy)
     for seed in range(40):
         for n in (1, 2, 3):
-            args = (seed, n, 1 + seed % 6, (1, 4, 40)[seed % 3], seed % 4 == 0,
-                    ("cold", "random", "solved")[seed % 3])
-            gs, Hs, lam0 = _minmax_instance(*args)
-            _assert_matches_reference(direction.solve_minmax(gs, Hs, lam0=lam0),
-                                      minmax_ref.solve_minmax(gs, Hs, lam0=lam0), gs)
+            gs, Hs = _minmax_instance(seed, n, 1 + seed % 6, (1, 4, 40)[seed % 3], seed % 4 == 0)
+            _assert_matches_reference(direction.solve_minmax(gs, Hs),
+                                      minmax_ref.solve_minmax(gs, Hs), gs)
     assert all({2, n + 1} <= sizes[n] for n in (1, 2, 3)), dict(sizes)
-    # the float path's closed forms (2 and 3 terms) and numpy's eigh for larger faces
-    assert all({2, 3, 4} <= floats[n] for n in (1, 2)), dict(floats)
+    # the float path's closed forms (2 and 3 terms), and at n = 2 numpy's eigh for a
+    # fourth term joining a full 3-term face
+    assert {2, 3} <= floats[1] and {2, 3, 4} <= floats[2], dict(floats)
 
 
 @pytest.mark.filterwarnings("error")
@@ -463,19 +454,31 @@ def test_solve_subproblem_tie_breaks_first():
     assert sol2.a == sol.a and sol2.phi == sol.phi
 
 
-def test_solve_subproblem_walks_the_partition_set_in_order():
-    """Every selector is solved, in lexicographic order, and a tie keeps the first."""
+def test_solve_subproblem_walks_the_partition_set_in_order(monkeypatch):
+    """Every selector is solved, in lexicographic order, and a tie keeps the first.
+
+    A spy on solve_minmax maps each call's gradient rows back to the selector
+    whose rows they are; the five families' gradients are distinct."""
     grads = np.random.default_rng(5).standard_normal((5, 2, 2))
+    solved, solve_minmax = [], direction.solve_minmax
+
+    def spy(gs, Hs, *args):
+        rows = np.asarray(gs).reshape(-1, *grads.shape[1:])
+        solved.append(tuple(1 + next(i for i, g in enumerate(grads) if np.array_equal(g, r))
+                            for r in rows))
+        return solve_minmax(gs, Hs, *args)
+
+    monkeypatch.setattr(direction, "solve_minmax", spy)
     ms = setorder.MinimalStructure((1, 2, 3), ((1, 2), (3,)), 2, 0.0)
-    warm = {}
-    direction.solve_subproblem(grads, None, ms, warm=warm)
-    assert list(warm) == [(1, 3), (2, 3)]
+    direction.solve_subproblem(grads, None, ms)
+    assert solved == [(1, 3), (2, 3)]
 
     ms2 = setorder.MinimalStructure((1, 2, 3, 4, 5), ((1, 2), (3, 4, 5)), 2, 0.0)
-    warm = {}
-    direction.solve_subproblem(grads, direction.HessianStore(2, 5, 2), ms2, warm=warm)
-    assert list(warm) == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
-    assert len(warm) == 6 == ms2.partition_count()
+    solved.clear()
+    direction.solve_subproblem(grads, direction.HessianStore(2, 5, 2), ms2)
+    assert solved == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
+    assert len(solved) == 6 == ms2.partition_count()
+    monkeypatch.undo()
 
     # phi is -1/2 at a = (1,) and -9/2 at the tied a = (2,) and a = (3,)
     ms3 = setorder.MinimalStructure((1, 2, 3), ((1, 2, 3),), 1, 0.0)

@@ -373,17 +373,28 @@ def test_load_p_too_large_for_an_index_vector_is_a_format_error(tmp_path, p):
 
 
 def test_scalarized_gradients_match_einsum_bit_for_bit():
+    """Bit for bit on the orthant, where A = I and Ae = 1 make every product
+    exact.  Elsewhere (A/Ae) @ J and einsum(A, J)/Ae each carry a relative
+    error of at most gamma_{m+1} = (m+1)u/(1-(m+1)u), u = 2^-53, on
+    (|A|/Ae) @ |J|; gamma_{m+2} also covers the rounding of that reference."""
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
     from workloads import large_p_spec
 
     for ps in [problem.builtin(name) for name in problem.BUILTIN_NAMES] + [large_p_spec(200)]:
         c = ps.cone
-        for k in range(300):
-            J = problem.eval_jacobians(ps, bench.sample_start(ps, 7, k))
+        orthant = np.array_equal(c.A, np.eye(c.m))
+        k = (c.m + 2) * 2.0 ** -53
+        gamma = k / (1.0 - k)
+        for s in range(300):
+            J = problem.eval_jacobians(ps, bench.sample_start(ps, 7, s))
             want = np.einsum("qm,imn->iqn", c.A, J) / c.Ae[None, :, None]
             got = problem.scalarized_gradients(c, J)
-            assert got.shape == want.shape and np.array_equal(got.view(np.int64),
-                                                              want.view(np.int64))
+            assert got.shape == want.shape
+            if orthant:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            else:
+                bound = 2.0 * gamma * ((np.abs(c.A) / c.Ae[:, None]) @ np.abs(J))
+                assert (np.abs(got - want) <= bound).all()
 
 
 @pytest.mark.parametrize("evaluate", [problem.eval_F, problem.eval_jacobians])

@@ -106,10 +106,9 @@ def test_minimal_elements_hypothesis(points):
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=30),
-       st.sampled_from([0.5, 1.0, 4.0, 12.0]),
        st.sampled_from(["orthant", "slanted"]))
-def test_analyze_matches_separate_filters(points, tol, which):
-    """analyze's minimal indices are the public filter's, at tol 0, on exact ties.
+def test_analyze_matches_separate_filters(points, which):
+    """analyze's minimal indices are the public filter's, on exact ties.
 
     Integer images on a small grid make exact ties common; integer cone rows
     keep A(v_i - v_j) exact, so the brute-force oracle agrees bit for bit.
@@ -117,7 +116,6 @@ def test_analyze_matches_separate_filters(points, tol, which):
     c = (cone.nonnegative_orthant(2) if which == "orthant"
          else cone.validate([[6.0, -2.0], [-7.0, 10.0]], [1.0, 1.0]))
     vals = np.asarray(points, dtype=float)
-    assert setorder.minimal_elements(c, vals, tol) == oracle.brute_min(c, vals, tol)
     assert setorder.weakly_minimal_elements(c, vals) == oracle.brute_wmin(c, vals)
     ms = setorder.analyze(c, vals)
     assert ms.minimal_indices == setorder.minimal_elements(c, vals) == oracle.brute_min(c, vals)
@@ -240,13 +238,12 @@ def test_planar_staircase_matches_reference(which, kind, p, tol_group, seed):
     """The staircase decides on the rounded A v, as the tensor references do.
     The brute-force oracle rounds A (v_i - v_j) instead, so it is compared
     only where integer images and cone rows make both exact: near ties such
-    as large_p's theta = 0 and pi may round either way.  There it also
-    checks tol > 0, which still takes the tensor."""
+    as large_p's theta = 0 and pi may round either way."""
     c = PLANAR_CONES[which]
     rng = np.random.default_rng(seed)
     vals = _planar_images(kind, rng, p)
     vals = vals[rng.permutation(len(vals))]
-    idx = setorder._minimal(vals @ c.A.T, 0.0)
+    idx = setorder._minimal(vals @ c.A.T)
     minimal, classes, varsigma = analyze_ref(c, vals, tol_group)
     assert np.all(np.diff(idx) > 0)
     assert tuple((idx + 1).tolist()) == minimal == minimal_ref(c, vals)
@@ -256,24 +253,9 @@ def test_planar_staircase_matches_reference(which, kind, p, tol_group, seed):
                                                                    len(classes), varsigma)
     if kind in ("grid", "signed-zero"):
         assert minimal == oracle.brute_min(c, vals)
-        for tol in (0.5, 3.0):
-            assert setorder.minimal_elements(c, vals, tol) == oracle.brute_min(c, vals, tol)
 
 
 # --- a tolerance must be finite ----------------------------------------------
-
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
-def test_minimal_elements_rejects_a_non_finite_tol(orthant2, tol):
-    """tol=nan used to return (1, 2, 3), although (0, 0) dominates both others."""
-    with pytest.raises(ValueError, match="tol"):
-        setorder.minimal_elements(orthant2, [[0, 0], [1, 1], [2, 2]], tol=tol)
-
-
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
-def test_weakly_minimal_elements_rejects_a_non_finite_tol(orthant2, tol):
-    with pytest.raises(ValueError, match="tol"):
-        setorder.weakly_minimal_elements(orthant2, [[0, 0], [1, 1], [2, 2]], tol=tol)
-
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
 def test_analyze_rejects_a_non_finite_tol_group(orthant2, tol):
