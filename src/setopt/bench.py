@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import problem as problem_mod
 from . import solver as solver_mod
 from .errors import WorkerDied
 from .problem import ProblemSpec
@@ -106,18 +107,16 @@ def _config_echo(cfg: SolverConfig) -> dict:
     }
 
 
-def write_plot_data(trace: IterateTrace, image_path: str, decision_path: str) -> None:
-    """Per-iteration image points (k, i, y1..ym) and decision iterates."""
-    m = None
+def write_plot_data(trace: IterateTrace, ps: ProblemSpec, image_path: str,
+                    decision_path: str) -> None:
+    """Per-iteration image points (k, i, y1..ym), F evaluated at each recorded
+    iterate, and decision iterates."""
     with open(image_path, "w", newline="") as fh:
         wr = csv.writer(fh)
+        if trace.records:
+            wr.writerow(["k", "i"] + [f"y{j}" for j in range(1, ps.m + 1)])
         for r in trace.records:
-            if r.images is None:
-                continue
-            if m is None:
-                m = r.images.shape[1]
-                wr.writerow(["k", "i"] + [f"y{j}" for j in range(1, m + 1)])
-            for i, y in enumerate(r.images, start=1):
+            for i, y in enumerate(problem_mod.eval_F(ps, r.x), start=1):
                 wr.writerow([r.k, i] + [repr(float(v)) for v in y])
     n = trace.records[0].x.shape[0] if trace.records else 0
     with open(decision_path, "w", newline="") as fh:

@@ -213,13 +213,13 @@ def cmd_plotdata(args) -> int:
     if ps.m > 3:
         raise CliError(f"plot-data supports image dimension m <= 3, "
                        f"problem {ps.name} has m = {ps.m}")
-    cfg = _config_from(args, args.method, trace_images=True)
+    cfg = _config_from(args, args.method)
     x0 = _parse_x0(args.x0, ps.n)
     out = _out_dir(args)
     trace = solver_mod.run(ps, x0, cfg)
     stem = os.path.join(out, f"{ps.name}_{args.method}")
     try:
-        bench_mod.write_plot_data(trace, stem + "_images.csv", stem + "_decisions.csv")
+        bench_mod.write_plot_data(trace, ps, stem + "_images.csv", stem + "_decisions.csv")
     except OSError as exc:
         raise CliError(str(exc), EXIT_IO)
     print(f"{trace.status}: wrote {stem}_images.csv and {stem}_decisions.csv")

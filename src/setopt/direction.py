@@ -141,8 +141,7 @@ class SubproblemSolution:
     a: tuple                       # the selector: one 1-based index per class
     u: np.ndarray
     phi: float
-    gap: float
-    converged: bool
+    gap: float                     # the selector's duality gap: converged iff gap <= tol_sub
 
 
 # solve_subproblem refuses a tie structure with more selectors than this.
@@ -426,7 +425,7 @@ def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure,
             Hs = np.eye(n)[None].repeat(T, axis=0)
         else:
             Hs = store.matrices.take(sel, 0).reshape(T, n, n)
-        u, phi, _, gap, ok = solve_minmax(gs, Hs, tol_sub, max_inner)
+        u, phi, _, gap, _ = solve_minmax(gs, Hs, tol_sub, max_inner)
         if best is None or phi < best.phi:
-            best = SubproblemSolution(a=a, u=u, phi=phi, gap=gap, converged=ok)
+            best = SubproblemSolution(a=a, u=u, phi=phi, gap=gap)
     return best

@@ -1089,6 +1089,7 @@ def generate(asts, n: int, index, filename=None):
     return tuple(_Family(asts, n, dual, filename=filename).bind(lanes) for dual in (False, True))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow on lanes is inf, as in scalars
 def _evaluate(ast, x, i, dual):
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != ast.n:

@@ -37,11 +37,11 @@ class ProblemSpec:
 
 
 def _call(fn, x, what):
-    """fn(x), with an arithmetic failure (overflow, division by zero) or a
-    non-finite entry of the result typed."""
+    """fn(x), with an arithmetic failure (overflow, division by zero), a numpy
+    RuntimeWarning raised as an error, or a non-finite entry of the result typed."""
     try:
         out = fn(x)
-    except ArithmeticError as exc:
+    except (ArithmeticError, RuntimeWarning) as exc:
         raise DomainError(f"{type(exc).__name__}: {exc}") from exc
     if not np.isfinite(out).all():
         i = int(np.argwhere(~np.isfinite(out))[0, 0]) + 1

@@ -112,11 +112,12 @@ def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
     from _minimal: one lexicographic sort and a running minimum when
     Q = 2, one boolean pass over the p^2 pairs when Q >= 3.  Classes are
     connected components of the graph linking minimal indices whose images
-    differ by at most tol_group in the infinity norm, found from the (m, k, k)
-    closeness tensor over the k minimal images; ordering is deterministic by
-    smallest member index.  Only the graph's edges are walked, so when every
-    class is a singleton no Python step runs per index.  A non-finite
-    tol_group raises ValueError.
+    differ by at most tol_group in the infinity norm: the (k, k) closeness
+    matrix over the k minimal images, squared until it stops growing, is
+    their closure, and each row's first member is its class's smallest.
+    Classes are ordered by smallest member index.  When every class is a
+    singleton the matrix is never squared.  A non-finite tol_group raises
+    ValueError.
     """
     if not math.isfinite(tol_group):  # a nan or inf makes every comparison false or true
         raise ValueError(f"tol_group must be finite, got {tol_group}")
@@ -130,23 +131,11 @@ def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
     if np.count_nonzero(close) == len(minimal):       # the diagonal only
         classes = tuple(zip(minimal))
     else:
-        root = list(range(len(minimal)))              # union-find over the edges
-
-        def find(v):
-            while root[v] != v:
-                root[v] = root[root[v]]
-                v = root[v]
-            return v
-
-        rows, cols = np.nonzero(close)
-        edge = rows < cols
-        for r, s in zip(rows[edge].tolist(), cols[edge].tolist()):
-            r, s = find(r), find(s)
-            root[max(r, s)] = min(r, s)
-        groups: dict = {}
-        for v, i in enumerate(minimal):
-            groups.setdefault(find(v), []).append(i)
-        classes = tuple(map(tuple, groups.values()))
+        reach = close | np.eye(len(minimal), dtype=bool)    # a tol_group < 0 links nothing
+        while np.count_nonzero(grown := reach @ reach) > np.count_nonzero(reach):
+            reach = grown
+        firsts = np.unique(reach.argmax(axis=1))
+        classes = tuple(tuple((idx[row] + 1).tolist()) for row in reach[firsts])
 
     varsigma = float((AV / c.Ae).max(axis=1).min())   # as cone.varsigma computes it
     return MinimalStructure(minimal_indices=minimal, classes=classes, w=len(classes),

@@ -51,7 +51,6 @@ class SolverConfig:
     max_backtracks: int = 60
     method: str = "quasi_newton"
     seed: int = 0
-    trace_images: bool = False
 
     def __post_init__(self):
         for name in ("beta", "nu"):
@@ -74,7 +73,6 @@ class SolverConfig:
 class IterateRecord:
     k: int
     x: np.ndarray
-    images: Optional[np.ndarray]      # F(x) snapshot when cfg.trace_images
     w: int
     partition_count: int
     a: tuple
@@ -114,8 +112,8 @@ def armijo_backtrack(ps: ProblemSpec, x, a: tuple, u, F, phi: float, cfg: Solver
     component j of the selector a.
 
     F is the full image set at x, whose rows of a's 1-based indices are read,
-    and phi < 0 the subproblem value at x.  Returns (t, q, F_trial) with
-    F_trial the full image set at x + t*u.
+    and phi < 0 the subproblem value at x.  Returns (t, q, x_trial, F_trial)
+    with x_trial = x + t*u and F_trial the full image set there.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -124,21 +122,25 @@ def armijo_backtrack(ps: ProblemSpec, x, a: tuple, u, F, phi: float, cfg: Solver
     At = ps.cone.A.T
     for q in range(cfg.max_backtracks + 1):
         t = cfg.nu ** q
-        F_trial = problem_mod.eval_F(ps, x + t * u)
+        x_trial = x + t * u
+        F_trial = problem_mod.eval_F(ps, x_trial)
         diff = (f_sel - F_trial.take(sel, 0)) @ At + cfg.beta * t * phi * ps.cone.Ae   # (w, Q)
         if (diff >= -TOL_ARMIJO).all():
-            return t, q, F_trial
+            return t, q, x_trial, F_trial
     bad = int(np.flatnonzero(~(diff >= -TOL_ARMIJO).all(axis=1))[0]) + 1
     raise LineSearchFailure(
         f"no Armijo step within {cfg.max_backtracks} backtracks "
         f"(component j={bad} of the selector)", violating_component=bad)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
     """Execute the main loop from x0 and record a full iterate trace.
 
     F and J are evaluated at most once per accepted point; F and the
-    scalarized gradients of J are carried forward.
+    scalarized gradients of J are carried forward.  numpy overflows and
+    invalid values pass silently here: eval_F and eval_jacobians type a
+    non-finite result as a DomainError, which ends the run.
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     if x.shape[0] != ps.n:
@@ -161,7 +163,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
             sol = direction_mod.solve_subproblem(grads, store, ms)
             u_norm = float(np.linalg.norm(sol.u))
             rec = IterateRecord(
-                k=k, x=x.copy(), images=F.copy() if cfg.trace_images else None, w=ms.w,
+                k=k, x=x.copy(), w=ms.w,
                 partition_count=ms.partition_count(), a=sol.a,
                 u=sol.u.copy(), u_norm=u_norm, phi=sol.phi, t=0.0,
                 backtracks=0, varsigma=ms.varsigma, gap=sol.gap, bfgs_skips=0, millis=0.0)
@@ -172,8 +174,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
                 trace.status = CONVERGED
                 break
 
-            t, q, F_new = armijo_backtrack(ps, x, sol.a, sol.u, F, sol.phi, cfg)
-            x_new = x + t * sol.u
+            t, q, x_new, F_new = armijo_backtrack(ps, x, sol.a, sol.u, F, sol.phi, cfg)
             grads_new = None
             skips = 0
             if qn:

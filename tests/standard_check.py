@@ -2,13 +2,20 @@
 change must keep, and a digest of every bit of their traces.
 
 Runs the seven builtins, their hand-coded references from `builtins_ref.py`,
-`large_p_spec(200)` from `perfbench/workloads.py` and `ex3_n3.prob`, an n = 3
-lift of ex3 for the inner solve at n >= 3, both methods, from the
-15 starts `bench.sample_start(ps, s, k)` for each seed s in 3, 5 and 7, at the
-default `SolverConfig`.  Per (problem, method) it prints two lines:
+`large_p_spec(200)` from `perfbench/workloads.py`, `ex3_n3.prob`, an n = 3
+lift of ex3 for the inner solve at n >= 3, `ex6_p8.prob`, ex6 at p = 8, whose
+partition set holds 4 selectors, and `selector_moves.prob`, a family whose
+selector moves between iterates, both methods, from the 15 starts
+`bench.sample_start(ps, s, k)` for each seed s in 3, 5 and 7, at the default
+`SolverConfig`.  Per (problem, method) it prints three lines:
 
     <problem> <method> counts <status initial><iterations> per start
+    <problem> <method> evals F <calls> J <calls> backtracks <sum>
     <problem> <method> digest <sha256 of every trace's bits>
+
+The evals line counts the calls of the problem's values and Jacobian
+functions, wrapped through `dataclasses.replace`, and sums the records'
+backtracks.
 
 After a builtin's lines comes one more,
 
@@ -29,17 +36,18 @@ value and Jacobian calls that returned and of DomainErrors, and the digest
 of every returned array's bytes and every error's (index, line, column,
 message).
 
-The count lines are what the ROADMAP's re-base protocol compares between two
-commits; the digests show whether any bit of a trace moved.  The count lines
-are committed as `standard_counts.txt`, which `test_standard_counts.py`
-regenerates and compares; a change that moves a count updates that file.
+The counts and evals lines are what the ROADMAP's re-base protocol compares
+between two commits; the digests show whether any bit of a trace moved.  The
+counts and evals lines are committed as `standard_counts.txt`, which
+`test_standard_counts.py` regenerates and compares; a change that moves a
+count updates that file.
 Run it from the repository root as
 
     python tests/standard_check.py > check.txt
 
 and rewrite the committed counts with
 
-    grep ' counts ' check.txt > tests/standard_counts.txt
+    grep -E ' (counts|evals) ' check.txt > tests/standard_counts.txt
 
 It is not a test module, so pytest does not collect it.
 """
@@ -75,6 +83,8 @@ def problems():
         yield f"{name}-ref", builtin_ref(name)
     yield "large-p", large_p_spec(200)
     yield "ex3-n3", problem.load(str(ROOT / "tests" / "ex3_n3.prob"))
+    yield "ex6-p8", problem.load(str(ROOT / "tests" / "ex6_p8.prob"))
+    yield "selector-moves", problem.load(str(ROOT / "tests" / "selector_moves.prob"))
 
 
 def _feed(h, value):
@@ -164,30 +174,44 @@ def expr_line():
 
 
 def group(name, ps, key, method):
-    """The counts line, the digest line and the iteration total of one (problem, method)."""
+    """The counts, evals and digest lines and the iteration total of one (problem, method)."""
+    calls = {"F": 0, "J": 0}
+
+    def counted(fn, what):
+        def call(x):
+            calls[what] += 1
+            return fn(x)
+        return call
+
+    ps = dataclasses.replace(ps, values_fn=counted(ps.values_fn, "F"),
+                             jacobians_fn=counted(ps.jacobians_fn, "J"))
     cfg = solver.SolverConfig(method=method)
-    counts, h, iterations = [], hashlib.sha256(), 0
+    counts, h, iterations, backtracks = [], hashlib.sha256(), 0, 0
     for seed in SEEDS:
         for k in range(STARTS):
             trace = solver.run(ps, bench.sample_start(ps, seed, k), cfg)
             counts.append(f"{trace.status[0]}{trace.iterations}")
             digest(h, trace)
             iterations += trace.iterations
-    return (f"{name} {key} counts {' '.join(counts)}", f"{name} {key} digest {h.hexdigest()}",
-            iterations)
+            backtracks += sum(r.backtracks for r in trace.records)
+    return (f"{name} {key} counts {' '.join(counts)}",
+            f"{name} {key} evals F {calls['F']} J {calls['J']} backtracks {backtracks}",
+            f"{name} {key} digest {h.hexdigest()}", iterations)
 
 
 def count_lines():
-    """The counts lines, one per (problem, method), as main prints them."""
-    return [group(name, ps, key, method)[0] for name, ps in problems() for key, method in METHODS]
+    """The counts and evals lines, two per (problem, method), as main prints them."""
+    return [line for name, ps in problems() for key, method in METHODS
+            for line in group(name, ps, key, method)[:2]]
 
 
 def main():
     runs = iterations = 0
     for name, ps in problems():
         for key, method in METHODS:
-            counts, digest_line, group_iterations = group(name, ps, key, method)
+            counts, evals, digest_line, group_iterations = group(name, ps, key, method)
             print(counts)
+            print(evals)
             print(digest_line, flush=True)
             runs += len(SEEDS) * STARTS
             iterations += group_iterations

@@ -49,11 +49,11 @@ def test_solve_summary(tmp_path):
 
 
 def test_plot_data(tmp_path):
-    run_cfg = solver.SolverConfig(trace_images=True)
-    trace = solver.run(problem.builtin("ex1"), [2.3], run_cfg)
+    ps = problem.builtin("ex1")
+    trace = solver.run(ps, [2.3], solver.SolverConfig())
     img = str(tmp_path / "img.csv")
     dec = str(tmp_path / "dec.csv")
-    bench.write_plot_data(trace, img, dec)
+    bench.write_plot_data(trace, ps, img, dec)
     lines = open(img).read().splitlines()
     assert lines[0] == "k,i,y1,y2"
     assert len(lines) == 1 + 50 * trace.iterations    # p=50 rows per iteration
@@ -341,8 +341,8 @@ def test_run_bench_keeps_every_knob(monkeypatch):
 
 
 def test_config_echo_lists_every_setting():
-    """Every SolverConfig field but the trace_images switch is echoed."""
-    fields = {f.name for f in dataclasses.fields(solver.SolverConfig)} - {"trace_images"}
+    """Every SolverConfig field is echoed."""
+    fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
     assert set(bench._config_echo(cfg())) == fields
 
 

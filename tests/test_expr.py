@@ -259,6 +259,13 @@ def test_array_lane_overflow_is_a_domain_error(src, x, where):
         expr.eval(expr.parse("exp(x1)", 1), [800.0], 1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_array_lane_product_overflow_is_inf_without_a_warning():
+    """A product overflows to inf on lanes as in scalars, with no numpy warning."""
+    assert expr.eval(expr.parse("x1*x1", 1), [1e200], 1) == np.inf
+    assert list(expr.eval(expr.parse("x1*i*x1", 1), [1e200], np.arange(1, 3))) == [np.inf] * 2
+
+
 def test_array_lane_derivative_overflow_is_a_domain_error():
     # (1e-200 i)^-1.5 is finite, its derivative's (1e-200 i)^-2.5 is not
     ast = expr.parse("pow(x1*i, 0 - 1.5)", 1)

@@ -309,6 +309,14 @@ def test_quotient_derivative_underflow_is_an_overflow(tmp_path):
     assert np.array_equal(d.derivatives, [[1.0, 0.0, 0.0]] * 2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_lane_product_overflow_is_a_domain_error(tmp_path):
+    """A product on lanes overflows with a numpy warning, which is typed."""
+    ps = problem.load(_family_file(tmp_path, ["x1*i*x1"], 2))
+    with pytest.raises(DomainError):
+        problem.eval_F(ps, [1e200, 0.0, 0.0])
+
+
 def _nested(depth):
     """(x1*i/depth + (... + (x1*i/1 + x1*i))): `depth` nested parentheses."""
     source = "x1*i"

@@ -58,11 +58,14 @@ def test_run_rejects_a_non_finite_start(name, x0):
         solver.run(problem.builtin(name), x0, solver.SolverConfig())
 
 
-@pytest.mark.parametrize("trace_images", [False, True])
-def test_images_are_recorded_only_when_asked(trace_images):
-    trace = solver.run(problem.builtin("ex5"), [4.0],
-                       solver.SolverConfig(trace_images=trace_images))
-    assert all((r.images is not None) == trace_images for r in trace.records)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", solver.METHODS)
+def test_overflow_far_from_the_box_ends_numerical_error(method):
+    """ex7's squared distances overflow on lanes at 1e160: typed, with no numpy warning."""
+    ps = problem.builtin("ex7")
+    trace = solver.run(ps, ps.sample_box.mean(axis=1) + 1e160, paper_cfg(method=method))
+    assert trace.status == solver.NUMERICAL_ERROR
+    assert "is not finite" in trace.message and trace.iterations == 0
 
 
 @pytest.mark.parametrize("method, iterations", [("quasi_newton", 3), ("steepest_descent", 8)])
@@ -106,8 +109,8 @@ def test_armijo_hand_example():
     """
     ps = make_scalar_problem(lambda t: t * t, lambda t: 2.0 * t)
     cfg = paper_cfg()
-    t, q, _ = solver.armijo_backtrack(ps, [1.0], (1,), [-2.0], problem.eval_F(ps, [1.0]),
-                                      -2.0, cfg)
+    t, q, _, _ = solver.armijo_backtrack(ps, [1.0], (1,), [-2.0], problem.eval_F(ps, [1.0]),
+                                         -2.0, cfg)
     assert q == 1 and t == pytest.approx(0.6)
 
 
@@ -115,8 +118,8 @@ def test_armijo_linear_accepts_full_step():
     c = 3.0
     ps = make_scalar_problem(lambda t: c * t, lambda t: c)
     # H = 1: u = -c and phi = -c^2/2
-    t, q, _ = solver.armijo_backtrack(ps, [0.0], (1,), [-c], problem.eval_F(ps, [0.0]),
-                                      -0.5 * c * c, paper_cfg())
+    t, q, _, _ = solver.armijo_backtrack(ps, [0.0], (1,), [-c], problem.eval_F(ps, [0.0]),
+                                         -0.5 * c * c, paper_cfg())
     assert q == 0 and t == 1.0
 
 
