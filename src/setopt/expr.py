@@ -8,9 +8,9 @@ through every operation, so one pass yields the exact gradient.
 Expressions are translated into Python source, one assignment per node, and
 compiled (see "evaluation by generated code" below): `generate` makes one
 values and one Jacobian function for all m expressions of a problem file, over
-an index array.  `eval` and `eval_dual` are views of `generate` for a single
-expression, at an int family index or an index array; one call evaluates
-every index in the array.  Their errors are `generate`'s, "f^i component 1:
+an index array.  `eval` and `eval_dual` run the code `generate` makes for a
+single expression (`eval` only its values function), at an int family index
+or an index array; one call evaluates every index in the array.  Their errors are `generate`'s, "f^i component 1:
 line:column: message", and `eval_dual`'s nondifferentiable flag comes from
 the generated values of the expression's `abs` arguments.
 """
@@ -79,9 +79,9 @@ class Call(Node):
 class ExprAst:
     """Parsed expression plus the dimension it was parsed against.
 
-    `families` holds the `generate` functions of `eval` and of `eval_dual`
-    (whose family adds one expression per `abs` argument) for the index
-    they were last called with.
+    `families` holds the generated functions of `eval` (values) and of
+    `eval_dual` (values and Jacobians of a family that adds one expression
+    per `abs` argument) for the index they were last called with.
     """
 
     root: Node
@@ -225,7 +225,8 @@ class _Parser:
                     raise ParseError(
                         f"{name} takes {_ARITY[name]} argument(s), got {len(args)}", t.line, t.column
                     )
-                if name in INDEX_ONLY and any(_deps(a) & _X for a in args):
+                if name in INDEX_ONLY and any(isinstance(sub, Var)
+                                              for a in args for sub in _postorder(a)):
                     raise ParseError(f"{name} takes only i and constants, not x", t.line, t.column)
                 return Call(t.line, t.column, name, tuple(args))
             if name == "pi":
@@ -297,9 +298,11 @@ def _print(node: Node) -> str:
 # numpy's + - * / round like Python's, so wherever the x-and-i subtrees use
 # only those, every lane is bit-identical to evaluating that index alone;
 # numpy's transcendental functions and powers may differ from `math` in the
-# last bit.  A subtree free of x adds no gradient term, while the zero
-# entries of a variable's unit vector are operands like any other; `x * 1.0`
-# is `x`, and operations on constants are done once, at generation.
+# last bit.  A subtree free of x has no gradient, so it adds no gradient
+# term and no derivative check, and its folds serve the values and the
+# Jacobians alike; the zero entries of a variable's unit vector are operands
+# like any other.  `x * 1.0` is `x`, and operations on constants are done
+# once, at generation.
 #
 # The error raised is the one a walk over i = 1, 2, ... meets first: a
 # family reports the lowest index, then the lowest component.  The first
@@ -323,17 +326,6 @@ def _children(node):
     if isinstance(node, Call):
         return node.args
     return ()
-
-
-def _deps(node) -> int:
-    """Bit mask of what a subtree depends on: _X (some xj) and _I (i)."""
-    deps = 0
-    for sub in _postorder(node):
-        if isinstance(sub, Var):
-            deps |= _X
-        elif isinstance(sub, Param):
-            deps |= _I
-    return deps
 
 
 def _postorder(root):
@@ -555,9 +547,8 @@ class _Emitter:
     on x and i; `component` goes into its failure sites.
     """
 
-    def __init__(self, ns, dual):
+    def __init__(self, ns):
         self.ns = ns
-        self.dual = dual
         self.stmts = []
         self.count = 0
         self.component = 0
@@ -797,7 +788,7 @@ class _Emitter:
         (a, ag), (b, bg) = left, right
         self.check(self.compare(b, "==", 0.0), node, "division by zero")
         value = self.arith("/", a, b)
-        if not self.dual or ag is None and bg is None:     # no derivative to overflow
+        if ag is None and bg is None:     # no derivative to overflow
             return value, None
         numerator = self.g_minus(self.g_scale(b, ag), self.g_scale(a, bg))
         d = self.arith("*", b, b)
@@ -816,7 +807,7 @@ class _Emitter:
             # operand differently
             a = self.let(f"_nwhere({self.either(zero_neg, neg_frac).code}, 1.0, {a.code})", _N)
         value = self.power(node, a, b)
-        if not self.dual:
+        if ag is None and bg is None:
             return value, None
         if bg is None:
             moving = False
@@ -873,7 +864,7 @@ class _Emitter:
 
     def f_sqrt(self, node, a, g):
         self.check(self.compare(a, "<", 0.0), node, "sqrt of a negative value")
-        if not self.dual:
+        if g is None:
             return self.call("sqrt", a), None
         self.check(self.compare(a, "==", 0.0), node, "sqrt derivative at zero")
         s = self.call("sqrt", a)
@@ -881,7 +872,7 @@ class _Emitter:
 
     def f_abs(self, node, a, g):
         value = self.let(f"abs({a.code})", a.kind)
-        if not self.dual:
+        if g is None:
             return value, None
         kink = self.compare(a, "==", 0.0)
         sign = self.let(f"_{'n' if self.lanes else ''}copysign(1.0, {a.code})",
@@ -925,21 +916,20 @@ def _analyse(asts):
 
 
 class _Family:
-    """Generated evaluator of m expressions over one point x: their values
-    (p, m), or with `dual` their Jacobians (p, m, n)."""
+    """Generated evaluators of m expressions over one point x: their values
+    (p, m) and their Jacobians (p, m, n).  Subtrees free of x have no
+    gradient, so the two share their folds."""
 
-    def __init__(self, asts, n, dual, filename=None):
-        self.asts, self.n, self.dual = asts, n, dual
-        self.filename = filename
+    def __init__(self, asts, n, filename=None):
+        self.asts, self.n, self.filename = asts, n, filename
         self.comps = _analyse(asts)
         self.ns = dict(_RUNTIME)
-        self.consts = None
-        self.folder = None
+        self._fold_functions()
 
     def _fold_functions(self):
         """Compile one function `fold<j>(i)` per subtree free of x, and
         evaluate the constants among them (free of i as well) once."""
-        em = _Emitter(self.ns, self.dual)
+        em = _Emitter(self.ns)
         consts, folds = [], []
         for c, (_, deps, roots) in enumerate(self.comps):
             em.component = c
@@ -964,26 +954,29 @@ class _Family:
             src += [f"def fold{j}(i):"]
             src += [("    " + line, risky) for line, risky in body] + [f"    return {value}"]
         filename = f"<{self.filename or 'setopt.expr'}: folds>"
-        src, risky = _source(src, filename)
+        src, self.risky = _source(src, filename)
         exec(compile(src, filename, "exec"), self.ns)
         fns = [(id(root), self.ns[f"fold{j}"]) for j, (root, _, _) in enumerate(folds + consts)]
-        self.folder = fns[:len(folds)], risky
+        self.folds = fns[:len(folds)]
         self.consts = {}
         for key, fn in fns[len(folds):]:
-            (value,), fail = _fold_lanes(fn, [None], risky)
+            (value,), fail = _fold_lanes(fn, [None], self.risky)
             self.consts[key] = value, fail
 
-    def bind(self, lanes: list):
-        """The evaluator x -> result for the index vector `lanes` (a list)."""
-        if self.folder is None:
-            self._fold_functions()
-        folds, risky = self.folder
+    def bind(self, lanes: list, functions=("values", "jacobians")):
+        """The evaluators x -> result named in `functions` for the index
+        vector `lanes` (a list), generated from one fold of the lanes."""
         folded = dict(self.consts)
         floats = [float(i) for i in lanes]
-        for key, fn in folds:
-            values, fail = _fold_lanes(fn, floats, risky)
+        for key, fn in self.folds:
+            values, fail = _fold_lanes(fn, floats, self.risky)
             folded[key] = np.array(values, dtype=float), fail
-        em = _Emitter(dict(self.ns), self.dual)
+        return tuple(self._emit(lanes, folded, function) for function in functions)
+
+    def _emit(self, lanes, folded, function):
+        """The generated function "values" or "jacobians" over the lanes."""
+        jacobians = function == "jacobians"
+        em = _Emitter(dict(self.ns))
         p, m, n = len(lanes), len(self.asts), self.n
         em.put(["xs = x.tolist()"])
         for j in range(n):
@@ -1000,7 +993,7 @@ class _Family:
                 elif isinstance(node, Var):
                     results[id(node)] = _V(f"x{node.index - 1}", _S), (
                         [_ONE if j == node.index - 1 else _ZERO for j in range(n)]
-                        if self.dual else None)
+                        if jacobians else None)
                 elif d & _X:
                     em.lanes = d == _XI
                     args = [results[id(ch)] for ch in _children(node)]
@@ -1010,30 +1003,31 @@ class _Family:
                         args = [(self._lanes(em, v, p), g) for v, g in args]
                     results[id(node)] = em.node(node, args)
             outputs.append(results[id(self.asts[c].root)])
-        self._outputs(em, outputs, p, m, n)
-        function, returns = ("jacobians", "J") if self.dual else ("values", "out")
+        self._outputs(em, outputs, p, m, n, jacobians)
         src = [f"def {function}(x):", "    try:"] + em.program(8)
         src += ["    except _Fail as fail:", "        _raise(fail, x)",
                 "    except (OverflowError, ValueError) as exc:",
-                "        _raise(_Fail(_math_site(_RISKY, exc)), x)", f"    return {returns}"]
+                "        _raise(_Fail(_math_site(_RISKY, exc)), x)",
+                f"    return {'J' if jacobians else 'out'}"]
         filename = f"<{self.filename or 'setopt.expr'}: {function}>"
         src, risky = _source(src, filename)
         if self.filename is not None:
             linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
         ns = em.ns
-        ns.update(_raise=lambda fail, x: self._raise(lanes, fail, x), _RISKY=risky)
+        ns.update(_raise=lambda fail, x: self._raise(lanes, function, fail, x), _RISKY=risky)
         exec(compile(src, filename, "exec"), ns)
         return ns[function]
 
-    def _raise(self, lanes, fail, x):
+    def _raise(self, lanes, function, fail, x):
         """Raise the DomainError of the first failed check at x, whose lowest
         failing lane k failed there first.  A lower lane may fail at a later
-        check, so lanes[:k] are evaluated first and raise if one does."""
+        check, so lanes[:k] are evaluated first, by `function` alone, and
+        raise if one does."""
         k = int(np.argmax(fail.bad))
         if k:
             lower = copy.copy(self)
             lower.filename = None          # keeps the linecache entry of `lanes`
-            lower.bind(lanes[:k])(x)
+            lower.bind(lanes[:k], (function,))[0](x)
         component, line, column, message = fail.site
         exc = DomainError(message, line, column)
         exc.index = lanes[k]
@@ -1057,8 +1051,9 @@ class _Family:
             return _const(values)
         return em.glob("F", values, _N, values)
 
-    def _outputs(self, em, outputs, p, m, n):
-        if not self.dual:
+    @staticmethod
+    def _outputs(em, outputs, p, m, n, jacobians):
+        if not jacobians:
             em.put([f"out = _empty(({p}, {m}))"])
             for c, (value, _) in enumerate(outputs):
                 em.put([f"out[:, {c}] = {value.code}"])
@@ -1085,8 +1080,7 @@ def generate(asts, n: int, index, filename=None):
     `filename`, the generated source is registered in `linecache` under a
     name that contains it, for tracebacks and profiles.
     """
-    lanes = np.asarray(index).tolist()
-    return tuple(_Family(asts, n, dual, filename=filename).bind(lanes) for dual in (False, True))
+    return _Family(asts, n, filename).bind(np.asarray(index).tolist())
 
 
 @np.errstate(over="ignore", invalid="ignore")   # overflow on lanes is inf, as in scalars
@@ -1106,11 +1100,13 @@ def _evaluate(ast, x, i, dual):
         # for the nondifferentiable flag: a column per `abs` argument
         abs_args = [ExprAst(node.args[0], ast.n) for node in _postorder(ast.root)
                     if dual and isinstance(node, Call) and node.name == "abs"]
-        cached = ast.families[dual] = key, generate([ast] + abs_args, ast.n, iv)
-    values, jacobians = cached[1]
+        functions = ("values", "jacobians") if dual else ("values",)
+        cached = ast.families[dual] = key, _Family([ast] + abs_args, ast.n).bind(iv.tolist(),
+                                                                                 functions)
     if not dual:
-        out = values(x)[:, 0]
+        out = cached[1][0](x)[:, 0]
         return float(out[0]) if scalar else out
+    values, jacobians = cached[1]
     J = jacobians(x)[:, 0]      # first: its checks hold every check of `values`
     out = values(x)
     kinks = (out[:, 1:] == 0.0).any(axis=1)
@@ -1121,7 +1117,7 @@ def _evaluate(ast, x, i, dual):
 
 def eval(ast: ExprAst, x, i):  # noqa: A001 - spec operation name
     """Evaluate at x with family index i: the values function of
-    `generate([ast], ast.n, i)`.
+    `generate([ast], ast.n, i)`, generated alone.
 
     An int i gives a float; an index array gives one value per index.  A
     failed domain check raises `generate`'s DomainError, "f^i component 1:

@@ -174,6 +174,8 @@ def _eval_dual(node, x, i, flag):
 
 def _pow_dual(node, av, ag, bv, bg):
     value = _pow_value(node, av, bv)
+    if not _has_x(node):            # no derivative, so no derivative check
+        return value, np.zeros_like(ag)
     if np.any(bg != 0.0):
         if av <= 0.0:
             _fail(node, "non-constant exponent needs a positive base")
@@ -216,9 +218,11 @@ def _call_dual(node, duals, flag):
     if name == "sqrt":
         if v < 0.0:
             _fail(node, "sqrt of a negative value")
+        s = math.sqrt(v)
+        if not _has_x(node):        # no derivative, so no derivative check
+            return s, np.zeros_like(g)
         if v == 0.0:
             _fail(node, "sqrt derivative at zero")
-        s = math.sqrt(v)
         return s, g / (2.0 * s)
     if name == "abs":
         if v == 0.0:

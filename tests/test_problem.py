@@ -9,12 +9,12 @@ import warnings
 import numpy as np
 import pytest
 from builtins_ref import builtin_ref, uncertainty_grid
-from expr_walk import walk_dual, walk_eval, walk_generate
+from expr_walk import walk_dual, walk_dual_lanes, walk_eval, walk_generate
 from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 from test_expr import _EXPRESSIONS
 
-from setopt import bench, cone, expr, oracle, problem
+from setopt import bench, cone, expr, oracle, problem, solver
 from setopt.errors import (DomainError, FormatError, RankDeficient, SetoptError,
                            UnknownProblem)
 
@@ -307,6 +307,42 @@ def test_quotient_derivative_underflow_is_an_overflow(tmp_path):
     # a quotient free of x has no derivative to overflow
     d = expr.eval_dual(expr.parse("x1 + 1/(1e-170*i)", 3), x, np.arange(1, 3))
     assert np.array_equal(d.derivatives, [[1.0, 0.0, 0.0]] * 2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("offset", ["sqrt(i-1)", "(i-1)^0.5", "pow(i-1, 0.5)"])
+def test_subtree_free_of_x_has_no_derivative_check(tmp_path, offset):
+    """sqrt and x^0.5 at 0 have no derivative, but a subtree free of x needs
+    none: at i = 1 the offset is 0 and the family stays smooth."""
+    src = f"x1*x1 + {offset}"
+    ps = problem.load(_write(tmp_path, "[meta] name=passive n=1 m=1 p=3\n[box]\n-5 5\n"
+                             f"[functions]\n{src}\n", "passive.prob"))
+    ast = expr.parse(src, 1)
+    for x in ([2.5], [0.0], [-1.5]):
+        J = problem.eval_jacobians(ps, x)
+        assert np.array_equal(J[:, 0, :], [[2.0 * x[0]]] * 3)
+        assert np.array_equal(J[:, 0, :], walk_dual_lanes(ast, x, range(1, 4)))
+    for method in ("quasi_newton", "steepest_descent"):
+        trace = solver.run(ps, [2.5], solver.SolverConfig(method=method))
+        assert trace.status == solver.CONVERGED, (method, trace.message)
+
+
+def test_derivative_check_follows_the_syntax(tmp_path):
+    """x1 - x1 reads x, so its sqrt is checked, as a walk checks it."""
+    src = "x1*x1 + sqrt(x1 - x1 + i - 1)"
+    ps = problem.load(_write(tmp_path, "[meta] name=syntactic n=1 m=1 p=3\n[box]\n-5 5\n"
+                             f"[functions]\n{src}\n", "syntactic.prob"))
+    ast = expr.parse(src, 1)
+    for call in (lambda: problem.eval_jacobians(ps, [2.5]),
+                 lambda: expr.eval_dual(ast, [2.5], np.arange(1, 4)),
+                 lambda: walk_dual(ast, [2.5], 1)):
+        with pytest.raises(DomainError, match="sqrt derivative at zero") as ei:
+            call()
+        assert (ei.value.line, ei.value.column) == (1, 9)
+    assert str(ei.value) == "1:9: sqrt derivative at zero"
+    with pytest.raises(DomainError) as ei:
+        problem.eval_jacobians(ps, [2.5])
+    assert ei.value.index == 1 and str(ei.value).startswith("f^1 component 1: ")
 
 
 @pytest.mark.filterwarnings("error")
