@@ -38,16 +38,18 @@ message).
 
 The counts and evals lines are what the ROADMAP's re-base protocol compares
 between two commits; the digests show whether any bit of a trace moved.  The
-counts and evals lines are committed as `standard_counts.txt`, which
-`test_standard_counts.py` regenerates and compares; a change that moves a
-count updates that file.
+counts and evals lines, and the expr line without its digest, are committed
+as `standard_counts.txt`, which `test_standard_counts.py` regenerates and
+compares; a change that moves a count, or what the code generator returns
+or raises, updates that file.
 Run it from the repository root as
 
     python tests/standard_check.py > check.txt
 
 and rewrite the committed counts with
 
-    grep -E ' (counts|evals) ' check.txt > tests/standard_counts.txt
+    grep -E ' (counts|evals) |^expr ' check.txt | sed -E 's/ [0-9a-f]{64}$//' \
+        > tests/standard_counts.txt
 
 It is not a test module, so pytest does not collect it.
 """
@@ -200,9 +202,10 @@ def group(name, ps, key, method):
 
 
 def count_lines():
-    """The counts and evals lines, two per (problem, method), as main prints them."""
+    """The counts and evals lines, two per (problem, method), as main prints
+    them, then the expr line without its digest."""
     return [line for name, ps in problems() for key, method in METHODS
-            for line in group(name, ps, key, method)[:2]]
+            for line in group(name, ps, key, method)[:2]] + [expr_line().rsplit(" ", 1)[0]]
 
 
 def main():

@@ -3,7 +3,8 @@
 `standard_counts.txt` holds the counts and evals lines of `python
 tests/standard_check.py`: per (problem, method), the status initial and
 iteration count of each of its 45 fixed-seed runs, and their F and J
-evaluations and backtracks.  A change that moves a count must update the
+evaluations and backtracks; then its expr line's counts of generated calls
+that returned and raised.  A change that moves a count must update the
 file, so the move shows as a diff of it.  Warnings are errors here, so a
 numpy warning that escapes a standard run fails the test.
 """
