@@ -10,9 +10,10 @@ compiled (see "evaluation by generated code" below): `generate` makes one
 values and one Jacobian function for all m expressions of a problem file, over
 an index array.  `eval` and `eval_dual` run the code `generate` makes for a
 single expression (`eval` only its values function), at an int family index
-or an index array; one call evaluates every index in the array.  Their errors are `generate`'s, "f^i component 1:
-line:column: message", and `eval_dual`'s nondifferentiable flag comes from
-the generated values of the expression's `abs` arguments.
+or an index array; one call evaluates every index in the array.  Their
+errors are `generate`'s, "f^i component 1: line:column: message", and
+`eval_dual`'s nondifferentiable flag comes from the generated values of the
+expression's `abs` arguments.
 """
 
 from __future__ import annotations
@@ -924,11 +925,8 @@ class _Family:
         self.asts, self.n, self.filename = asts, n, filename
         self.comps = _analyse(asts)
         self.ns = dict(_RUNTIME)
-        self._fold_functions()
-
-    def _fold_functions(self):
-        """Compile one function `fold<j>(i)` per subtree free of x, and
-        evaluate the constants among them (free of i as well) once."""
+        # one function `fold<j>(i)` per subtree free of x, compiled once; the
+        # constants among them (free of i as well) are evaluated once
         em = _Emitter(self.ns)
         consts, folds = [], []
         for c, (_, deps, roots) in enumerate(self.comps):
@@ -1100,9 +1098,8 @@ def _evaluate(ast, x, i, dual):
         # for the nondifferentiable flag: a column per `abs` argument
         abs_args = [ExprAst(node.args[0], ast.n) for node in _postorder(ast.root)
                     if dual and isinstance(node, Call) and node.name == "abs"]
-        functions = ("values", "jacobians") if dual else ("values",)
-        cached = ast.families[dual] = key, _Family([ast] + abs_args, ast.n).bind(iv.tolist(),
-                                                                                 functions)
+        cached = ast.families[dual] = key, _Family([ast] + abs_args, ast.n).bind(
+            iv.tolist(), ("values", "jacobians") if dual else ("values",))
     if not dual:
         out = cached[1][0](x)[:, 0]
         return float(out[0]) if scalar else out
