@@ -48,8 +48,7 @@ Run it from the repository root as
 
 and rewrite the committed counts with
 
-    grep -E ' (counts|evals) |^expr ' check.txt | sed -E 's/ [0-9a-f]{64}$//' \
-        > tests/standard_counts.txt
+    grep -E ' (counts|evals) |^expr ' check.txt | sed -E 's/ [0-9a-f]{64}$//' > tests/standard_counts.txt
 
 It is not a test module, so pytest does not collect it.
 """

@@ -332,17 +332,16 @@ def test_derivative_check_follows_the_syntax(tmp_path):
     src = "x1*x1 + sqrt(x1 - x1 + i - 1)"
     ps = problem.load(_write(tmp_path, "[meta] name=syntactic n=1 m=1 p=3\n[box]\n-5 5\n"
                              f"[functions]\n{src}\n", "syntactic.prob"))
+    with pytest.raises(DomainError) as ei:
+        problem.eval_jacobians(ps, [2.5])
+    assert ei.value.index == 1
+    assert str(ei.value) == "f^1 component 1: 1:9: sqrt derivative at zero"
     ast = expr.parse(src, 1)
-    for call in (lambda: problem.eval_jacobians(ps, [2.5]),
-                 lambda: expr.eval_dual(ast, [2.5], np.arange(1, 4)),
+    for call in (lambda: expr.eval_dual(ast, [2.5], np.arange(1, 4)),
                  lambda: walk_dual(ast, [2.5], 1)):
         with pytest.raises(DomainError, match="sqrt derivative at zero") as ei:
             call()
         assert (ei.value.line, ei.value.column) == (1, 9)
-    assert str(ei.value) == "1:9: sqrt derivative at zero"
-    with pytest.raises(DomainError) as ei:
-        problem.eval_jacobians(ps, [2.5])
-    assert ei.value.index == 1 and str(ei.value).startswith("f^1 component 1: ")
 
 
 @pytest.mark.filterwarnings("error")
