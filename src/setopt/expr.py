@@ -302,8 +302,9 @@ def _print(node: Node) -> str:
 # last bit.  A subtree free of x has no gradient, so it adds no gradient
 # term and no derivative check, and its folds serve the values and the
 # Jacobians alike; the zero entries of a variable's unit vector are operands
-# like any other.  `x * 1.0` is `x`, and operations on constants are done
-# once, at generation.
+# like any other.  So a^b takes the log rule, with its check a > 0, exactly
+# where the exponent reads x.  `x * 1.0` is `x`, and operations on constants
+# are done once, at generation.
 #
 # The error raised is the one a walk over i = 1, 2, ... meets first: a
 # family reports the lowest index, then the lowest component.  The first
@@ -403,93 +404,9 @@ def _npow(a, b):
         return a ** b
 
 
-# Gradients whose presence is known only at run time (see _pow_grad): None
-# where zero, else a tuple of n floats or lane arrays.
-
-def _tneg(g):
-    return None if g is None else tuple(-a for a in g)
-
-
-def _tplus(a, b):
-    if a is None:
-        return b
-    return a if b is None else tuple(x + y for x, y in zip(a, b))
-
-
-def _tminus(a, b):
-    if b is None:
-        return a
-    return _tneg(b) if a is None else tuple(x - y for x, y in zip(a, b))
-
-
-def _tscale(v, g):
-    return None if g is None else tuple(v * a for a in g)
-
-
-def _tover(g, d):
-    if g is None:
-        return None
-    return tuple(a / d for a in g)
-
-
-def _put(J, c, g):
-    if g is None:
-        J[:, c] = 0.0
-    else:
-        for j, a in enumerate(g):
-            J[:, c, j] = a
-
-
-def _spow(a, b, overflow, domain):
-    try:
-        return a ** b
-    except OverflowError:
-        raise _Fail(overflow) from None
-    except ValueError:
-        raise _Fail(domain) from None
-
-
-def _pow_grad(lanes, sites, av, bv, value, ag, bg):
-    """Gradient of a^b where whether the exponent moves is known only at
-    run time, on lanes or on Python floats (then exactly one branch runs)."""
-    positive, unbounded, overflow, domain = sites
-    moving = False
-    for g in bg or ():
-        moving = moving | (g != 0.0)
-    grad = None
-    if np.any(moving):
-        _check(moving & (av <= 0.0), positive)
-        pos = np.where(av > 0.0, av, 1.0) if lanes else (av if av > 0.0 else 1.0)
-        log = np.log(pos) if lanes else math.log(pos)
-        grad = _tscale(value, _tplus(_tscale(log, bg), _tover(_tscale(bv, ag), pos)))
-    if not np.all(moving):
-        zero = av == 0.0
-        _check(np.logical_not(moving) & zero
-               & np.logical_not((bv == 1.0) | (bv > 1.0) | (bv == 0.0)), unbounded)
-        if lanes:
-            base = np.where(zero, 1.0, av)
-            power = _npow(base, bv - 1.0)
-            bad = np.isinf(power) & np.logical_not(moving) & np.isfinite(base)
-            bad &= np.isfinite(bv - 1.0)
-            _check(bad, overflow)
-            coef = np.where(zero, np.where(bv == 1.0, 1.0, 0.0), bv * power)
-        else:
-            power = _spow(1.0 if zero else av, bv - 1.0, overflow, domain)
-            coef = (1.0 if bv == 1.0 else 0.0) if zero else bv * power
-        fixed = _tscale(coef, ag)
-        if grad is None:
-            grad = fixed
-        else:
-            grad = tuple(np.where(moving, g, 0.0 if fixed is None else f)
-                         for g, f in zip(grad, fixed or grad))
-    return grad
-
-
 _RUNTIME = {
-    "_Fail": _Fail, "_math_site": _math_site,
-    "_tneg": _tneg, "_tplus": _tplus, "_tminus": _tminus, "_tscale": _tscale,
-    "_tover": _tover, "_put": _put, "_pow_grad": _pow_grad, "_nexp": _nexp,
-    "_npow": _npow, "_empty": np.empty, "_nan": math.nan, "_inf": math.inf,
+    "_Fail": _Fail, "_math_site": _math_site, "_nexp": _nexp, "_npow": _npow,
+    "_empty": np.empty, "_nan": math.nan, "_inf": math.inf,
     "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
     "_log": math.log, "_sqrt": math.sqrt, "_copysign": math.copysign,
     "_isfinite": math.isfinite, "_floor": math.floor,
@@ -500,9 +417,8 @@ _RUNTIME = {
 }
 
 # operand kinds: a constant known at generation (`value`), a Python float,
-# a numpy object (a lane array, or a fold array with its `value`), or a
-# run-time gradient tuple
-_C, _S, _N, _T = "C", "S", "N", "T"
+# or a numpy object (a lane array, or a fold array with its `value`)
+_C, _S, _N = "C", "S", "N"
 
 _FOLD_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 _COMPARE = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt}
@@ -717,42 +633,28 @@ class _Emitter:
             return self.risky(f"{a.code} ** {b.code}", node)
         return self.finite(node, self.let(f"_npow({a.code}, {b.code})", _N), a, b)
 
-    # gradients: None (zero), a list of n operands, or a _T run-time tuple
-
-    def tup(self, g) -> str:
-        return "None" if g is None else g.code if isinstance(g, _V) else \
-            "(" + "".join(f"{c.code}, " for c in g) + ")"
+    # gradients: None (zero), or a list of n operands
 
     def g_neg(self, g):
-        if g is None or isinstance(g, list):
-            return g and [self.neg(c) for c in g]
-        return self.let(f"_tneg({g.code})", _T, "g")
+        return g and [self.neg(c) for c in g]
 
     def g_plus(self, a, b):
         if a is None or b is None:
             return b if a is None else a
-        if isinstance(a, list) and isinstance(b, list):
-            return [self.arith("+", x, y) for x, y in zip(a, b)]
-        return self.let(f"_tplus({self.tup(a)}, {self.tup(b)})", _T, "g")
+        return [self.arith("+", x, y) for x, y in zip(a, b)]
 
     def g_minus(self, a, b):
         if b is None:
             return a
         if a is None:
             return self.g_neg(b)
-        if isinstance(a, list) and isinstance(b, list):
-            return [self.arith("-", x, y) for x, y in zip(a, b)]
-        return self.let(f"_tminus({self.tup(a)}, {self.tup(b)})", _T, "g")
+        return [self.arith("-", x, y) for x, y in zip(a, b)]
 
     def g_scale(self, v, g):
-        if g is None or isinstance(g, list):
-            return g and [self.arith("*", v, c) for c in g]
-        return self.let(f"_tscale({v.code}, {g.code})", _T, "g")
+        return g and [self.arith("*", v, c) for c in g]
 
     def g_over(self, g, d):
-        if g is None or isinstance(g, list):
-            return g and [self.arith("/", c, d) for c in g]
-        return self.let(f"_tover({g.code}, {d.code})", _T, "g")
+        return g and [self.arith("/", c, d) for c in g]
 
     # nodes
 
@@ -810,20 +712,7 @@ class _Emitter:
         value = self.power(node, a, b)
         if ag is None and bg is None:
             return value, None
-        if bg is None:
-            moving = False
-        elif isinstance(bg, list) and any(c.kind == _C and c.value != 0.0 for c in bg):
-            moving = True
-        elif isinstance(bg, list) and all(c.kind == _C for c in bg):
-            moving = False
-        else:
-            sites = ", ".join(self.site(node, m) for m in (
-                "non-constant exponent needs a positive base",
-                "derivative of x^b unbounded at x=0 for 0<b<1", "overflow", "math domain error"))
-            return value, self.let(
-                f"_pow_grad({self.lanes}, ({sites}), {a.code}, {b.code}, "
-                f"{value.code}, {self.tup(ag)}, {self.tup(bg)})", _T, "g", pure=False)
-        if moving:
+        if bg is not None:             # the exponent reads x: the log rule
             self.check(self.compare(a, "<=", 0.0), node,
                        "non-constant exponent needs a positive base")
             pos = self.select(self.compare(a, ">", 0.0), a, _ONE)
@@ -1060,10 +949,8 @@ class _Family:
         for c, (_, g) in enumerate(outputs):
             if g is None:
                 em.put([f"J[:, {c}] = 0.0"])
-            elif not isinstance(g, list):
-                em.put([f"_put(J, {c}, {g.code})"])
             elif all(a.kind in (_C, _S) for a in g):
-                em.put([f"J[:, {c}] = {em.tup(g)}"])
+                em.put([f"J[:, {c}] = ({''.join(f'{a.code}, ' for a in g)})"])
             else:
                 em.put([f"J[:, {c}, {j}] = {a.code}" for j, a in enumerate(g)])
 

@@ -176,7 +176,8 @@ def _pow_dual(node, av, ag, bv, bg):
     value = _pow_value(node, av, bv)
     if not _has_x(node):            # no derivative, so no derivative check
         return value, np.zeros_like(ag)
-    if np.any(bg != 0.0):
+    exponent = node.right if isinstance(node, BinOp) else node.args[1]
+    if _has_x(exponent):            # the log rule, by the syntax as for sqrt
         if av <= 0.0:
             _fail(node, "non-constant exponent needs a positive base")
         grad = value * (bg * math.log(av) + bv * ag / av)

@@ -327,21 +327,34 @@ def test_subtree_free_of_x_has_no_derivative_check(tmp_path, offset):
         assert trace.status == solver.CONVERGED, (method, trace.message)
 
 
-def test_derivative_check_follows_the_syntax(tmp_path):
-    """x1 - x1 reads x, so its sqrt is checked, as a walk checks it."""
-    src = "x1*x1 + sqrt(x1 - x1 + i - 1)"
+def _assert_syntactic_check(tmp_path, src, column, message):
+    """At p = 3 and x1 = 2.5, the Jacobian of `src` fails at f^1 with
+    `message` at 1:column, generated or walked."""
     ps = problem.load(_write(tmp_path, "[meta] name=syntactic n=1 m=1 p=3\n[box]\n-5 5\n"
                              f"[functions]\n{src}\n", "syntactic.prob"))
     with pytest.raises(DomainError) as ei:
         problem.eval_jacobians(ps, [2.5])
     assert ei.value.index == 1
-    assert str(ei.value) == "f^1 component 1: 1:9: sqrt derivative at zero"
+    assert str(ei.value) == f"f^1 component 1: 1:{column}: {message}"
     ast = expr.parse(src, 1)
     for call in (lambda: expr.eval_dual(ast, [2.5], np.arange(1, 4)),
                  lambda: walk_dual(ast, [2.5], 1)):
-        with pytest.raises(DomainError, match="sqrt derivative at zero") as ei:
+        with pytest.raises(DomainError, match=message) as ei:
             call()
-        assert (ei.value.line, ei.value.column) == (1, 9)
+        assert (ei.value.line, ei.value.column) == (1, column)
+
+
+def test_derivative_check_follows_the_syntax(tmp_path):
+    """x1 - x1 reads x, so its sqrt is checked, as a walk checks it."""
+    _assert_syntactic_check(tmp_path, "x1*x1 + sqrt(x1 - x1 + i - 1)", 9,
+                            "sqrt derivative at zero")
+
+
+def test_pow_takes_the_log_rule_where_the_exponent_reads_x(tmp_path):
+    """x1 - x1 + 2 reads x, so a^b takes the log rule, which needs a > 0: at
+    i = 1 the base is 0, and the Jacobian fails there."""
+    _assert_syntactic_check(tmp_path, "x1*x1 + (i - 1)^(x1 - x1 + 2)", 16,
+                            "non-constant exponent needs a positive base")
 
 
 @pytest.mark.filterwarnings("error")
