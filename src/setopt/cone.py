@@ -45,8 +45,10 @@ def validate(A, e) -> ConeSpec:
     another length than A's rows), NonFiniteInput (an inf or nan in A or e,
     or an A e that overflows), RankDeficient, or NotInterior.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    e = np.asarray(e, dtype=float).ravel()
+    # copies: the caller's arrays stay writeable, and later changes to them
+    # cannot reach the frozen spec
+    A = np.atleast_2d(np.array(A, dtype=float))
+    e = np.array(e, dtype=float).ravel()
     if A.size == 0:
         raise EmptyMatrix("cone matrix A is empty")
     if A.ndim != 2:

@@ -17,6 +17,19 @@ def test_validate_identity():
     assert c.m == 2 and c.Q == 2
 
 
+def test_validate_copies_the_callers_arrays():
+    """The spec is frozen, the caller's arrays are not, and a later change to
+    them leaves the spec (and its cached A e) as validated."""
+    A, e = np.eye(2), np.array([1.0, 1.0])
+    c = cone.validate(A, e)
+    assert A.flags.writeable and e.flags.writeable
+    A[0, 0], e[:] = -7.0, [-1.0, 5.0]
+    assert np.array_equal(c.A, np.eye(2))
+    assert np.array_equal(c.e, [1.0, 1.0]) and np.array_equal(c.Ae, [1.0, 1.0])
+    assert cone.in_int_cone(c, c.e)
+    assert not (c.A.flags.writeable or c.e.flags.writeable or c.Ae.flags.writeable)
+
+
 def test_validate_slanted(slanted_cone):
     assert np.array_equal(slanted_cone.Ae, [4.0, 3.0])
 
