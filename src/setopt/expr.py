@@ -352,13 +352,6 @@ class _Fail(Exception):
         self.site, self.bad = site, bad
 
 
-def _check(bad, site):
-    """A check whose condition is a Python or a numpy bool, known only at run
-    time."""
-    if np.any(bad):
-        raise _Fail(site, bad)
-
-
 def _math_site(risky, exc):
     """The site of a `math` call or float ** that raised `exc`: `risky` is
     the generated file's name and a map of its lines to their node's
@@ -422,7 +415,7 @@ _C, _S, _N = "C", "S", "N"
 
 _FOLD_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 _COMPARE = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt}
-_LOCAL = re.compile(r"\b[vbgx]\d+\b")
+_LOCAL = re.compile(r"\b[vbx]\d+\b")
 
 
 class _V:
@@ -480,9 +473,9 @@ class _Emitter:
     def put(self, lines, targets=(), pure=False, risky=None):
         self.stmts.append((list(lines), tuple(targets), pure, risky))
 
-    def let(self, expr, kind, prefix="v", pure=True) -> _V:
+    def let(self, expr, kind, prefix="v") -> _V:
         target = self.name(prefix)
-        self.put([f"{target} = {expr}"], (target,), pure)
+        self.put([f"{target} = {expr}"], (target,), pure=True)
         return _V(target, _S if kind == _C else kind)
 
     def glob(self, prefix, obj, kind=_N, value=None) -> _V:
