@@ -43,15 +43,22 @@ from .solver import CONVERGED, MAX_ITERATIONS, IterateTrace, SolverConfig
 
 FORMAT_VERSION = "setopt/1"
 
-TRACE_HEADER_FIXED = ["k", "u_norm", "phi", "t", "q", "varsigma", "gap", "skips", "millis"]
-
 METHOD_KEYS = {"qnm": "quasi_newton", "sd": "steepest_descent"}
 
 
 # --- artifact writers ------------------------------------------------------
 
-def trace_header(n: int) -> list:
-    return ["k"] + [f"x{j}" for j in range(1, n + 1)] + TRACE_HEADER_FIXED[1:]
+# The trace CSV's columns after k and x1..xn: (header, IterateRecord attribute).
+TRACE_COLUMNS = (("u_norm", "u_norm"), ("phi", "phi"), ("t", "t"), ("q", "backtracks"),
+                 ("varsigma", "varsigma"), ("gap", "gap"), ("skips", "bfgs_skips"),
+                 ("millis", "millis"))
+
+
+def write_json(payload: dict, path: str) -> None:
+    """Sorted keys, indent 2 and a final newline; nothing is written if payload fails to encode."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def write_trace_csv(trace: IterateTrace, path: str) -> None:
@@ -59,30 +66,27 @@ def write_trace_csv(trace: IterateTrace, path: str) -> None:
     n = trace.records[0].x.shape[0] if trace.records else 0
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(trace_header(n))
+        wr.writerow(["k"] + [f"x{j}" for j in range(1, n + 1)] + [h for h, _ in TRACE_COLUMNS])
         for r in trace.records:
-            row = [r.k] + [repr(float(v)) for v in r.x] + [
-                repr(r.u_norm), repr(r.phi), repr(r.t), r.backtracks,
-                repr(r.varsigma), repr(r.gap), r.bfgs_skips, repr(r.millis)]
-            wr.writerow(row)
+            wr.writerow([r.k] + [repr(float(v)) for v in r.x]
+                        + [repr(getattr(r, attr)) for _, attr in TRACE_COLUMNS])
 
 
 def read_trace_csv(path: str):
-    """Parse a trace CSV back into a list of dicts (numeric fields exact)."""
+    """Parse a trace CSV back into a list of dicts (numeric fields exact).
+
+    A cell of digits only is an int: a float's repr always holds a '.', an 'e',
+    'inf' or 'nan'.
+    """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
-        out = []
-        for row in rd:
-            rec = {}
-            for key, cell in zip(header, row):
-                rec[key] = int(cell) if key in ("k", "q", "skips") else float(cell)
-            out.append(rec)
-    return out
+        return [{key: int(cell) if cell.isdecimal() else float(cell)
+                 for key, cell in zip(header, row)} for row in rd]
 
 
 def write_solve_summary(trace: IterateTrace, cfg: SolverConfig, path: str) -> None:
-    summary = {
+    write_json({
         "format": FORMAT_VERSION,
         "problem": trace.problem,
         "method": trace.method,
@@ -92,19 +96,8 @@ def write_solve_summary(trace: IterateTrace, cfg: SolverConfig, path: str) -> No
         "x_final": [float(v) for v in trace.x_final],
         "u_norm_final": trace.records[-1].u_norm if trace.records else None,
         "varsigma_final": trace.records[-1].varsigma if trace.records else None,
-        "config": _config_echo(cfg),
-    }
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _config_echo(cfg: SolverConfig) -> dict:
-    return {
-        "beta": cfg.beta, "nu": cfg.nu, "eps_stop": cfg.eps_stop,
-        "max_iter": cfg.max_iter, "max_backtracks": cfg.max_backtracks,
-        "method": cfg.method, "seed": cfg.seed,
-    }
+        "config": dataclasses.asdict(cfg),
+    }, path)
 
 
 def write_plot_data(trace: IterateTrace, ps: ProblemSpec, image_path: str,
@@ -154,35 +147,21 @@ class BenchResult:
     runs: dict = field(default_factory=dict)   # method key -> list[RunRecord]
 
 
-def _mode_int(values) -> int:
-    counts = collections.Counter(values)
-    top = max(counts.values())
-    return min(v for v, cnt in counts.items() if cnt == top)
+def _stats(values: list) -> dict:
+    return {"min": min(values), "max": max(values), "mean": statistics.fmean(values),
+            "median": statistics.median(values), "sd": statistics.pstdev(values)}
 
 
 def iteration_stats(counts) -> dict:
     counts = list(counts)
-    return {
-        "min": min(counts),
-        "max": max(counts),
-        "mean": statistics.fmean(counts),
-        "median": statistics.median(counts),
-        "mode": _mode_int(counts),
-        "sd": statistics.pstdev(counts),
-    }
+    return {**_stats(counts), "mode": min(statistics.multimode(counts))}
 
 
 def time_stats(seconds) -> dict:
+    """mode_ceil is the smallest modal whole second, plus one."""
     seconds = list(seconds)
-    bins = [int(math.floor(s)) for s in seconds]
-    return {
-        "min": min(seconds),
-        "max": max(seconds),
-        "mean": statistics.fmean(seconds),
-        "median": statistics.median(seconds),
-        "mode_ceil": _mode_int(bins) + 1,
-        "sd": statistics.pstdev(seconds),
-    }
+    return {**_stats(seconds),
+            "mode_ceil": min(statistics.multimode(math.floor(s) for s in seconds)) + 1}
 
 
 def _in_stats(records) -> list:
@@ -341,7 +320,7 @@ def stats_payload(result: BenchResult, cfg: SolverConfig) -> dict:
             "statuses": _status_counts(recs),
             "runs_in_stats": len(kept),
         }
-    echo = _config_echo(cfg)
+    echo = dataclasses.asdict(cfg)
     echo.pop("method")
     return {
         "format": FORMAT_VERSION,
@@ -361,18 +340,6 @@ def timing_payload(result: BenchResult) -> dict:
         per_method[method_key] = time_stats(kept) if kept else None
     return {"format": FORMAT_VERSION, "problem": result.problem,
             "seconds": per_method}
-
-
-def write_stats_json(result: BenchResult, cfg: SolverConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(stats_payload(result, cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_timing_json(result: BenchResult, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(timing_payload(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_raw_csv(result: BenchResult, method_key: str, path: str) -> None:

@@ -195,8 +195,8 @@ def cmd_bench(args) -> int:
                                  jobs=args.jobs, box=box)
     stem = os.path.join(out, f"{ps.name}_bench")
     try:
-        bench_mod.write_stats_json(result, cfg, stem + "_stats.json")
-        bench_mod.write_timing_json(result, stem + "_timing.json")
+        bench_mod.write_json(bench_mod.stats_payload(result, cfg), stem + "_stats.json")
+        bench_mod.write_json(bench_mod.timing_payload(result), stem + "_timing.json")
         for m in methods:
             bench_mod.write_raw_csv(result, m, f"{stem}_{m}_raw.csv")
         table = bench_mod.format_table(result)

@@ -36,6 +36,11 @@ def test_trace_csv_roundtrip(tmp_path):
         assert row["phi"] == rec.phi
         assert row["varsigma"] == rec.varsigma
         assert row["gap"] == rec.gap
+        assert row["t"] == rec.t
+        assert row["q"] == rec.backtracks
+        assert row["skips"] == rec.bfgs_skips
+        assert row["millis"] == rec.millis
+        assert all(type(row[key]) is int for key in ("k", "q", "skips"))
 
 
 def test_solve_summary(tmp_path):
@@ -340,10 +345,14 @@ def test_run_bench_keeps_every_knob(monkeypatch):
         {"beta": 0.3, "nu": 0.7, "eps_stop": 2e-3, "max_iter": 40, "max_backtracks": 30}
 
 
-def test_config_echo_lists_every_setting():
+def test_config_echo_lists_every_setting(tmp_path):
     """Every SolverConfig field is echoed."""
     fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
-    assert set(bench._config_echo(cfg())) == fields
+    ps = problem.builtin("ex5")
+    echo = bench.stats_payload(bench.run_bench(ps, 1, ["qnm"], 0, cfg()), cfg())["config"]
+    assert set(echo) | {"method"} == fields
+    bench.write_solve_summary(solver.run(ps, [4.0], cfg()), cfg(), str(tmp_path / "summary.json"))
+    assert set(json.loads((tmp_path / "summary.json").read_text())["config"]) == fields
 
 
 def test_qnm_beats_sd_on_ex3():
@@ -532,6 +541,17 @@ def test_cli_check_samples_below_one_is_a_usage_error(samples, capsys):
 def test_cli_check_directory_is_a_load_failure(tmp_path, capsys):
     assert cli.main(["check", "--problem", str(tmp_path)]) == 1
     assert capsys.readouterr().out.startswith("FAIL IsADirectoryError: ")
+
+
+def test_cli_json_files_are_sorted_indented_and_end_in_a_newline(tmp_path, capsys):
+    assert cli.main(["solve", "--problem", "ex5", "--x0", "4.0", "--out", str(tmp_path)]) == 0
+    assert cli.main(["bench", "--problem", "ex5", "--starts", "3", "--out", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in paths] == ["ex5_bench_stats.json", "ex5_bench_timing.json",
+                                       "ex5_qnm_summary.json"]
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
 
 
 def test_env_out_dir(tmp_path, monkeypatch):
