@@ -46,10 +46,10 @@ class HessianStore:
         self.applied = 0
         self.skipped = 0
 
-    def spd_check(self, tol_sym: float = 1e-12) -> bool:
-        """True iff every matrix is symmetric (to tol) and admits a Cholesky factor."""
+    def spd_check(self) -> bool:
+        """True iff every matrix is symmetric (to 1e-12) and admits a Cholesky factor."""
         B = self.matrices
-        if np.max(np.abs(B - B.transpose(0, 1, 3, 2))) > tol_sym:
+        if np.max(np.abs(B - B.transpose(0, 1, 3, 2))) > 1e-12:
             return False
         try:
             np.linalg.cholesky(B.reshape(-1, self.n, self.n))
@@ -156,7 +156,9 @@ POLISH = 1e-3
 def _dual_point_n(lam, gs, Hs):
     """u(lam), theta_t(u), v_t = g_t + H_t u, phi(lam) and H(lam)^{-1} for any n, on numpy.
 
-    gs holds T rows of n floats and Hs T rows of n*n; lists come back, H(lam)^{-1} flattened.
+    gs holds T rows of n floats and Hs T rows of n*n.  u and theta come back as
+    lists, v as a (T, n) and H(lam)^{-1} as an (n, n) array; at n <= 2, for the
+    closed forms of _face_step, v and H(lam)^{-1} (flattened) as lists too.
     """
     lam, gs, Hs2 = np.array(lam), np.asarray(gs), np.asarray(Hs)
     T, n = gs.shape
@@ -169,38 +171,17 @@ def _dual_point_n(lam, gs, Hs):
             v = gs + Hu
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise SingularSystem("averaged matrix H(lam) is singular") from exc
-    return u.tolist(), theta.tolist(), v.tolist(), float(lam @ theta), Hinv.ravel().tolist()
-
-
-def _face_step(S, point):
-    """Step d over the face S (summing to 0) and whether v_S is affinely dependent.
-
-    Independent: the Newton step of phi on the face.  Dependent: a null
-    direction, sum_t d_t v_t = 0, on which u stays put and phi is linear,
-    signed to ascend.
-    """
-    _, theta, v, _, Hinv = point
-    if len(S) == 2:  # the arithmetic below in scalars: LAPACK's eigh of a 1 x 1 M is (M, 1)
-        i, j = S.tolist()
-        D = v[j] - v[i]
-        m = D @ Hinv @ D
-        dependent = m <= DEPENDENT * m
-        c = 1.0 if dependent else (theta[j] - theta[i]) / m
-        return np.array([c, -c] if dependent and theta[j] < theta[i] else [-c, c]), dependent
-    D = v.take(S[1:], 0) - v[S[0]]
-    w, Q = np.linalg.eigh(D @ Hinv @ D.T)
-    dependent = w[0] <= DEPENDENT * w[-1]
-    c = Q[:, 0] if dependent else Q @ (Q.T @ (theta.take(S[1:]) - theta[S[0]]) / w)
-    d = np.concatenate([[-c.sum()], c])
-    return (-d if dependent and theta.take(S) @ d < 0.0 else d), dependent
+    if n <= 2:
+        v, Hinv = v.tolist(), Hinv.ravel().tolist()
+    return u.tolist(), theta.tolist(), v, float(lam @ theta), Hinv
 
 
 # --- closed forms on Python floats, for n <= 2 -----------------------------
 #
 # With n <= 2 and a few distinct terms, every numpy call above costs more than
 # its arithmetic.  Below, a term's g_t and H_t are lists of n and n*n floats,
-# H(lam) is inverted in closed form, and a face of 2 or 3 terms is stepped on
-# in closed form.
+# H(lam) is inverted in closed form, and a face of 3 terms is stepped on in
+# closed form, as a face of 2 terms is at every n.
 
 def _finite_det(det):
     """Refuse a singular H(lam); False if det is not finite, for _dual_point_n to decide."""
@@ -278,43 +259,61 @@ def _eigh2(a, b, c):
     return pairs if pairs[0][0] <= pairs[1][0] else pairs[::-1]
 
 
-def _face_step_floats(S, point):
-    """_face_step on floats: 2 and 3 terms at n <= 2 in closed form, the rest through numpy."""
+def _face_step(S, point):
+    """Step d over the face S (summing to 0) and whether v_S is affinely dependent.
+
+    Independent: the Newton step of phi on the face.  Dependent: a null
+    direction, sum_t d_t v_t = 0, on which u stays put and phi is linear,
+    signed to ascend.  A face of 2 terms, and of 3 at n <= 2, is stepped on in
+    closed form; numpy's eigh takes every other face.
+    """
     _, theta, v, _, Hinv = point
     if len(S) == 1:
         return [0.0], False
-    n = len(v[0])
-    if len(S) > 3 or n > 2:
-        d, dependent = _face_step(np.array(S), (None, np.array(theta), np.array(v), None,
-                                                np.array(Hinv).reshape(n, n)))
-        return d.tolist(), dependent
-    i = S[0]
-    D = [[a - b for a, b in zip(v[j], v[i])] for j in S[1:]]
-    r = [theta[j] - theta[i] for j in S[1:]]
-    if len(S) == 2:
-        m = _form(Hinv, D[0], D[0])
+    i, j, n = S[0], S[1], len(v[0])
+    if len(S) == 2:  # LAPACK's eigh of a 1 x 1 M is (M, 1)
+        if n <= 2:
+            D = [a - b for a, b in zip(v[j], v[i])]
+            m = _form(Hinv, D, D)
+        else:
+            D = v[j:j + 1] - v[i]
+            m = (D @ Hinv @ D.T).item()
+        r = theta[j] - theta[i]
         dependent = m <= DEPENDENT * m
-        c = 1.0 if dependent else r[0] / m
-        return ([c, -c] if dependent and r[0] < 0.0 else [-c, c]), dependent
-    (w0, q0), (w1, q1) = _eigh2(_form(Hinv, D[0], D[0]), _form(Hinv, D[1], D[0]),
-                                _form(Hinv, D[1], D[1]))
-    dependent = not w0 > DEPENDENT * w1  # a NaN counts as dependent, so no w divides below
-    if dependent:
-        c0, c1 = q0
-    else:  # Q (Q' r / w)
-        z0 = (q0[0] * r[0] + q0[1] * r[1]) / w0
-        z1 = (q1[0] * r[0] + q1[1] * r[1]) / w1
-        c0, c1 = q0[0] * z0 + q1[0] * z1, q0[1] * z0 + q1[1] * z1
-    d = [-(c0 + c1), c0, c1]
-    if dependent and theta[i] * d[0] + theta[S[1]] * c0 + theta[S[2]] * c1 < 0.0:
-        d = [-d[0], -c0, -c1]
-    return d, dependent
+        c = 1.0 if dependent else r / m
+        return ([c, -c] if dependent and r < 0.0 else [-c, c]), dependent
+    r = [theta[k] - theta[i] for k in S[1:]]
+    if n <= 2 and len(S) == 3:
+        D0, D1 = ([a - b for a, b in zip(v[k], v[i])] for k in S[1:])
+        (w0, q0), (w1, q1) = _eigh2(_form(Hinv, D0, D0), _form(Hinv, D1, D0),
+                                    _form(Hinv, D1, D1))
+        dependent = not w0 > DEPENDENT * w1  # a NaN counts as dependent, so no w divides below
+        if dependent:
+            c0, c1 = q0
+        else:  # Q (Q' r / w)
+            z0 = (q0[0] * r[0] + q0[1] * r[1]) / w0
+            z1 = (q1[0] * r[0] + q1[1] * r[1]) / w1
+            c0, c1 = q0[0] * z0 + q1[0] * z1, q0[1] * z0 + q1[1] * z1
+        d = [-(c0 + c1), c0, c1]
+        if dependent and theta[i] * d[0] + theta[j] * c0 + theta[S[2]] * c1 < 0.0:
+            d = [-d[0], -c0, -c1]
+        return d, dependent
+    v = np.asarray(v)  # the lists of an n <= 2 dual point become arrays
+    D = v.take(S[1:], 0) - v[i]
+    w, Q = np.linalg.eigh(D @ np.reshape(Hinv, (n, n)) @ D.T)
+    dependent = w[0] <= DEPENDENT * w[-1]
+    c = Q[:, 0] if dependent else Q @ (Q.T @ np.array(r) / w)
+    d = np.concatenate([[-c.sum()], c])
+    if dependent and np.array([theta[s] for s in S]) @ d < 0.0:
+        d = -d
+    return d.tolist(), dependent
 
 
 def _ascend(lam, gs, Hs, dual_point, tol_sub, max_inner):
     """The active-set ascent from lam, a list: (lam, u, max_t theta_t(u), phi(lam)).
 
-    dual_point(lam, gs, Hs) returns u, theta, v, phi and H(lam)^{-1} in Python floats.
+    dual_point(lam, gs, Hs) returns u, theta and phi in Python floats, and v and
+    H(lam)^{-1} as _face_step reads them.
     """
     point = dual_point(lam, gs, Hs)
     polish = False
@@ -328,11 +327,11 @@ def _ascend(lam, gs, Hs, dual_point, tol_sub, max_inner):
         polish = gap <= tol_sub  # then one more full Newton step on the solved face
         S = [s for s, w in enumerate(lam) if w]
         S_t = S if polish or lam[t] else S + [t]
-        d, dependent = _face_step_floats(S_t, point)
+        d, dependent = _face_step(S_t, point)
         if S_t is S or (d[-1] > 0.0 and sum(theta[s] * x for s, x in zip(S_t, d)) > 0.0):
             S = S_t
         else:  # the most violated term joins only once the larger face's step gives it weight
-            d, dependent = _face_step_floats(S, point)
+            d, dependent = _face_step(S, point)
         neg = [k for k, x in enumerate(d) if x < 0.0]
         if not neg:
             break  # d = 0: no ascent left at working precision
@@ -402,8 +401,8 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500):
     return u, phi, np.bincount(idx, lam, T), gap, gap <= tol_sub
 
 
-def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure,
-                     tol_sub: float = 1e-10, max_inner: int = 500) -> SubproblemSolution:
+def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure
+                     ) -> SubproblemSolution:
     """Minimize over the partition set; ties broken by the first (lexicographic) a.
 
     The selectors a run over the product of ms.classes.  The terms of a are
@@ -425,7 +424,7 @@ def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure,
             Hs = np.eye(n)[None].repeat(T, axis=0)
         else:
             Hs = store.matrices.take(sel, 0).reshape(T, n, n)
-        u, phi, _, gap, _ = solve_minmax(gs, Hs, tol_sub, max_inner)
+        u, phi, _, gap, _ = solve_minmax(gs, Hs)
         if best is None or phi < best.phi:
             best = SubproblemSolution(a=a, u=u, phi=phi, gap=gap)
     return best

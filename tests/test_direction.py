@@ -357,7 +357,7 @@ def test_reference_draws_step_on_two_term_and_full_faces(monkeypatch):
     """The instances above reach 2-term faces and (n + 1)-term faces for every n,
     and match the reference there too."""
     sizes, floats = collections.defaultdict(set), collections.defaultdict(set)
-    face_step, face_step_floats = minmax_ref._face_step, direction._face_step_floats
+    face_step, face_step_floats = minmax_ref._face_step, direction._face_step
 
     def spy(S, point):
         sizes[point[2].shape[1]].add(len(S))
@@ -368,7 +368,7 @@ def test_reference_draws_step_on_two_term_and_full_faces(monkeypatch):
         return face_step_floats(S, point)
 
     monkeypatch.setattr(minmax_ref, "_face_step", spy)
-    monkeypatch.setattr(direction, "_face_step_floats", floats_spy)
+    monkeypatch.setattr(direction, "_face_step", floats_spy)
     for seed in range(40):
         for n in (1, 2, 3):
             gs, Hs = _minmax_instance(seed, n, 1 + seed % 6, (1, 4, 40)[seed % 3], seed % 4 == 0)
