@@ -162,13 +162,16 @@ def load(path: str) -> ProblemSpec:
     cone_rows, cone_e, cone_line = None, None, None
     box_rows = []
     exprs = []
-    section = None
+    section, seen = None, set()
     expect_rows = 0
 
     for no, text in lines:
         if text.startswith("["):
             header, _, rest = text.partition("]")
             section = header[1:].strip()
+            if section in seen:
+                raise FormatError(f"duplicate section [{section}]", section, no)
+            seen.add(section)
             rest = rest.strip()
             if section == "meta":
                 meta = _parse_meta(rest, no)

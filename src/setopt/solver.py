@@ -65,8 +65,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+            setattr(self, name, int(value))
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        self.beta, self.nu, self.eps_stop = float(self.beta), float(self.nu), float(self.eps_stop)
 
 
 @dataclass
@@ -211,7 +213,7 @@ class StationarityReport:
 
 
 def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
-                        cfg: SolverConfig, probe_radius: float = 1e-4) -> StationarityReport:
+                        cfg: SolverConfig) -> StationarityReport:
     """Diagnostics of a point, computed after a run: the descent certificate,
     the regularity test Min = WMin on F(x) and a probe of w near x."""
     x = np.asarray(x, dtype=float).ravel()
@@ -222,14 +224,14 @@ def stationarity_report(ps: ProblemSpec, x, store: Optional[HessianStore],
     sol = direction_mod.solve_subproblem(grads, store, ms)
     min_eq_wmin = ms.minimal_indices == setorder_mod.weakly_minimal_elements(c, F)
 
-    # Heuristic: compare w at 8 deterministic points on a small sphere.
+    # Heuristic: compare w at 8 deterministic points on the sphere of radius 1e-4.
     rng = np.random.default_rng(cfg.seed)
     same = True
     for _ in range(8):
         d = rng.standard_normal(ps.n)
         d = d / np.linalg.norm(d)
         try:
-            probe = setorder_mod.analyze(c, problem_mod.eval_F(ps, x + probe_radius * d))
+            probe = setorder_mod.analyze(c, problem_mod.eval_F(ps, x + 1e-4 * d))
         except SetoptError:
             same = None
             break

@@ -171,6 +171,20 @@ def test_load_rank_deficient_cone_names_line(tmp_path):
     assert "line" in str(ei.value)
 
 
+# a second section of each name, which would load, or fail for another reason, if allowed
+REPEATED = {"meta": "[meta]\nname=again\n", "cone": "[cone] rows=2\n2 -1\n-1 2\n",
+            "box": "[box]\n", "functions": "[functions]\n"}
+
+
+@pytest.mark.parametrize("section", REPEATED)
+def test_load_repeated_section_is_a_format_error(tmp_path, section):
+    text = GOOD.replace("[box]", "[cone] rows=2\n1 0\n0 1\ne=1 1\n[box]")
+    line = len(text.splitlines()) + 1
+    with pytest.raises(FormatError, match=rf"duplicate section \[{section}\]") as ei:
+        problem.load(_write(tmp_path, text + REPEATED[section]))
+    assert (ei.value.section, ei.value.line) == (section, line)
+
+
 def test_load_missing_file():
     with pytest.raises(OSError):
         problem.load("/nonexistent/file.prob")
