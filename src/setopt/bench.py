@@ -63,7 +63,7 @@ def write_json(payload: dict, path: str) -> None:
 
 def write_trace_csv(trace: IterateTrace, path: str) -> None:
     """One row per iteration; floats printed with shortest round-trip repr."""
-    n = trace.records[0].x.shape[0] if trace.records else 0
+    n = trace.x_final.shape[0]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["k"] + [f"x{j}" for j in range(1, n + 1)] + [h for h, _ in TRACE_COLUMNS])
@@ -106,15 +106,13 @@ def write_plot_data(trace: IterateTrace, ps: ProblemSpec, image_path: str,
     iterate, and decision iterates."""
     with open(image_path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        if trace.records:
-            wr.writerow(["k", "i"] + [f"y{j}" for j in range(1, ps.m + 1)])
+        wr.writerow(["k", "i"] + [f"y{j}" for j in range(1, ps.m + 1)])
         for r in trace.records:
             for i, y in enumerate(problem_mod.eval_F(ps, r.x), start=1):
                 wr.writerow([r.k, i] + [repr(float(v)) for v in y])
-    n = trace.records[0].x.shape[0] if trace.records else 0
     with open(decision_path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["k"] + [f"x{j}" for j in range(1, n + 1)])
+        wr.writerow(["k"] + [f"x{j}" for j in range(1, ps.n + 1)])
         for r in trace.records:
             wr.writerow([r.k] + [repr(float(v)) for v in r.x])
 

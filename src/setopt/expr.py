@@ -103,10 +103,11 @@ class DualNumber:
 # --- lexer -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)", re.DOTALL)
 
 
 @dataclass
@@ -117,34 +118,19 @@ class _Token:
     column: int
 
 
+def _position(source: str, at: int):
+    """The 1-based line and column of offset `at`."""
+    return source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at)
+
+
 def _tokenize(source: str):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == m.start():
-            # skip pure whitespace tail
-            rest = source[pos:]
-            if rest.strip() == "":
-                break
-            idx = pos + (len(rest) - len(rest.lstrip()))
-            line = source.count("\n", 0, idx) + 1
-            col = idx - (source.rfind("\n", 0, idx) + 1) + 1
-            raise LexError(f"unexpected character {source[idx]!r}", line, col)
-        start = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
-        line = source.count("\n", 0, start) + 1
-        col = start - (source.rfind("\n", 0, start) + 1) + 1
-        if m.group("num") is not None:
-            kind, text = "num", m.group(0).strip()
-        elif m.group("ident") is not None:
-            kind, text = "ident", m.group("ident")
-        else:
-            kind, text = "op", m.group("op")
-        tokens.append(_Token(kind, text, line, col))
-        pos = m.end()
-    last_line = source.count("\n") + 1
-    tokens.append(_Token("end", "", last_line, len(source) - (source.rfind("\n") + 1) + 1))
-    return tokens
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "bad":
+            raise LexError(f"unexpected character {m.group()!r}", *_position(source, m.start()))
+        if m.lastgroup != "space":
+            tokens.append(_Token(m.lastgroup, m.group(), *_position(source, m.start())))
+    return tokens + [_Token("end", "", *_position(source, len(source)))]
 
 
 # --- parser ----------------------------------------------------------------
@@ -310,11 +296,11 @@ def _print(node: Node) -> str:
 # family reports the lowest index, then the lowest component.  The first
 # check to fail on any lane raises _Fail with the lanes it failed on; so does
 # a fold with failing lanes where the walk meets it, and on every lane a
-# `math` call or float ** that raises, found by its generated line
-# (`_math_site`).  No check failed before it, so it is the first failure of
-# its lowest lane k.  A lower lane may fail at a later check, so `_raise`
-# evaluates lanes[:k] alone first, which raises if one does.  Checks whose
-# operands are constants or folds are decided at generation.
+# `math` call or float ** that raises, caught on its own line (`guarded`).
+# No check failed before it, so it is the first failure of its lowest lane
+# k.  A lower lane may fail at a later check, so `_raise` evaluates
+# lanes[:k] alone first, which raises if one does.  Checks whose operands
+# are constants or folds are decided at generation.
 
 _X, _I = 1, 2
 _XI = _X | _I
@@ -352,21 +338,7 @@ class _Fail(Exception):
         self.site, self.bad = site, bad
 
 
-def _math_site(risky, exc):
-    """The site of a `math` call or float ** that raised `exc`: `risky` is
-    the generated file's name and a map of its lines to their node's
-    (overflow, domain error) sites."""
-    filename, lines = risky
-    tb = exc.__traceback__
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    sites = lines.get(tb.tb_lineno) if tb.tb_frame.f_code.co_filename == filename else None
-    if sites is None:
-        raise exc
-    return sites[0] if isinstance(exc, OverflowError) else sites[1]
-
-
-def _fold_lanes(fn, lanes, risky):
+def _fold_lanes(fn, lanes):
     """A subtree free of x over the lanes: values, and None or the _Fail of
     its lowest failing lane, naming every failing lane; a failing lane is
     nan."""
@@ -377,8 +349,6 @@ def _fold_lanes(fn, lanes, risky):
             value = fn(i)
         except _Fail as fail:
             value, site = math.nan, fail.site
-        except (OverflowError, ValueError) as exc:
-            value, site = math.nan, _math_site(risky, exc)
         values.append(value)
         sites.append(site)
     bad = np.array([site is not None for site in sites])
@@ -398,7 +368,7 @@ def _npow(a, b):
 
 
 _RUNTIME = {
-    "_Fail": _Fail, "_math_site": _math_site, "_nexp": _nexp, "_npow": _npow,
+    "_Fail": _Fail, "_nexp": _nexp, "_npow": _npow,
     "_empty": np.empty, "_nan": math.nan, "_inf": math.inf,
     "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
     "_log": math.log, "_sqrt": math.sqrt, "_copysign": math.copysign,
@@ -450,11 +420,10 @@ def _join(*operands) -> str:
 class _Emitter:
     """The statements of one generated function.
 
-    A statement is (lines, targets, pure, risky): a pure statement whose
-    targets are never read is dropped (`program`); a risky one is a `math`
-    call or float ** that raises where a walk fails, and `risky` is its
-    (component, node).  `lanes` says whether the node being emitted depends
-    on x and i; `component` goes into its failure sites.
+    A statement is (lines, targets, pure): a pure statement whose targets
+    are never read is dropped (`program`).  `lanes` says whether the node
+    being emitted depends on x and i; `component` goes into its failure
+    sites.
     """
 
     def __init__(self, ns):
@@ -470,8 +439,8 @@ class _Emitter:
         self.count += 1
         return f"{prefix}{self.count}"
 
-    def put(self, lines, targets=(), pure=False, risky=None):
-        self.stmts.append((list(lines), tuple(targets), pure, risky))
+    def put(self, lines, targets=(), pure=False):
+        self.stmts.append((list(lines), tuple(targets), pure))
 
     def let(self, expr, kind, prefix="v") -> _V:
         target = self.name(prefix)
@@ -486,27 +455,31 @@ class _Emitter:
     def site(self, node, message) -> str:
         return self.glob("S", (self.component, node.line, node.column, message)).code
 
-    def risky(self, expr, node) -> _V:
+    def guarded(self, expr, node, error) -> _V:
+        """A `math` call or float ** in a `try` of its own, failing at `node`
+        on `error`: exp and ** raise only OverflowError here, and sin, cos
+        and tan only ValueError (on ±inf); the checks before ** rule out its
+        other failures."""
         target = self.name()
-        self.put([f"{target} = {expr}"], (target,), risky=(self.component, node))
+        message = "overflow" if error == "OverflowError" else "math domain error"
+        self.put(["try:", f"    {target} = {expr}", f"except {error}:",
+                  f"    raise _Fail({self.site(node, message)})"], (target,))
         return _V(target, _S)
 
     def program(self, indent, start=0, reads=""):
-        """The source lines of the statements from `start` on, indented, with
-        the (component, node) of each risky line; pure statements whose
-        targets neither a later statement nor the code `reads` reads are
-        dropped."""
+        """The source lines of the statements from `start` on, indented; pure
+        statements whose targets neither a later statement nor the code
+        `reads` reads are dropped."""
         live, kept = set(_LOCAL.findall(reads)), []
-        for lines, targets, pure, risky in reversed(self.stmts[start:]):
+        for lines, targets, pure in reversed(self.stmts[start:]):
             if pure and live.isdisjoint(targets):
                 continue
             live.difference_update(targets)
             for line in lines:
                 live.update(_LOCAL.findall(line))
-            kept.append((lines, risky))
+            kept.append(lines)
         pad = " " * indent
-        return [(pad + line, risky if k == 0 else None)
-                for lines, risky in reversed(kept) for k, line in enumerate(lines)]
+        return [pad + line for lines in reversed(kept) for line in lines]
 
     # values
 
@@ -524,19 +497,20 @@ class _Emitter:
         return _const(-a.value) if a.kind == _C else self.let(f"-{a.code}", a.kind)
 
     def call(self, fn, a, node=None) -> _V:
-        """math.fn on Python floats (risky where `node` is given), np.fn on lanes."""
+        """math.fn on Python floats, failing at `node` if given; np.fn on lanes."""
         if self.lanes:
             if a.kind == _C:
                 with np.errstate(all="ignore"):
                     return _const(getattr(np, fn)(np.float64(a.value)))
             return self.let(f"_n{fn}({a.code})", _N)
-        if a.kind == _C and node is None:
+        if node is not None:
+            return self.guarded(f"_{fn}({a.code})", node,
+                                "OverflowError" if fn == "exp" else "ValueError")
+        if a.kind == _C:
             try:
                 return _const(getattr(math, fn)(a.value))
-            except (OverflowError, ValueError):
-                pass            # after a check that always fails: never run
-        if node is not None:
-            return self.risky(f"_{fn}({a.code})", node)
+            except ValueError:
+                pass            # log or sqrt after a check that always fails: never run
         return self.let(f"_{fn}({a.code})", _S)
 
     def select(self, cond, a, b) -> _V:
@@ -623,7 +597,7 @@ class _Emitter:
 
     def power(self, node, a, b) -> _V:
         if not self.lanes:
-            return self.risky(f"{a.code} ** {b.code}", node)
+            return self.guarded(f"{a.code} ** {b.code}", node, "OverflowError")
         return self.finite(node, self.let(f"_npow({a.code}, {b.code})", _N), a, b)
 
     # gradients: None (zero), or a list of n operands
@@ -763,21 +737,6 @@ class _Emitter:
         return value, self.g_scale(self.select(kink, _ZERO, sign), g)
 
 
-def _source(lines, filename):
-    """Source text and the `_math_site` table of lines that are strings or
-    (string, (component, node)) for a risky line."""
-    text, risky = [], {}
-    for number, line in enumerate(lines, 1):
-        if isinstance(line, tuple):
-            line, where = line
-            if where is not None:
-                component, node = where
-                risky[number] = tuple((component, node.line, node.column, message)
-                                      for message in ("overflow", "math domain error"))
-        text.append(line)
-    return "\n".join(text) + "\n", (filename, risky)
-
-
 def _analyse(asts):
     """Per component: the nodes to emit in evaluation order, their deps,
     and the roots of the subtrees free of x, folded when a vector is bound."""
@@ -826,21 +785,19 @@ class _Family:
                         args = [results[id(ch)] for ch in _children(node)]
                         results[id(node)] = em.node(node, args)
                 value = results[id(root)][0].code
-                body = em.program(0, start, reads=value)
+                body = em.program(4, start, reads=value)
                 del em.stmts[start:]
                 (folds if deps[id(root)] else consts).append((root, body, value))
         src = []
         for j, (root, body, value) in enumerate(folds + consts):
-            src += [f"def fold{j}(i):"]
-            src += [("    " + line, risky) for line, risky in body] + [f"    return {value}"]
+            src += [f"def fold{j}(i):"] + body + [f"    return {value}"]
         filename = f"<{self.filename or 'setopt.expr'}: folds>"
-        src, self.risky = _source(src, filename)
-        exec(compile(src, filename, "exec"), self.ns)
+        exec(compile("\n".join(src) + "\n", filename, "exec"), self.ns)
         fns = [(id(root), self.ns[f"fold{j}"]) for j, (root, _, _) in enumerate(folds + consts)]
         self.folds = fns[:len(folds)]
         self.consts = {}
         for key, fn in fns[len(folds):]:
-            (value,), fail = _fold_lanes(fn, [None], self.risky)
+            (value,), fail = _fold_lanes(fn, [None])
             self.consts[key] = value, fail
 
     def bind(self, lanes: list, functions=("values", "jacobians")):
@@ -849,7 +806,7 @@ class _Family:
         folded = dict(self.consts)
         floats = [float(i) for i in lanes]
         for key, fn in self.folds:
-            values, fail = _fold_lanes(fn, floats, self.risky)
+            values, fail = _fold_lanes(fn, floats)
             folded[key] = np.array(values, dtype=float), fail
         return tuple(self._emit(lanes, folded, function) for function in functions)
 
@@ -886,15 +843,13 @@ class _Family:
         self._outputs(em, outputs, p, m, n, jacobians)
         src = [f"def {function}(x):", "    try:"] + em.program(8)
         src += ["    except _Fail as fail:", "        _raise(fail, x)",
-                "    except (OverflowError, ValueError) as exc:",
-                "        _raise(_Fail(_math_site(_RISKY, exc)), x)",
                 f"    return {'J' if jacobians else 'out'}"]
+        src = "\n".join(src) + "\n"
         filename = f"<{self.filename or 'setopt.expr'}: {function}>"
-        src, risky = _source(src, filename)
         if self.filename is not None:
             linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
         ns = em.ns
-        ns.update(_raise=lambda fail, x: self._raise(lanes, function, fail, x), _RISKY=risky)
+        ns["_raise"] = lambda fail, x: self._raise(lanes, function, fail, x)
         exec(compile(src, filename, "exec"), ns)
         return ns[function]
 

@@ -3,7 +3,9 @@
 
 Each builtin is solved with `solve` and `plot-data` for both methods from one
 x0, the first start that `bench` samples at seed 11, and benched with
-`bench --starts 12 --seed 5` at `--jobs` 1 and 2.  Every command writes into
+`bench --starts 12 --seed 5` at `--jobs` 1 and 2.  Last, `solve` and
+`plot-data` run ex1 for both methods from x0 = 800, where its first
+evaluation overflows, so the run has no records.  Every command writes into
 a directory of its own, and the output holds one line per command,
 
     <builtin> <command> exit <code>
@@ -38,6 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from setopt import bench, cli, problem  # noqa: E402
 
 X0_SEED = 11
+OVERFLOW_X0 = "800"     # ex1's exp(x1) overflows at the first evaluation
 
 
 def _without_column(text, column):
@@ -65,32 +68,37 @@ def canonical(path):
     return text
 
 
-def commands(name):
-    """(directory, argv) of every command run on the builtin `name`."""
-    x0 = bench.sample_start(problem.builtin(name), X0_SEED, 0)
-    x0 = ",".join(repr(float(v)) for v in x0)
+def runs(name, x0, suffix=""):
+    """(builtin, directory, argv) of `solve` and `plot-data` from x0, for both methods."""
     for command in ("solve", "plot-data"):
         for method in ("qnm", "sd"):
-            yield f"{name}-{command}-{method}", [command, "--problem", name, "--x0", x0,
-                                                 "--method", method]
-    for jobs in (1, 2):
-        yield f"{name}-bench-jobs{jobs}", ["bench", "--problem", name, "--starts", "12",
-                                           "--seed", "5", "--jobs", str(jobs)]
+            yield name, f"{name}-{command}-{method}{suffix}", [command, "--problem", name,
+                                                               "--x0", x0, "--method", method]
+
+
+def commands():
+    """(builtin, directory, argv) of every command."""
+    for name in problem.BUILTIN_NAMES:
+        x0 = bench.sample_start(problem.builtin(name), X0_SEED, 0)
+        yield from runs(name, ",".join(repr(float(v)) for v in x0))
+        for jobs in (1, 2):
+            yield name, f"{name}-bench-jobs{jobs}", ["bench", "--problem", name, "--starts",
+                                                     "12", "--seed", "5", "--jobs", str(jobs)]
+    yield from runs("ex1", OVERFLOW_X0, "-overflow")
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for name in problem.BUILTIN_NAMES:
-            for directory, argv in commands(name):
-                out = Path(tmp) / directory
-                os.mkdir(out)
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(argv + ["--out", str(out)])
-                print(f"{name} {argv[0]} exit {code}")
-                for path in sorted(out.iterdir()):
-                    digest = hashlib.sha256(canonical(path).encode()).hexdigest()
-                    print(f"{directory}/{path.name} {digest}")
+        for name, directory, argv in commands():
+            out = Path(tmp) / directory
+            os.mkdir(out)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv + ["--out", str(out)])
+            print(f"{name} {argv[0]} exit {code}")
+            for path in sorted(out.iterdir()):
+                digest = hashlib.sha256(canonical(path).encode()).hexdigest()
+                print(f"{directory}/{path.name} {digest}")
 
 
 if __name__ == "__main__":

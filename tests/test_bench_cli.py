@@ -493,6 +493,19 @@ def test_cli_plotdata_ok(tmp_path):
     assert (tmp_path / "ex1_qnm_images.csv").exists()
 
 
+@pytest.mark.parametrize("verb, files", [("solve", ["trace.csv"]),
+                                         ("plot-data", ["images.csv", "decisions.csv"])])
+def test_cli_run_without_records_writes_full_headers(verb, files, tmp_path, capsys):
+    """ex1's first evaluation overflows at x0 = 800, so the run has no
+    records; each CSV still has the header of a converged run."""
+    for x0, out, code in (("2.3", "converged", 0), ("800", "overflow", 3)):
+        assert cli.main([verb, "--problem", "ex1", "--x0", x0,
+                         "--out", str(tmp_path / out)]) == code
+    for name in files:
+        header = (tmp_path / "converged" / f"ex1_qnm_{name}").read_text().splitlines()[0]
+        assert (tmp_path / "overflow" / f"ex1_qnm_{name}").read_text().splitlines() == [header]
+
+
 def test_cli_check_passes(capsys):
     path = problem.builtin_file("ex1")
     assert cli.main(["check", "--problem", path, "--samples", "5"]) == 0

@@ -126,6 +126,19 @@ def test_error_positions():
     assert ei.value.column == 5
 
 
+@pytest.mark.parametrize("src, error, line, column, message", [
+    ("x1 +\n  $", LexError, 2, 3, "unexpected character '$'"),
+    ("x1 +\n   ", ParseError, 2, 4, "expected a value, found 'end of input'"),
+    ("(x1\n", ParseError, 2, 1, "expected ')', found 'end of input'"),
+])
+def test_token_positions_past_the_first_line(src, error, line, column, message):
+    with pytest.raises(error) as ei:
+        expr.parse(src, 1)
+    assert type(ei.value) is error
+    assert (ei.value.line, ei.value.column, str(ei.value)) == (line, column,
+                                                              f"{line}:{column}: {message}")
+
+
 @pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0]])
 def test_x_of_the_wrong_length_is_a_domain_error(x):
     ast = expr.parse("x1 + x2", 2)

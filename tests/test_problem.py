@@ -307,6 +307,33 @@ def test_lowest_index_fails_at_a_later_check(tmp_path, src, column):
         assert ei.value.__context__ is None or ei.value.__suppress_context__
 
 
+@pytest.mark.parametrize("src, x1, index, site", [
+    ("exp(x1) + i", 800.0, 1, "1:1: overflow"),
+    ("x1^3 + i", 1e200, 1, "1:3: overflow"),
+    ("sin(x1*x1*1e300) + i", 1e10, 1, "1:1: math domain error"),
+    ("cos(x1*x1*1e300) + i", 1e10, 1, "1:1: math domain error"),
+    # folded subtrees free of x, the last failing from lane 2 on
+    ("exp(1000*i) + x1", 0.0, 1, "1:1: overflow"),
+    ("sin(1e308*10*i) + x1", 0.0, 1, "1:1: math domain error"),
+    ("x1 + exp(690 + 10*i)", 0.0, 2, "1:6: overflow"),
+])
+def test_raising_math_call_fails_at_its_node(tmp_path, src, x1, index, site):
+    """A `math` call or float ** that raises is the DomainError of its node."""
+    ps = problem.load(_family_file(tmp_path, [src], 4))
+    ast = expr.parse(src, 3)
+    x = np.array([x1, 0.0, 0.0])
+    calls = [lambda: problem.eval_F(ps, x), lambda: problem.eval_jacobians(ps, x),
+             lambda: expr.eval(ast, x, np.arange(1, 5)),
+             lambda: expr.eval_dual(ast, x, np.arange(1, 5))]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no numpy RuntimeWarning either
+            with pytest.raises(DomainError) as ei:
+                call()
+        assert ei.value.index == index
+        assert str(ei.value) == f"f^{index} component 1: {site}"
+
+
 @pytest.mark.filterwarnings("error")
 def test_quotient_derivative_underflow_is_an_overflow(tmp_path):
     # 1/(x1*i) is finite at x1 = 1e-170; its derivative's (x1*i)^2 underflows to 0

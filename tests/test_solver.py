@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from setopt import bench, cone, direction, problem, setorder, solver
+from setopt import bench, cone, direction, oracle, problem, setorder, solver
 from setopt.errors import LineSearchFailure
 
 from conftest import make_scalar_problem
@@ -482,6 +482,75 @@ def test_dennis_more_quantity_is_small_at_the_last_update(name, monkeypatch):
         assert max(quantities) < 0.05, quantities
     else:
         assert np.median(quantities) < 0.05, quantities
+
+
+def _terminal_terms(ps, trace):
+    """The terminal selector's terms at x_bar: gradients (T, n), the final
+    store's matrices (T, n, n), and each term's 1-based (i, q)."""
+    a = trace.records[-1].a
+    sel = np.array(a) - 1
+    grads = problem.scalarized_gradients(ps.cone, problem.eval_jacobians(ps, trace.x_final))
+    pairs = [(i, q) for i in a for q in range(1, ps.cone.Q + 1)]
+    return (grads.take(sel, 0).reshape(-1, ps.n),
+            trace.store.matrices.take(sel, 0).reshape(-1, ps.n, ps.n), pairs)
+
+
+def test_ex6_has_no_rate_because_its_active_term_is_indefinite(monkeypatch):
+    """ex6, ROADMAP item 2's first exception: from 20 seeded starts run to
+    eps_stop = 1e-9, the terminal selector's term (9, 1) has lam > 1e-12, its
+    Hessian at x_bar (central differences at eps = 1e-6) has a negative
+    eigenvalue (measured: -269 to -18), and the cautious update skipped it at
+    most updates (measured: every update on 19 starts, 25 of 29 on the 20th)."""
+    ps = problem.builtin("ex6")
+    cfg = paper_cfg(eps_stop=1e-9, max_iter=200)
+    applied = []    # whether each update of the current start changed (9, 1)
+    update = direction.bfgs_update
+
+    def spy(store, s, y_all):
+        report = update(store, s, y_all)
+        applied.append(bool(report.mask[8, 0]))
+        return report
+
+    def gradient(x):
+        return problem.scalarized_gradients(ps.cone, problem.eval_jacobians(ps, x))[8, 0]
+
+    monkeypatch.setattr(direction, "bfgs_update", spy)
+    always_skipped = 0
+    for k in range(20):
+        applied.clear()
+        trace = solver.run(ps, bench.sample_start(ps, 3, k), cfg)
+        assert trace.status == solver.CONVERGED
+        gs, Bs, pairs = _terminal_terms(ps, trace)
+        lam = direction.solve_minmax(gs, Bs)[2]
+        assert (9, 1) in {pairs[t] for t in np.flatnonzero(lam > 1e-12)}, k
+        x, eps = trace.x_final, 1e-6
+        hess = np.stack([(gradient(x + eps * e) - gradient(x - eps * e)) / (2 * eps)
+                         for e in np.eye(ps.n)], axis=-1)
+        assert np.linalg.eigvalsh((hess + hess.T) / 2).min() < 0.0, k
+        assert 2 * sum(applied) < len(applied), (k, applied)
+        always_skipped += not any(applied)
+    assert always_skipped >= 19
+
+
+def test_selector_moves_stops_on_a_region_not_a_tail():
+    """selector_moves.prob, ROADMAP item 2's second exception, so no rate is
+    asserted: from 20 seeded starts run to eps_stop = 1e-9, 19 end on a
+    record where phi >= 0 made solve_minmax substitute u = 0 (measured w: 1
+    to 9), the other by the norm test (|u| = 1.1e-13), and on the terminal
+    terms with the final store, oracle.exact_minmax gives phi = 0 to 1e-14
+    (measured: at most 4.6e-15)."""
+    ps = problem.load(os.path.join(os.path.dirname(__file__), "selector_moves.prob"))
+    cfg = paper_cfg(eps_stop=1e-9, max_iter=200)
+    phi_stops = 0
+    for k in range(20):
+        trace = solver.run(ps, bench.sample_start(ps, 3, k), cfg)
+        assert trace.status == solver.CONVERGED
+        last = trace.records[-1]
+        assert 0.0 < last.u_norm < cfg.eps_stop or (last.u_norm, last.phi) == (0.0, 0.0), k
+        phi_stops += last.u_norm == 0.0
+        gs, Bs, _ = _terminal_terms(ps, trace)
+        assert abs(oracle.exact_minmax(gs, Bs)[1]) <= 1e-14, k
+    assert phi_stops == 19
 
 
 def test_overflow_in_a_builtin_ends_the_start_as_a_numerical_error():
