@@ -104,13 +104,13 @@ def bfgs_update(store: HessianStore, s, y_all, c_curv: float = 1e-8) -> UpdateRe
     """
     s = np.asarray(s, dtype=float).ravel()
     y_all = np.asarray(y_all, dtype=float)
-    s_norm = np.linalg.norm(s)
+    s_norm = math.sqrt(s.dot(s))                           # np.linalg.norm's formula
     if s_norm == 0.0:
         raise NumericalBreakdown("BFGS update with a zero step")
     sy = _dots(y_all, s)                                   # (p, Q)
     y_norm = np.sqrt(_dots(y_all, y_all))
     apply = ~((sy <= 0.0) | (sy < c_curv * s_norm * y_norm))
-    idx = np.flatnonzero(apply)                            # into the p*Q matrices
+    idx = apply.ravel().nonzero()[0]                       # into the p*Q matrices
     # a view, so the write below reaches the store: HessianStore allocates its
     # matrices C-contiguous and only ever writes into them in place
     matrices = store.matrices.reshape(-1, store.n, store.n)
@@ -369,11 +369,11 @@ def _ascend(lam, gs, Hs, dual_point, tol_sub, max_inner):
 def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500):
     """Solve min_u max_t [g_t'u + 1/2 u'H_t u] for SPD H_t.
 
-    The ascent starts with all weight on the shortest gradient, the best
-    vertex when H_t = I.  Returns (u, phi, lam, gap, converged) where
-    phi = max_t theta_t(u) <= 0 (u = 0 is substituted whenever the recovered
-    point is not better than 0), lam holds the dual weights of all T terms and
-    gap is the final duality gap.  No terms raise EmptyInput.
+    The ascent starts with all weight on the shortest gradient, the first of
+    equal ones, the best vertex when H_t = I.  Returns (u, phi, lam, gap,
+    converged) where phi = max_t theta_t(u) <= 0 (u = 0 is substituted whenever
+    the recovered point is not better than 0), lam holds the dual weights of
+    all T terms and gap is the final duality gap.  No terms raise EmptyInput.
     """
     gs = np.asarray(gs, dtype=float)
     if gs.size == 0:
@@ -385,15 +385,17 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500):
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
     first = dict(zip(reversed(keys), range(T - 1, -1, -1)))
     idx = sorted(first.values())
-    gs, Hs2 = gs.take(idx, 0), Hs2.take(idx, 0)
-    lam = np.zeros(len(idx))
-    lam[np.einsum("ti,ti->t", gs, gs).argmin()] = 1.0
-
     if n <= 2:  # closed forms on Python floats
-        dual_point, gs, Hs2 = (_dual_point_1, _dual_point_2)[n - 1], gs.tolist(), Hs2.tolist()
+        dual_point, merged = (_dual_point_1, _dual_point_2)[n - 1], rows.take(idx, 0).tolist()
+        gs, Hs2 = [r[:n] for r in merged], [r[n:] for r in merged]
+        norms = [sum(x * x for x in g) for g in gs]        # g'g, rounded as einsum does
+        start = norms.index(min(norms))
     else:
-        dual_point = _dual_point_n
-    lam, u, phi, phi_dual = _ascend(lam.tolist(), gs, Hs2, dual_point, tol_sub, max_inner)
+        dual_point, gs, Hs2 = _dual_point_n, gs.take(idx, 0), Hs2.take(idx, 0)
+        start = np.einsum("ti,ti->t", gs, gs).argmin()
+    lam = [0.0] * len(idx)
+    lam[start] = 1.0
+    lam, u, phi, phi_dual = _ascend(lam, gs, Hs2, dual_point, tol_sub, max_inner)
     gap = min(phi, 0.0) - phi_dual
     if phi >= 0.0:
         # u = 0 is always feasible with value 0; never report a worse point
@@ -417,7 +419,8 @@ def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure
     _, Q, n = grads.shape
     T = ms.w * Q
     best = None
-    for a in itertools.product(*ms.classes):
+    # every class a singleton, the common case: I(x) is the one selector
+    for a in [ms.minimal_indices] if count == 1 else itertools.product(*ms.classes):
         sel = np.array(a) - 1
         gs = grads.take(sel, 0).reshape(T, n)
         if store is None:

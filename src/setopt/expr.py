@@ -118,19 +118,18 @@ class _Token:
     column: int
 
 
-def _position(source: str, at: int):
-    """The 1-based line and column of offset `at`."""
-    return source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at)
-
-
 def _tokenize(source: str):
-    tokens = []
+    # 1-based positions; only a space token holds a newline, so the line and the
+    # offset where it starts carry over from one token to the next
+    tokens, line, start = [], 1, 0
     for m in _TOKEN_RE.finditer(source):
         if m.lastgroup == "bad":
-            raise LexError(f"unexpected character {m.group()!r}", *_position(source, m.start()))
+            raise LexError(f"unexpected character {m.group()!r}", line, m.start() - start + 1)
         if m.lastgroup != "space":
-            tokens.append(_Token(m.lastgroup, m.group(), *_position(source, m.start())))
-    return tokens + [_Token("end", "", *_position(source, len(source)))]
+            tokens.append(_Token(m.lastgroup, m.group(), line, m.start() - start + 1))
+        elif breaks := m.group().count("\n"):
+            line, start = line + breaks, m.start() + m.group().rfind("\n") + 1
+    return tokens + [_Token("end", "", line, len(source) - start + 1)]
 
 
 # --- parser ----------------------------------------------------------------

@@ -106,10 +106,11 @@ def builtin(name: str) -> ProblemSpec:
 
 
 def builtin_file(name: str) -> str:
-    """Path to the shipped problem file of a built-in (ex1..ex7)."""
+    """Path to the shipped problem file of a built-in (ex1..ex7), in the package
+    this module was imported from, under whatever name."""
     if name not in BUILTIN_NAMES:
         raise UnknownProblem(f"unknown problem {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
-    return str(resources.files("setopt").joinpath(f"problems/{name}.prob"))
+    return str(resources.files(__package__).joinpath(f"problems/{name}.prob"))
 
 
 # --- problem-file loader ----------------------------------------------------

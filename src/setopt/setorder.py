@@ -84,12 +84,12 @@ def _minimal(AV: np.ndarray) -> np.ndarray:
         keep = np.empty(len(z), dtype=bool)
         keep[0] = True
         np.less(z.imag[1:], np.minimum.accumulate(z.imag[:-1]), out=keep[1:])
-        for s in (np.flatnonzero(z[1:] == z[:-1]) + 1).tolist():    # exact repeats
+        for s in ((z[1:] == z[:-1]).nonzero()[0] + 1).tolist():    # exact repeats
             keep[s] = keep[s - 1]
         return np.sort(order[keep])
     AVt = np.ascontiguousarray(AV.T)                       # (Q, p)
     below = (AVt[:, None, :] >= AVt[:, :, None]).all(axis=0)    # [j, i]: v_j <= v_i
-    return np.flatnonzero(~(below > below.T).any(axis=0))   # v_j <= v_i and not v_i <= v_j
+    return (~(below > below.T).any(axis=0)).nonzero()[0]   # v_j <= v_i and not v_i <= v_j
 
 
 def minimal_elements(c: ConeSpec, values) -> tuple:
@@ -102,7 +102,7 @@ def weakly_minimal_elements(c: ConeSpec, values) -> tuple:
     """Indices i with no j such that v_j < v_i strictly (1-based)."""
     AVt = np.ascontiguousarray(_order_values(c, values)[1].T)
     dominated = (AVt[:, None, :] > AVt[:, :, None]).all(axis=0).any(axis=0)
-    return tuple((np.flatnonzero(~dominated) + 1).tolist())
+    return tuple(((~dominated).nonzero()[0] + 1).tolist())
 
 
 def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
@@ -137,6 +137,8 @@ def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
         firsts = np.unique(reach.argmax(axis=1))
         classes = tuple(tuple((idx[row] + 1).tolist()) for row in reach[firsts])
 
-    varsigma = float((AV / c.Ae).max(axis=1).min())   # as cone.varsigma computes it
+    # cone.varsigma bit for bit, its max over each image's Q ratios taken over the
+    # rows of the contiguous (Q, p) array: numpy reduces a last axis of length Q slowly
+    varsigma = float(np.ascontiguousarray((AV / c.Ae).T).max(axis=0).min())
     return MinimalStructure(minimal_indices=minimal, classes=classes, w=len(classes),
                             varsigma=varsigma)

@@ -20,6 +20,7 @@ few quasi-Newton steps were unit steps.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -127,9 +128,9 @@ def armijo_backtrack(ps: ProblemSpec, x, a: tuple, u, F, phi: float, cfg: Solver
         x_trial = x + t * u
         F_trial = problem_mod.eval_F(ps, x_trial)
         diff = (f_sel - F_trial.take(sel, 0)) @ At + cfg.beta * t * phi * ps.cone.Ae   # (w, Q)
-        if (diff >= -TOL_ARMIJO).all():
+        if diff.min() >= -TOL_ARMIJO:  # a nan, from an overflow, fails the test
             return t, q, x_trial, F_trial
-    bad = int(np.flatnonzero(~(diff >= -TOL_ARMIJO).all(axis=1))[0]) + 1
+    bad = int((~(diff >= -TOL_ARMIJO).all(axis=1)).nonzero()[0][0]) + 1
     raise LineSearchFailure(
         f"no Armijo step within {cfg.max_backtracks} backtracks "
         f"(component j={bad} of the selector)", violating_component=bad)
@@ -163,7 +164,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
                 grads = problem_mod.scalarized_gradients(c, problem_mod.eval_jacobians(ps, x))
             ms = setorder_mod.analyze(c, F)
             sol = direction_mod.solve_subproblem(grads, store, ms)
-            u_norm = float(np.linalg.norm(sol.u))
+            u_norm = math.sqrt(sol.u.dot(sol.u))               # np.linalg.norm's formula
             rec = IterateRecord(
                 k=k, x=x.copy(), w=ms.w,
                 partition_count=ms.partition_count(), a=sol.a,

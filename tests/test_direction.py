@@ -1,4 +1,5 @@
 import collections
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minmax_ref
-from setopt import direction, oracle, problem, setorder, solver
+from setopt import bench, direction, oracle, problem, setorder, solver
 from setopt.errors import EmptyInput, NumericalBreakdown, PartitionTooLarge, SingularSystem
 
 
@@ -545,3 +546,83 @@ def test_partition_set_at_the_limit_is_solved(monkeypatch):
     monkeypatch.setattr(direction, "PARTITION_LIMIT", 99)
     with pytest.raises(PartitionTooLarge):
         direction.solve_subproblem(_grads(ps, x), None, ms)
+
+
+# --- the one-selector shortcut and the n <= 2 start vertex --------------------
+
+def _product_path(grads, store, ms):
+    """solve_subproblem's loop over itertools.product(*ms.classes): (a, u, phi, gap)."""
+    _, Q, n = grads.shape
+    best = None
+    for a in itertools.product(*ms.classes):
+        sel = np.array(a) - 1
+        Hs = (np.eye(n)[None].repeat(len(a) * Q, axis=0) if store is None
+              else store.matrices.take(sel, 0).reshape(-1, n, n))
+        u, phi, _, gap, _ = direction.solve_minmax(grads.take(sel, 0).reshape(-1, n), Hs)
+        if best is None or phi < best[2]:
+            best = a, u, phi, gap
+    return best
+
+
+@pytest.mark.parametrize("name", problem.BUILTIN_NAMES)
+def test_one_selector_shortcut_equals_the_product_path(name):
+    """Where every class is a singleton, ms.minimal_indices is the one selector, and the
+    solution is the product path's bit for bit, at the iterates of a run of each method."""
+    ps = problem.builtin(name)
+    checked = 0
+    for method in solver.METHODS:
+        trace = solver.run(ps, bench.sample_start(ps, 3, 0), solver.SolverConfig(method=method))
+        for rec in trace.records:
+            ms = setorder.analyze(ps.cone, problem.eval_F(ps, rec.x))
+            if ms.partition_count() != 1:
+                continue
+            grads = problem.scalarized_gradients(ps.cone, problem.eval_jacobians(ps, rec.x))
+            sol = direction.solve_subproblem(grads, trace.store, ms)
+            a, u, phi, gap = _product_path(grads, trace.store, ms)
+            assert sol.a == a == ms.minimal_indices and type(sol.a) is tuple
+            assert sol.u.tobytes() == u.tobytes()
+            assert np.float64(sol.phi).tobytes() == np.float64(phi).tobytes()
+            assert np.float64(sol.gap).tobytes() == np.float64(gap).tobytes()
+            checked += 1
+    assert checked >= 2
+
+
+def _start(gs, Hs):
+    """The dual weights solve_minmax starts from: max_inner = 0 takes no ascent step."""
+    return direction.solve_minmax(gs, Hs, max_inner=0)[2]
+
+
+def _einsum_start(gs):
+    lam = np.zeros(len(gs))
+    lam[np.einsum("ti,ti->t", gs, gs).argmin()] = 1.0
+    return lam
+
+
+@pytest.mark.parametrize("gs, first", [
+    ([[3.0, 4.0], [4.0, 3.0], [0.0, -5.0], [5.0, 0.0]], 0),     # four norms of exactly 5
+    ([[2.0, 0.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]], 1),
+    ([[2.0], [-1.0], [1.0], [-2.0]], 1),
+    ([[0.0], [-0.0], [0.0]], 0),
+])
+def test_start_vertex_is_the_first_shortest_gradient(gs, first):
+    gs = np.array(gs)
+    Hs = np.eye(gs.shape[1])[None].repeat(len(gs), axis=0)
+    assert _start(gs, Hs).tobytes() == _einsum_start(gs).tobytes()
+    assert _start(gs, Hs).argmax() == first
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]), T=st.integers(1, 12),
+       kind=st.sampled_from(["integers", "floats", "repeats"]))
+def test_start_vertex_matches_the_einsum_argmin(seed, n, T, kind):
+    """The n <= 2 start, from Python sums of squares, is numpy's: small integers tie
+    exactly, and repeated terms merge into their first index."""
+    rng = np.random.default_rng(seed)
+    if kind == "integers":
+        gs = rng.integers(-3, 4, (T, n)).astype(float)
+    else:
+        gs = rng.uniform(-2.0, 2.0, (T, n))
+        if kind == "repeats":
+            gs = gs[rng.integers(0, T, T)]
+    Hs = np.eye(n)[None].repeat(T, axis=0)
+    assert _start(gs, Hs).tobytes() == _einsum_start(gs).tobytes()

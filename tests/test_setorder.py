@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from setopt import cone, oracle, problem, setorder
-from setopt.errors import DimensionMismatch, EmptyInput, NonFiniteInput
+from setopt.errors import DimensionMismatch, EmptyInput, NonFiniteInput, RankDeficient
 from setorder_ref import analyze_ref, minimal_ref
 
 
@@ -261,3 +262,36 @@ def test_planar_staircase_matches_reference(which, kind, p, tol_group, seed):
 def test_analyze_rejects_a_non_finite_tol_group(orthant2, tol):
     with pytest.raises(ValueError, match="tol_group"):
         setorder.analyze(orthant2, [[0, 0], [1, 1], [2, 2]], tol_group=tol)
+
+
+# --- varsigma: analyze's reduce against cone.varsigma -------------------------
+
+def _slanted(rows):
+    """A cone on the facet normals rows, each moved along e = (1, ..., 1) until e is interior."""
+    A = np.array(rows)
+    dots = A.sum(axis=1)
+    A += np.where(dots > 0.0, 0.0, (1.0 - dots) / A.shape[1])[:, None]
+    return cone.validate(A, np.ones(A.shape[1]))
+
+
+# repeated values tie in the max over Q and in the min over the set; numpy's A v
+# turns a signed zero into +0, so the sign of a zero varsigma is not at stake
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_analyze_varsigma_is_cone_varsigma_bit_for_bit(data):
+    m = data.draw(st.integers(2, 3))
+    Q = data.draw(st.integers(max(2, m), 4))
+    rows = data.draw(hnp.arrays(float, (Q, m), elements=st.floats(-10.0, 10.0)))
+    try:
+        c = _slanted(rows)
+    except RankDeficient:
+        assume(False)
+    p = data.draw(st.integers(1, 200))
+    vals = data.draw(hnp.arrays(float, (p, m), elements=_COORDINATES))
+    ms = setorder.analyze(c, vals)
+    assert np.float64(ms.varsigma).tobytes() == np.float64(cone.varsigma(c, vals)).tobytes()
+

@@ -135,6 +135,28 @@ def test_armijo_linear_accepts_full_step():
     assert q == 0 and t == 1.0
 
 
+@pytest.mark.parametrize("far, reads", [(-1e308, "-inf"), (1e308, "nan")])
+def test_armijo_rejects_a_trial_whose_difference_overflows(far, reads):
+    """At t = 1 and 0.6, f(x) - f(x + t*u) overflows to (-inf, -inf) or (-inf, inf), and
+    A (f(x) - f(x + t*u)) reads -inf or nan.  Both trials are rejected, and t = 0.36,
+    where f is lower by 1e306, is accepted."""
+    def values(x):
+        if x[0] > 0.5:
+            return np.array([[1e308, -far]])
+        if x[0] > 0.0:
+            return np.array([[-1e308 - 1e306, far - 1e306]])
+        return np.array([[-1e308, far]])
+
+    ps = problem.ProblemSpec("overflow", 1, 2, 1, cone.validate([[2.0, 1.0], [1.0, 2.0]],
+                                                                 [1.0, 1.0]),
+                             np.array([[-1.0, 1.0]]), values, lambda x: np.zeros((1, 2, 1)))
+    F = problem.eval_F(ps, [0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert str((F - values([1.0])) @ ps.cone.A.T) == f"[[{reads} {reads}]]"
+        t, q, _, _ = solver.armijo_backtrack(ps, [0.0], (1,), [1.0], F, -1.0, paper_cfg())
+    assert (q, t) == (2, 0.6 ** 2)
+
+
 def test_armijo_failure_on_ascent_direction():
     ps = make_scalar_problem(lambda t: t * t, lambda t: 2.0 * t)
     with pytest.raises(LineSearchFailure):
