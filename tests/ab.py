@@ -181,8 +181,6 @@ def play(first, second):
 
 def canon(value):
     """Every bit of an output, as nested tuples and dicts; IterateRecord.millis is a timing."""
-    if isinstance(value, np.generic):
-        value = value.item()
     if isinstance(value, BaseException):
         return ("raises", type(value).__name__, str(value))
     if isinstance(value, np.ndarray):
