@@ -318,7 +318,7 @@ def stats_payload(result: BenchResult, cfg: SolverConfig) -> dict:
             "statuses": _status_counts(recs),
             "runs_in_stats": len(kept),
         }
-    echo = dataclasses.asdict(cfg)
+    echo = dataclasses.asdict(cfg) | {"seed": result.seed}     # the seed run_bench solved at
     echo.pop("method")
     return {
         "format": FORMAT_VERSION,

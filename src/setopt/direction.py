@@ -34,6 +34,16 @@ import numpy as np
 from .errors import EmptyInput, NumericalBreakdown, PartitionTooLarge, SingularSystem
 from .setorder import MinimalStructure
 
+# solve_minmax has converged at a duality gap of at most TOL_SUB and stops after MAX_INNER
+# steps; a converged gap above POLISH * TOL_SUB gets one more Newton step, and a face
+# curvature eigenvalue below DEPENDENT times the largest marks affine dependence.
+TOL_SUB = 1e-10
+MAX_INNER = 500
+POLISH = 1e-3
+DEPENDENT = 1e-14
+C_CURV = 1e-8                # bfgs_update's curvature bound
+PARTITION_LIMIT = 10_000     # solve_subproblem's limit on the selectors
+
 
 class HessianStore:
     """p*Q symmetric positive definite n x n matrices, BFGS-updated."""
@@ -94,10 +104,10 @@ def _dots(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def bfgs_update(store: HessianStore, s, y_all, c_curv: float = 1e-8) -> UpdateReport:
+def bfgs_update(store: HessianStore, s, y_all) -> UpdateReport:
     """Cautious BFGS update of every (i, q) matrix.
 
-    An update is applied only when s'y >= c_curv * ||s|| * ||y|| with s'y > 0;
+    An update is applied only when s'y >= C_CURV * ||s|| * ||y|| with s'y > 0;
     otherwise the matrix is left unchanged.  Applied updates satisfy the
     secant equation B_new s = y exactly.  All (i, q) pairs are tested and
     updated in one batched step; a breakdown leaves the store untouched.
@@ -109,7 +119,7 @@ def bfgs_update(store: HessianStore, s, y_all, c_curv: float = 1e-8) -> UpdateRe
         raise NumericalBreakdown("BFGS update with a zero step")
     sy = _dots(y_all, s)                                   # (p, Q)
     y_norm = np.sqrt(_dots(y_all, y_all))
-    apply = ~((sy <= 0.0) | (sy < c_curv * s_norm * y_norm))
+    apply = ~((sy <= 0.0) | (sy < C_CURV * s_norm * y_norm))
     idx = apply.ravel().nonzero()[0]                       # into the p*Q matrices
     # a view, so the write below reaches the store: HessianStore allocates its
     # matrices C-contiguous and only ever writes into them in place
@@ -141,16 +151,7 @@ class SubproblemSolution:
     a: tuple                       # the selector: one 1-based index per class
     u: np.ndarray
     phi: float
-    gap: float                     # the selector's duality gap: converged iff gap <= tol_sub
-
-
-# solve_subproblem refuses a tie structure with more selectors than this.
-PARTITION_LIMIT = 10_000
-
-# A face curvature eigenvalue below DEPENDENT times the largest marks affine
-# dependence; a converged gap above POLISH * tol_sub gets one more Newton step.
-DEPENDENT = 1e-14
-POLISH = 1e-3
+    gap: float                     # the selector's duality gap: converged iff gap <= TOL_SUB
 
 
 def _dual_point_n(lam, gs, Hs):
@@ -309,7 +310,7 @@ def _face_step(S, point):
     return d.tolist(), dependent
 
 
-def _ascend(lam, gs, Hs, dual_point, tol_sub, max_inner):
+def _ascend(lam, gs, Hs, dual_point):
     """The active-set ascent from lam, a list: (lam, u, max_t theta_t(u), phi(lam)).
 
     dual_point(lam, gs, Hs) returns u, theta and phi in Python floats, and v and
@@ -317,14 +318,14 @@ def _ascend(lam, gs, Hs, dual_point, tol_sub, max_inner):
     """
     point = dual_point(lam, gs, Hs)
     polish = False
-    for _ in range(max_inner):
+    for _ in range(MAX_INNER):
         theta, phi = point[1], point[3]
         top = max(theta)
         t = theta.index(top)
         gap = min(top, 0.0) - phi  # u = 0, of value 0, stands in if max theta >= 0
-        if gap <= POLISH * tol_sub or (polish and gap <= tol_sub):
+        if gap <= POLISH * TOL_SUB or (polish and gap <= TOL_SUB):
             break
-        polish = gap <= tol_sub  # then one more full Newton step on the solved face
+        polish = gap <= TOL_SUB  # then one more full Newton step on the solved face
         S = [s for s, w in enumerate(lam) if w]
         S_t = S if polish or lam[t] else S + [t]
         d, dependent = _face_step(S_t, point)
@@ -366,7 +367,7 @@ def _ascend(lam, gs, Hs, dual_point, tol_sub, max_inner):
     return lam, np.array(point[0]), max(point[1]), point[3]
 
 
-def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500):
+def solve_minmax(gs, Hs):
     """Solve min_u max_t [g_t'u + 1/2 u'H_t u] for SPD H_t.
 
     The ascent starts with all weight on the shortest gradient, the first of
@@ -395,12 +396,12 @@ def solve_minmax(gs, Hs, tol_sub: float = 1e-10, max_inner: int = 500):
         start = np.einsum("ti,ti->t", gs, gs).argmin()
     lam = [0.0] * len(idx)
     lam[start] = 1.0
-    lam, u, phi, phi_dual = _ascend(lam, gs, Hs2, dual_point, tol_sub, max_inner)
+    lam, u, phi, phi_dual = _ascend(lam, gs, Hs2, dual_point)
     gap = min(phi, 0.0) - phi_dual
     if phi >= 0.0:
         # u = 0 is always feasible with value 0; never report a worse point
         u, phi = np.zeros(n), 0.0
-    return u, phi, np.bincount(idx, lam, T), gap, gap <= tol_sub
+    return u, phi, np.bincount(idx, lam, T), gap, gap <= TOL_SUB
 
 
 def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure

@@ -15,6 +15,9 @@ import numpy as np
 from .cone import ConeSpec
 from .errors import DimensionMismatch, EmptyInput, NonFiniteInput
 
+# analyze links minimal images at most TOL_GROUP apart in the infinity norm into one class.
+TOL_GROUP = 1e-8
+
 
 @dataclass(frozen=True)
 class MinimalStructure:
@@ -105,33 +108,29 @@ def weakly_minimal_elements(c: ConeSpec, values) -> tuple:
     return tuple(((~dominated).nonzero()[0] + 1).tolist())
 
 
-def analyze(c: ConeSpec, values, tol_group: float = 1e-8) -> MinimalStructure:
+def analyze(c: ConeSpec, values) -> MinimalStructure:
     """Minimal indices of the image set, their classes of equal value and varsigma.
 
     This is all a solver iterate reads of F(x).  The minimal indices come
-    from _minimal: one lexicographic sort and a running minimum when
-    Q = 2, one boolean pass over the p^2 pairs when Q >= 3.  Classes are
-    connected components of the graph linking minimal indices whose images
-    differ by at most tol_group in the infinity norm: the (k, k) closeness
+    from _minimal: one lexicographic sort and a running minimum when Q = 2,
+    one boolean pass over the p^2 pairs when Q >= 3.  They are never empty,
+    since the staircase keeps its first sorted point and strict dominance on
+    the rounded A v, a strict partial order, leaves a finite set a minimal
+    element.  Classes are connected components of the graph linking minimal
+    indices whose images differ by at most TOL_GROUP: the (k, k) closeness
     matrix over the k minimal images, squared until it stops growing, is
     their closure, and each row's first member is its class's smallest.
     Classes are ordered by smallest member index.  When every class is a
-    singleton the matrix is never squared.  A non-finite tol_group raises
-    ValueError.
+    singleton the matrix is never squared.
     """
-    if not math.isfinite(tol_group):  # a nan or inf makes every comparison false or true
-        raise ValueError(f"tol_group must be finite, got {tol_group}")
     values, AV = _order_values(c, values)
     idx = _minimal(AV)
-    if not idx.size:
-        raise EmptyInput("empty minimal index set")
     minimal = tuple((idx + 1).tolist())
     sub = np.ascontiguousarray(values[idx].T)
-    close = np.abs(sub[:, :, None] - sub[:, None, :]).max(axis=0) <= tol_group
-    if np.count_nonzero(close) == len(minimal):       # the diagonal only
+    reach = np.abs(sub[:, :, None] - sub[:, None, :]).max(axis=0) <= TOL_GROUP
+    if np.count_nonzero(reach) == len(minimal):       # the diagonal only
         classes = tuple(zip(minimal))
     else:
-        reach = close | np.eye(len(minimal), dtype=bool)    # a tol_group < 0 links nothing
         while np.count_nonzero(grown := reach @ reach) > np.count_nonzero(reach):
             reach = grown
         firsts = np.unique(reach.argmax(axis=1))

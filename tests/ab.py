@@ -8,9 +8,12 @@ the working tree's src/setopt side by side in one process, as the packages
 `ab_base` and `ab_head`, with BLAS pinned to one thread.  The working tree's
 solver.run, from K starts per method on the seven builtins and on
 perfbench's large_p_spec(200), captures the inputs of every
-setorder.analyze, direction.solve_subproblem and solver.armijo_backtrack
-call.  Each side then replays the captured calls, layer by layer, and the
-whole starts, on its own types.  Within a round the two sides take turns
+setorder.analyze, direction.solve_subproblem, direction.solve_minmax,
+solver.armijo_backtrack and direction.bfgs_update call.  Each side then
+replays the captured calls, layer by layer, and the whole starts, on its own
+types.  bfgs_update writes into its store, so each of its calls first copies
+the captured matrices into a store of its own, inside the timed call, and
+returns the report with that store.  Within a round the two sides take turns
 call by call, the side that goes first swaps from round to round, and the
 garbage collector is off while a layer is timed.  The second caller of a
 pair runs warmer, by several percent, so rounds come in pairs, one with
@@ -56,8 +59,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import large_p_spec  # noqa: E402
 
-LAYERS = ("setorder.analyze", "direction.solve_subproblem", "solver.armijo_backtrack",
-          "solver.run")
+LAYERS = ("setorder.analyze", "direction.solve_subproblem", "direction.solve_minmax",
+          "solver.armijo_backtrack", "direction.bfgs_update", "solver.run")
 BUILTINS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex7")
 METHODS = ("quasi_newton", "steepest_descent")
 SEED = 5
@@ -97,8 +100,9 @@ def capture(head, specs, starts):
     """Run head's solver from each start, recording every layer call's inputs as plain data."""
     calls = {layer: [] for layer in LAYERS}
     setorder, direction, solver = head.setorder, head.direction, head.solver
-    analyze, solve_subproblem, armijo_backtrack = (
-        setorder.analyze, direction.solve_subproblem, solver.armijo_backtrack)
+    analyze, solve_subproblem, solve_minmax, armijo_backtrack, bfgs_update = (
+        setorder.analyze, direction.solve_subproblem, direction.solve_minmax,
+        solver.armijo_backtrack, direction.bfgs_update)
     run = None  # (problem, method) of the start in progress
 
     def analyze_(c, F):
@@ -111,12 +115,22 @@ def capture(head, specs, starts):
             (run[0], grads.copy(), matrices, (ms.minimal_indices, ms.classes, ms.w, ms.varsigma)))
         return solve_subproblem(grads, store, ms)
 
+    def solve_minmax_(gs, Hs):
+        calls["direction.solve_minmax"].append((run[0], np.array(gs), np.array(Hs)))
+        return solve_minmax(gs, Hs)
+
     def armijo_backtrack_(ps, x, a, u, F, phi, cfg):
         calls["solver.armijo_backtrack"].append((*run, np.array(x), a, np.array(u), F.copy(), phi))
         return armijo_backtrack(ps, x, a, u, F, phi, cfg)
 
-    setorder.analyze, direction.solve_subproblem, solver.armijo_backtrack = (
-        analyze_, solve_subproblem_, armijo_backtrack_)
+    def bfgs_update_(store, s, y_all):
+        calls["direction.bfgs_update"].append(
+            (run[0], store.matrices.copy(), np.array(s), np.array(y_all)))
+        return bfgs_update(store, s, y_all)
+
+    (setorder.analyze, direction.solve_subproblem, direction.solve_minmax,
+     solver.armijo_backtrack, direction.bfgs_update) = (
+        analyze_, solve_subproblem_, solve_minmax_, armijo_backtrack_, bfgs_update_)
     try:
         for name, ps in specs.items():
             for method in METHODS:
@@ -126,8 +140,9 @@ def capture(head, specs, starts):
                     calls["solver.run"].append((name, method, x0))
                     solver.run(ps, x0, solver.SolverConfig(method=method))
     finally:
-        setorder.analyze, direction.solve_subproblem, solver.armijo_backtrack = (
-            analyze, solve_subproblem, armijo_backtrack)
+        (setorder.analyze, direction.solve_subproblem, direction.solve_minmax,
+         solver.armijo_backtrack, direction.bfgs_update) = (
+            analyze, solve_subproblem, solve_minmax, armijo_backtrack, bfgs_update)
     return calls
 
 
@@ -144,12 +159,20 @@ def replays(side, calls):
         s.matrices[...] = matrices
         return s
 
+    def bfgs_update(name, matrices, s, y_all):
+        """bfgs_update of a fresh copy of the captured store: the report and the store."""
+        fresh = store(name, matrices)
+        return side.direction.bfgs_update(fresh, s, y_all), fresh
+
     return {
         "setorder.analyze": (side.setorder.analyze, [
             (specs[name].cone, F) for name, F in calls["setorder.analyze"]]),
         "direction.solve_subproblem": (side.direction.solve_subproblem, [
             (grads, store(name, matrices), side.setorder.MinimalStructure(*ms))
             for name, grads, matrices, ms in calls["direction.solve_subproblem"]]),
+        "direction.solve_minmax": (side.direction.solve_minmax, [
+            (gs, Hs) for _, gs, Hs in calls["direction.solve_minmax"]]),
+        "direction.bfgs_update": (bfgs_update, calls["direction.bfgs_update"]),
         "solver.armijo_backtrack": (side.solver.armijo_backtrack, [
             (specs[name], x, a, u, F, phi, cfg[method])
             for name, method, x, a, u, F, phi in calls["solver.armijo_backtrack"]]),

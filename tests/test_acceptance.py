@@ -128,8 +128,8 @@ def test_criterion_5_bfgs_integrity(monkeypatch):
     with report(5, "all quasi-Newton matrices stay SPD; applied updates satisfy the secant equation"):
         original = direction.bfgs_update
 
-        def checked(store, s, y_all, c_curv=1e-8):
-            rep = original(store, s, y_all, c_curv)
+        def checked(store, s, y_all):
+            rep = original(store, s, y_all)
             s_arr = np.asarray(s, dtype=float).ravel()
             for (i, q) in rep.applied:
                 y = np.asarray(y_all)[i - 1, q - 1]

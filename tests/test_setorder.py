@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -43,7 +45,7 @@ def test_grouping(orthant2):
     # tolerance clustering
     # two incomparable near-ties (within 1e-9), one distinct minimal value
     vals2 = np.array([[0.0, 1.0], [1e-9, 1.0 - 1e-9], [1.0, 0.0]])
-    ms2 = setorder.analyze(orthant2, vals2, tol_group=1e-8)
+    ms2 = setorder.analyze(orthant2, vals2)
     assert ms2.classes == ((1, 2), (3,))
 
 
@@ -161,7 +163,8 @@ def _chain(rng, m, length, tol_group):
 
 
 def _assert_matches_reference(c, vals, tol_group=1e-8):
-    ms = setorder.analyze(c, vals, tol_group)
+    with mock.patch.object(setorder, "TOL_GROUP", tol_group):
+        ms = setorder.analyze(c, vals)
     minimal, classes, varsigma = analyze_ref(c, vals, tol_group)
     assert ms.minimal_indices == minimal == oracle.brute_min(c, vals)
     assert ms.classes == classes and ms.w == len(classes)
@@ -249,19 +252,12 @@ def test_planar_staircase_matches_reference(which, kind, p, tol_group, seed):
     assert np.all(np.diff(idx) > 0)
     assert tuple((idx + 1).tolist()) == minimal == minimal_ref(c, vals)
     assert setorder.minimal_elements(c, vals) == minimal
-    ms = setorder.analyze(c, vals, tol_group)
+    with mock.patch.object(setorder, "TOL_GROUP", tol_group):
+        ms = setorder.analyze(c, vals)
     assert (ms.minimal_indices, ms.classes, ms.w, ms.varsigma) == (minimal, classes,
                                                                    len(classes), varsigma)
     if kind in ("grid", "signed-zero"):
         assert minimal == oracle.brute_min(c, vals)
-
-
-# --- a tolerance must be finite ----------------------------------------------
-
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
-def test_analyze_rejects_a_non_finite_tol_group(orthant2, tol):
-    with pytest.raises(ValueError, match="tol_group"):
-        setorder.analyze(orthant2, [[0, 0], [1, 1], [2, 2]], tol_group=tol)
 
 
 # --- varsigma: analyze's reduce against cone.varsigma -------------------------
