@@ -19,7 +19,9 @@ One ascent serves every n.  It keeps lam, theta_t and the face steps in
 Python floats, since the terms are few and small and a numpy call costs more
 than its arithmetic, and it takes its dual point from a function picked by n:
 the closed-form 1 x 1 or 2 x 2 inverse for n <= 2, numpy.linalg.inv for n >= 3
-and for an H(lam) whose determinant is not finite.
+and for an H(lam) whose determinant is not finite.  A face step has one closed
+form, for 2 terms at n <= 2, which takes nearly every step of the shipped
+problems; numpy's eigh, the reference's formula, takes every other face.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _dual_point_n(lam, gs, Hs):
 
     gs holds T rows of n floats and Hs T rows of n*n.  u and theta come back as
     lists, v as a (T, n) and H(lam)^{-1} as an (n, n) array; at n <= 2, for the
-    closed forms of _face_step, v and H(lam)^{-1} (flattened) as lists too.
+    closed form of _face_step, v and H(lam)^{-1} (flattened) as lists too.
     """
     lam, gs, Hs2 = np.array(lam), np.asarray(gs), np.asarray(Hs)
     T, n = gs.shape
@@ -172,17 +174,18 @@ def _dual_point_n(lam, gs, Hs):
             v = gs + Hu
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise SingularSystem("averaged matrix H(lam) is singular") from exc
+    with np.errstate(all="ignore"):  # an inf theta_t gives an inf or nan phi, as on floats
+        phi = float(lam @ theta)
     if n <= 2:
         v, Hinv = v.tolist(), Hinv.ravel().tolist()
-    return u.tolist(), theta.tolist(), v, float(lam @ theta), Hinv
+    return u.tolist(), theta.tolist(), v, phi, Hinv
 
 
 # --- closed forms on Python floats, for n <= 2 -----------------------------
 #
 # With n <= 2 and a few distinct terms, every numpy call above costs more than
 # its arithmetic.  Below, a term's g_t and H_t are lists of n and n*n floats,
-# H(lam) is inverted in closed form, and a face of 3 terms is stepped on in
-# closed form, as a face of 2 terms is at every n.
+# H(lam) is inverted in closed form, and so is a face of 2 terms stepped on.
 
 def _finite_det(det):
     """Refuse a singular H(lam); False if det is not finite, for _dual_point_n to decide."""
@@ -247,66 +250,39 @@ def _form(Hinv, x, y):
     return (x[0] * Hinv[0] + x[1] * Hinv[2]) * y[0] + (x[0] * Hinv[1] + x[1] * Hinv[3]) * y[1]
 
 
-def _eigh2(a, b, c):
-    """Ascending eigenvalues and unit eigenvectors of [[a, b], [b, c]], by one Jacobi rotation."""
-    if b == 0.0:
-        pairs = (a, (1.0, 0.0)), (c, (0.0, 1.0))
-    else:
-        tau = (c - a) / (2.0 * b)
-        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-        cs = 1.0 / math.hypot(1.0, t)
-        sn = t * cs
-        pairs = (a - t * b, (cs, -sn)), (c + t * b, (sn, cs))
-    return pairs if pairs[0][0] <= pairs[1][0] else pairs[::-1]
-
-
 def _face_step(S, point):
     """Step d over the face S (summing to 0) and whether v_S is affinely dependent.
 
     Independent: the Newton step of phi on the face.  Dependent: a null
     direction, sum_t d_t v_t = 0, on which u stays put and phi is linear,
-    signed to ascend.  A face of 2 terms, and of 3 at n <= 2, is stepped on in
-    closed form; numpy's eigh takes every other face.
+    signed to ascend.  A face of 2 terms at n <= 2 is stepped on in closed
+    form; numpy's eigh takes every other face, as in the reference.
     """
     _, theta, v, _, Hinv = point
     if len(S) == 1:
         return [0.0], False
     i, j, n = S[0], S[1], len(v[0])
-    if len(S) == 2:  # LAPACK's eigh of a 1 x 1 M is (M, 1)
-        if n <= 2:
-            D = [a - b for a, b in zip(v[j], v[i])]
-            m = _form(Hinv, D, D)
-        else:
-            D = v[j:j + 1] - v[i]
-            m = (D @ Hinv @ D.T).item()
+    if len(S) == 2 and n <= 2:  # LAPACK's eigh of a 1 x 1 M is (M, 1)
+        D = [a - b for a, b in zip(v[j], v[i])]
+        m = _form(Hinv, D, D)
         r = theta[j] - theta[i]
         dependent = m <= DEPENDENT * m
         c = 1.0 if dependent else r / m
         return ([c, -c] if dependent and r < 0.0 else [-c, c]), dependent
-    r = [theta[k] - theta[i] for k in S[1:]]
-    if n <= 2 and len(S) == 3:
-        D0, D1 = ([a - b for a, b in zip(v[k], v[i])] for k in S[1:])
-        (w0, q0), (w1, q1) = _eigh2(_form(Hinv, D0, D0), _form(Hinv, D1, D0),
-                                    _form(Hinv, D1, D1))
-        dependent = not w0 > DEPENDENT * w1  # a NaN counts as dependent, so no w divides below
-        if dependent:
-            c0, c1 = q0
-        else:  # Q (Q' r / w)
-            z0 = (q0[0] * r[0] + q0[1] * r[1]) / w0
-            z1 = (q1[0] * r[0] + q1[1] * r[1]) / w1
-            c0, c1 = q0[0] * z0 + q1[0] * z1, q0[1] * z0 + q1[1] * z1
-        d = [-(c0 + c1), c0, c1]
-        if dependent and theta[i] * d[0] + theta[j] * c0 + theta[S[2]] * c1 < 0.0:
-            d = [-d[0], -c0, -c1]
-        return d, dependent
     v = np.asarray(v)  # the lists of an n <= 2 dual point become arrays
-    D = v.take(S[1:], 0) - v[i]
-    w, Q = np.linalg.eigh(D @ np.reshape(Hinv, (n, n)) @ D.T)
-    dependent = w[0] <= DEPENDENT * w[-1]
-    c = Q[:, 0] if dependent else Q @ (Q.T @ np.array(r) / w)
-    d = np.concatenate([[-c.sum()], c])
-    if dependent and np.array([theta[s] for s in S]) @ d < 0.0:
-        d = -d
+    r = np.array([theta[k] - theta[i] for k in S[1:]])
+    # overflow gives inf or nan, as on Python floats, and a nan counts as dependent
+    with np.errstate(all="ignore"):
+        D = v.take(S[1:], 0) - v[i]
+        try:
+            w, Q = np.linalg.eigh(D @ np.reshape(Hinv, (n, n)) @ D.T)
+        except np.linalg.LinAlgError as exc:  # a non-finite curvature matrix
+            raise NumericalBreakdown("face curvature matrix has no eigendecomposition") from exc
+        dependent = not w[0] > DEPENDENT * w[-1]
+        c = Q[:, 0] if dependent else Q @ (Q.T @ r / w)
+        d = np.concatenate([[-c.sum()], c])
+        if dependent and np.array([theta[s] for s in S]) @ d < 0.0:
+            d = -d
     return d.tolist(), dependent
 
 

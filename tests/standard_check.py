@@ -36,6 +36,14 @@ value and Jacobian calls that returned and of DomainErrors, and the digest
 of every returned array's bytes and every error's (index, line, column,
 message).
 
+Then comes one line for the inner solve,
+
+    faces <n>:<size> <steps> ...
+
+the calls of `direction._face_step` per (n, face size) over the runs of the
+counts lines: face steps of 2 terms at n <= 2 take the closed form, and all
+others numpy's eigh.  It is left out of `standard_counts.txt`.
+
 The counts and evals lines are what the ROADMAP's re-base protocol compares
 between two commits; the digests show whether any bit of a trace moved.  The
 counts and evals lines, and the expr line without its digest, are committed
@@ -53,12 +61,14 @@ and rewrite the committed counts with
 It is not a test module, so pytest does not collect it.
 """
 
+import collections
 import dataclasses
 import hashlib
 import json
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -66,7 +76,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from builtins_ref import builtin_ref  # noqa: E402
-from setopt import bench, expr, problem, solver  # noqa: E402
+from setopt import bench, direction, expr, problem, solver  # noqa: E402
 from setopt.errors import DomainError  # noqa: E402
 from workloads import large_p_spec  # noqa: E402
 
@@ -175,8 +185,13 @@ def expr_line():
 
 
 def group(name, ps, key, method):
-    """The counts, evals and digest lines and the iteration total of one (problem, method)."""
-    calls = {"F": 0, "J": 0}
+    """The counts, evals and digest lines, the iteration total and the face steps per
+    (n, face size) of one (problem, method)."""
+    calls, faces, face_step = {"F": 0, "J": 0}, collections.Counter(), direction._face_step
+
+    def counted_step(S, point):
+        faces[len(point[0]), len(S)] += 1
+        return face_step(S, point)
 
     def counted(fn, what):
         def call(x):
@@ -188,16 +203,17 @@ def group(name, ps, key, method):
                              jacobians_fn=counted(ps.jacobians_fn, "J"))
     cfg = solver.SolverConfig(method=method)
     counts, h, iterations, backtracks = [], hashlib.sha256(), 0, 0
-    for seed in SEEDS:
-        for k in range(STARTS):
-            trace = solver.run(ps, bench.sample_start(ps, seed, k), cfg)
-            counts.append(f"{trace.status[0]}{trace.iterations}")
-            digest(h, trace)
-            iterations += trace.iterations
-            backtracks += sum(r.backtracks for r in trace.records)
+    with mock.patch.object(direction, "_face_step", counted_step):
+        runs = [solver.run(ps, bench.sample_start(ps, seed, k), cfg)
+                for seed in SEEDS for k in range(STARTS)]
+    for trace in runs:
+        counts.append(f"{trace.status[0]}{trace.iterations}")
+        digest(h, trace)
+        iterations += trace.iterations
+        backtracks += sum(r.backtracks for r in trace.records)
     return (f"{name} {key} counts {' '.join(counts)}",
             f"{name} {key} evals F {calls['F']} J {calls['J']} backtracks {backtracks}",
-            f"{name} {key} digest {h.hexdigest()}", iterations)
+            f"{name} {key} digest {h.hexdigest()}", iterations, faces)
 
 
 def count_lines():
@@ -209,17 +225,20 @@ def count_lines():
 
 def main():
     runs = iterations = 0
+    faces = collections.Counter()
     for name, ps in problems():
         for key, method in METHODS:
-            counts, evals, digest_line, group_iterations = group(name, ps, key, method)
+            counts, evals, digest_line, group_iterations, group_faces = group(name, ps, key, method)
             print(counts)
             print(evals)
             print(digest_line, flush=True)
             runs += len(SEEDS) * STARTS
             iterations += group_iterations
+            faces += group_faces
         if name in problem.BUILTIN_NAMES:
             print(f"{name} stats {stats_hash(ps, 1)} {stats_hash(ps, 2)}", flush=True)
     print(expr_line(), flush=True)
+    print("faces " + " ".join(f"{n}:{size} {faces[n, size]}" for n, size in sorted(faces)))
     print(f"total {runs} runs {iterations} iterations")
 
 

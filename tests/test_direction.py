@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import minmax_ref
 from setopt import bench, direction, oracle, problem, setorder, solver
-from setopt.errors import EmptyInput, NumericalBreakdown, PartitionTooLarge, SingularSystem
+from setopt.errors import (EmptyInput, NumericalBreakdown, PartitionTooLarge, SetoptError,
+                           SingularSystem)
 
 
 def test_init_store():
@@ -359,9 +360,68 @@ def test_reference_draws_step_on_two_term_and_full_faces(monkeypatch):
             _assert_matches_reference(direction.solve_minmax(gs, Hs),
                                       minmax_ref.solve_minmax(gs, Hs), gs)
     assert all({2, n + 1} <= sizes[n] for n in (1, 2, 3)), dict(sizes)
-    # the float path's closed forms (2 and 3 terms), and at n = 2 numpy's eigh for a
-    # fourth term joining a full 3-term face
+    # the closed form at n <= 2 (2 terms), and numpy's eigh at n = 2 for 3 terms and for
+    # a fourth term joining a full 3-term face
     assert {2, 3} <= floats[1] and {2, 3, 4} <= floats[2], dict(floats)
+
+
+def test_faces_beyond_the_closed_form_step_as_the_reference_does(monkeypatch):
+    """Every face but 2 terms at n <= 2 gets minmax_ref._face_step's bits on the same
+    dual point, in the draws above: 3 and 4 terms at n = 2, 2 and 3 terms at n = 3."""
+    faces, face_step = collections.Counter(), direction._face_step
+
+    def spy(S, point):
+        d, dependent = face_step(S, point)
+        u, theta, v, phi, Hinv = point
+        n = len(u)
+        if len(S) > 2 or n >= 3 and len(S) == 2:
+            ref_point = np.array(u), np.array(theta), np.asarray(v), phi, np.reshape(Hinv, (n, n))
+            d_ref, dependent_ref = minmax_ref._face_step(S, ref_point)
+            assert (np.array(d).tobytes(), dependent) == (d_ref.tobytes(), dependent_ref)
+            faces[n, len(S)] += 1
+        return d, dependent
+
+    monkeypatch.setattr(direction, "_face_step", spy)
+    for seed in range(40):
+        for n in (2, 3):
+            gs, Hs = _minmax_instance(seed, n, 1 + seed % 6, (1, 4, 40)[seed % 3], seed % 4 == 0)
+            direction.solve_minmax(gs, Hs)
+    assert {(2, 3), (2, 4), (3, 2), (3, 3)} <= faces.keys(), dict(faces)
+
+
+def _near_overflow_draws():
+    """100 seeded draws per (n, T), n = 2, 3 and T = 2..5 terms: H_t = M M' + I and
+    |g| up to 1e150..1e156, where products overflow."""
+    for n, T, k in itertools.product((2, 3), (2, 3, 4, 5), range(100)):
+        rng = np.random.default_rng([n, T, k])
+        scale = 10.0 ** int(rng.integers(150, 157))
+        gs = rng.uniform(-1.0, 1.0, (T, n)) * scale
+        M = rng.uniform(-1.0, 1.0, (T, n, n))
+        yield (n, T, k), gs, M @ M.transpose(0, 2, 1) + np.eye(n)
+
+
+@pytest.mark.filterwarnings("error")
+def test_near_overflow_returns_or_raises_a_setopt_error():
+    """No RuntimeWarning and no numpy exception: a solve returns or raises a SetoptError.
+    (n, T, k) = (3, 5, 40) reaches a 4-term face whose curvature matrix is not finite."""
+    outcomes = {}
+    for key, gs, Hs in _near_overflow_draws():
+        try:
+            direction.solve_minmax(gs, Hs)
+            outcomes[key] = "return"
+        except SetoptError as exc:
+            outcomes[key] = type(exc).__name__
+    assert outcomes[3, 5, 40] == "NumericalBreakdown"
+    assert collections.Counter(outcomes.values()).keys() == {
+        "return", "SingularSystem", "NumericalBreakdown"}
+
+
+def test_non_finite_face_curvature_is_a_numerical_breakdown():
+    """Under solver.run's errstate, eigh's LinAlgError on a non-finite curvature matrix
+    is typed too."""
+    gs, Hs = next(draw for key, *draw in _near_overflow_draws() if key == (3, 5, 40))
+    with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown, match="face curvature"):
+        direction.solve_minmax(gs, Hs)
 
 
 @pytest.mark.filterwarnings("error")
