@@ -55,8 +55,6 @@ class HessianStore:
         self.p = p
         self.Q = Q
         self.matrices = np.broadcast_to(np.eye(n), (p, Q, n, n)).copy()
-        self.applied = 0
-        self.skipped = 0
 
     def spd_check(self) -> bool:
         """True iff every matrix is symmetric (to 1e-12) and admits a Cholesky factor."""
@@ -143,8 +141,6 @@ def bfgs_update(store: HessianStore, s, y_all) -> UpdateReport:
     yy /= sy.ravel().take(idx)[:, None, None]
     B += yy
     matrices[idx] = B
-    store.applied += idx.size
-    store.skipped += apply.size - idx.size
     return UpdateReport(mask=apply)
 
 

@@ -116,8 +116,7 @@ def digest(h, trace):
             if f.name != "millis":
                 _feed(h, getattr(rec, f.name))
     if trace.store is not None:
-        for value in (trace.store.matrices, trace.store.applied, trace.store.skipped):
-            _feed(h, value)
+        _feed(h, trace.store.matrices)
 
 
 def stats_hash(ps, jobs):

@@ -18,7 +18,6 @@ def test_init_store():
     assert store.matrices.shape == (3, 2, 2, 2)
     assert np.array_equal(store.matrices[1, 1], np.eye(2))
     assert store.spd_check()
-    assert store.applied == 0 and store.skipped == 0
 
 
 def test_bfgs_fixed_point():
@@ -50,16 +49,18 @@ def test_bfgs_zero_step():
 def test_bfgs_secant_and_spd_random():
     rng = np.random.default_rng(8)
     store = direction.HessianStore(3, 2, 2)
+    pairs = 0
     for _ in range(30):
         s = rng.standard_normal(3)
         y_all = rng.standard_normal((2, 2, 3))
         rep = direction.bfgs_update(store, s, y_all)
+        pairs += len(rep.applied) + len(rep.skipped)
         for (i, q) in rep.applied:
             y = y_all[i - 1, q - 1]
             resid = store.matrices[i - 1, q - 1] @ s - y
             assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(y))
         assert store.spd_check()
-    assert store.applied + store.skipped == 30 * 4
+    assert pairs == 30 * 4
 
 
 def _reference_bfgs(store, s, y_all, c_curv=1e-8):
@@ -74,7 +75,6 @@ def _reference_bfgs(store, s, y_all, c_curv=1e-8):
             y = y_all[i, q]
             sy = float(s @ y)
             if sy <= 0.0 or sy < c_curv * s_norm * np.linalg.norm(y):
-                store.skipped += 1
                 continue
             B = store.matrices[i, q]
             Bs = B @ s
@@ -83,7 +83,6 @@ def _reference_bfgs(store, s, y_all, c_curv=1e-8):
                 raise NumericalBreakdown(f"s'Bs = {sBs:g} <= 0 for component ({i + 1},{q + 1})")
             store.matrices[i, q] = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
             applied[i, q] = True
-            store.applied += 1
     return direction.UpdateReport(mask=applied)
 
 
@@ -100,6 +99,7 @@ def _twin_stores(n, p, Q, rng):
 def test_bfgs_matches_reference_loop(n, p, Q):
     rng = np.random.default_rng(n * 100 + p)
     fast, ref = _twin_stores(n, p, Q, rng)
+    applied = 0
     for k in range(25):
         s = rng.standard_normal(n)
         y_all = rng.standard_normal((p, Q, n))
@@ -111,10 +111,10 @@ def test_bfgs_matches_reference_loop(n, p, Q):
             rep = direction.bfgs_update(fast, s, y_all)
         rep_ref = _reference_bfgs(ref, s, y_all, c_curv)
         assert rep.applied == rep_ref.applied and rep.skipped == rep_ref.skipped
+        applied += int(rep.mask.sum())
         scale = np.abs(ref.matrices).max()
         assert np.max(np.abs(fast.matrices - ref.matrices)) <= 1e-12 * scale
-    assert (fast.applied, fast.skipped) == (ref.applied, ref.skipped)
-    assert fast.applied > 0 and fast.skipped > 0
+    assert 0 < applied < 25 * p * Q
 
 
 def test_bfgs_breakdown_names_first_component_like_reference():
@@ -546,8 +546,6 @@ def test_bfgs_report_reads_pairs_from_its_mask():
     assert rep.mask.tolist() == [[False, True], [False, False], [True, False]]
     assert rep.applied == [(1, 2), (3, 1)]
     assert rep.skipped == [(1, 1), (2, 1), (2, 2), (3, 2)]
-    assert (store.applied, store.skipped) == (2, 4)
-    assert type(store.applied) is int and type(store.skipped) is int
 
 
 def _tie_blocks(rows):
