@@ -229,6 +229,8 @@ def cmd_plotdata(args) -> int:
 def cmd_check(args) -> int:
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be at least 0, got {args.seed}")
     try:
         ps = problem_mod.get(args.problem)
     except (SetoptError, OSError) as exc:

@@ -558,6 +558,12 @@ def test_cli_check_samples_below_one_is_a_usage_error(samples, capsys):
     assert "--samples" in err and "ok" not in out
 
 
+def test_cli_check_negative_seed_is_a_usage_error(capsys):
+    assert cli.main(["check", "--problem", "ex1", "--seed", "-1"]) == 64
+    out, err = capsys.readouterr()
+    assert "--seed must be at least 0" in err and "ok" not in out
+
+
 def test_cli_check_directory_is_a_load_failure(tmp_path, capsys):
     assert cli.main(["check", "--problem", str(tmp_path)]) == 1
     assert capsys.readouterr().out.startswith("FAIL IsADirectoryError: ")
