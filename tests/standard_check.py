@@ -203,13 +203,13 @@ def group(name, ps, key, method):
     cfg = solver.SolverConfig(method=method)
     counts, h, iterations, backtracks = [], hashlib.sha256(), 0, 0
     with mock.patch.object(direction, "_face_step", counted_step):
-        runs = [solver.run(ps, bench.sample_start(ps, seed, k), cfg)
-                for seed in SEEDS for k in range(STARTS)]
-    for trace in runs:
-        counts.append(f"{trace.status[0]}{trace.iterations}")
-        digest(h, trace)
-        iterations += trace.iterations
-        backtracks += sum(r.backtracks for r in trace.records)
+        for seed in SEEDS:
+            for k in range(STARTS):
+                trace = solver.run(ps, bench.sample_start(ps, seed, k), cfg)
+                counts.append(f"{trace.status[0]}{trace.iterations}")
+                digest(h, trace)
+                iterations += trace.iterations
+                backtracks += sum(r.backtracks for r in trace.records)
     return (f"{name} {key} counts {' '.join(counts)}",
             f"{name} {key} evals F {calls['F']} J {calls['J']} backtracks {backtracks}",
             f"{name} {key} digest {h.hexdigest()}", iterations, faces)

@@ -367,7 +367,8 @@ def test_reference_draws_step_on_two_term_and_full_faces(monkeypatch):
 
 def test_faces_beyond_the_closed_form_step_as_the_reference_does(monkeypatch):
     """Every face but 2 terms at n <= 2 gets minmax_ref._face_step's bits on the same
-    dual point, in the draws above: 3 and 4 terms at n = 2, 2 and 3 terms at n = 3."""
+    dual point, in the draws above: 3 terms at n = 1, 3 and 4 terms at n = 2, and 2 and
+    3 terms at n = 3."""
     faces, face_step = collections.Counter(), direction._face_step
 
     def spy(S, point):
@@ -383,10 +384,10 @@ def test_faces_beyond_the_closed_form_step_as_the_reference_does(monkeypatch):
 
     monkeypatch.setattr(direction, "_face_step", spy)
     for seed in range(40):
-        for n in (2, 3):
+        for n in (1, 2, 3):
             gs, Hs = _minmax_instance(seed, n, 1 + seed % 6, (1, 4, 40)[seed % 3], seed % 4 == 0)
             direction.solve_minmax(gs, Hs)
-    assert {(2, 3), (2, 4), (3, 2), (3, 3)} <= faces.keys(), dict(faces)
+    assert {(1, 3), (2, 3), (2, 4), (3, 2), (3, 3)} <= faces.keys(), dict(faces)
 
 
 def _near_overflow_draws():
