@@ -375,7 +375,7 @@ def test_faces_beyond_the_closed_form_step_as_the_reference_does(monkeypatch):
         d, dependent = face_step(S, point)
         u, theta, v, phi, Hinv = point
         n = len(u)
-        if len(S) > 2 or n >= 3 and len(S) == 2:
+        if len(S) > 2 or (n >= 3 and len(S) == 2):
             ref_point = np.array(u), np.array(theta), np.asarray(v), phi, np.reshape(Hinv, (n, n))
             d_ref, dependent_ref = minmax_ref._face_step(S, ref_point)
             assert (np.array(d).tobytes(), dependent) == (d_ref.tobytes(), dependent_ref)
@@ -404,7 +404,7 @@ def _near_overflow_draws():
 @pytest.mark.filterwarnings("error")
 def test_near_overflow_returns_or_raises_a_setopt_error():
     """No RuntimeWarning and no numpy exception: a solve returns or raises a SetoptError.
-    (n, T, k) = (3, 5, 40) reaches a 4-term face whose curvature matrix is not finite."""
+    (n, T, k) = (3, 5, 40) reaches a 4-term face whose curvature matrix overflows."""
     outcomes = {}
     for key, gs, Hs in _near_overflow_draws():
         try:
@@ -413,8 +413,7 @@ def test_near_overflow_returns_or_raises_a_setopt_error():
         except SetoptError as exc:
             outcomes[key] = type(exc).__name__
     assert outcomes[3, 5, 40] == "NumericalBreakdown"
-    assert collections.Counter(outcomes.values()).keys() == {
-        "return", "SingularSystem", "NumericalBreakdown"}
+    assert set(outcomes.values()) == {"return", "SingularSystem", "NumericalBreakdown"}
 
 
 def test_non_finite_face_curvature_is_a_numerical_breakdown():
