@@ -8,8 +8,9 @@ the working tree's src/setopt side by side in one process, as the packages
 `ab_base` and `ab_head`, with BLAS pinned to one thread.  The working tree's
 solver.run, from K starts per method on the seven builtins and on
 perfbench's large_p_spec(200), captures the inputs of every
-setorder.analyze, direction.solve_subproblem, direction.solve_minmax,
-solver.armijo_backtrack and direction.bfgs_update call.  Each side then
+problem.eval_F, problem.eval_jacobians, setorder.analyze,
+direction.solve_subproblem, direction.solve_minmax, solver.armijo_backtrack
+and direction.bfgs_update call.  eval_F's calls include the Armijo trials.  Each side then
 replays the captured calls, layer by layer, and the whole starts, on its own
 types.  bfgs_update writes into its store, so each of its calls first copies
 the captured matrices into a store of its own, inside the timed call, and
@@ -19,11 +20,13 @@ garbage collector is off while a layer is timed.  The second caller of a
 pair runs warmer, by several percent, so rounds come in pairs, one with
 each side first, and a ratio is taken over a pair.
 
-In the first round every call's outputs must be equal bit for bit on both
-sides (IterateRecord.millis aside); otherwise the script names the first
-call and field that differ and exits 1.  Per layer it prints the calls, each
-side's median time per call, and the median over the round pairs of the
-head/base time ratio with its range (paired runs after Kalibera & Jones 2013).
+In the first round every call's outputs are compared bit for bit on both
+sides (IterateRecord.millis aside; a HessianStore by n, p, Q and its
+matrices).  Per layer the script prints the calls, each side's median time
+per call, and the median over the round pairs of the head/base time ratio
+with its range (paired runs after Kalibera & Jones 2013).  After the table
+it names, for each layer whose outputs differ, the first call and field that
+differ and how many calls differ, and then exits 1.
 
 A revision whose problem.builtin_file reads the package named "setopt"
 resolves it to the working tree's src, so both sides read the same problem
@@ -59,8 +62,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import large_p_spec  # noqa: E402
 
-LAYERS = ("setorder.analyze", "direction.solve_subproblem", "direction.solve_minmax",
-          "solver.armijo_backtrack", "direction.bfgs_update", "solver.run")
+LAYERS = ("problem.eval_F", "problem.eval_jacobians", "setorder.analyze",
+          "direction.solve_subproblem", "direction.solve_minmax", "solver.armijo_backtrack",
+          "direction.bfgs_update", "solver.run")
 BUILTINS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex7")
 METHODS = ("quasi_newton", "steepest_descent")
 SEED = 5
@@ -99,11 +103,21 @@ def problems(side):
 def capture(head, specs, starts):
     """Run head's solver from each start, recording every layer call's inputs as plain data."""
     calls = {layer: [] for layer in LAYERS}
-    setorder, direction, solver = head.setorder, head.direction, head.solver
-    analyze, solve_subproblem, solve_minmax, armijo_backtrack, bfgs_update = (
-        setorder.analyze, direction.solve_subproblem, direction.solve_minmax,
-        solver.armijo_backtrack, direction.bfgs_update)
+    problem, setorder, direction, solver = head.problem, head.setorder, head.direction, head.solver
+    originals = (problem.eval_F, problem.eval_jacobians, setorder.analyze,
+                 direction.solve_subproblem, direction.solve_minmax, solver.armijo_backtrack,
+                 direction.bfgs_update)
+    (eval_F, eval_jacobians, analyze, solve_subproblem, solve_minmax, armijo_backtrack,
+     bfgs_update) = originals
     run = None  # (problem, method) of the start in progress
+
+    def eval_F_(ps, x):
+        calls["problem.eval_F"].append((run[0], np.array(x)))
+        return eval_F(ps, x)
+
+    def eval_jacobians_(ps, x):
+        calls["problem.eval_jacobians"].append((run[0], np.array(x)))
+        return eval_jacobians(ps, x)
 
     def analyze_(c, F):
         calls["setorder.analyze"].append((run[0], np.array(F)))
@@ -128,9 +142,12 @@ def capture(head, specs, starts):
             (run[0], store.matrices.copy(), np.array(s), np.array(y_all)))
         return bfgs_update(store, s, y_all)
 
-    (setorder.analyze, direction.solve_subproblem, direction.solve_minmax,
-     solver.armijo_backtrack, direction.bfgs_update) = (
-        analyze_, solve_subproblem_, solve_minmax_, armijo_backtrack_, bfgs_update_)
+    def patch(fns):
+        (problem.eval_F, problem.eval_jacobians, setorder.analyze, direction.solve_subproblem,
+         direction.solve_minmax, solver.armijo_backtrack, direction.bfgs_update) = fns
+
+    patch((eval_F_, eval_jacobians_, analyze_, solve_subproblem_, solve_minmax_,
+           armijo_backtrack_, bfgs_update_))
     try:
         for name, ps in specs.items():
             for method in METHODS:
@@ -140,9 +157,7 @@ def capture(head, specs, starts):
                     calls["solver.run"].append((name, method, x0))
                     solver.run(ps, x0, solver.SolverConfig(method=method))
     finally:
-        (setorder.analyze, direction.solve_subproblem, direction.solve_minmax,
-         solver.armijo_backtrack, direction.bfgs_update) = (
-            analyze, solve_subproblem, solve_minmax, armijo_backtrack, bfgs_update)
+        patch(originals)
     return calls
 
 
@@ -165,6 +180,10 @@ def replays(side, calls):
         return side.direction.bfgs_update(fresh, s, y_all), fresh
 
     return {
+        "problem.eval_F": (side.problem.eval_F, [
+            (specs[name], x) for name, x in calls["problem.eval_F"]]),
+        "problem.eval_jacobians": (side.problem.eval_jacobians, [
+            (specs[name], x) for name, x in calls["problem.eval_jacobians"]]),
         "setorder.analyze": (side.setorder.analyze, [
             (specs[name].cone, F) for name, F in calls["setorder.analyze"]]),
         "direction.solve_subproblem": (side.direction.solve_subproblem, [
@@ -215,8 +234,8 @@ def canon(value):
     if dataclasses.is_dataclass(value):
         return {f.name: canon(getattr(value, f.name))
                 for f in dataclasses.fields(value) if f.name != "millis"}
-    if hasattr(value, "__dict__"):  # a HessianStore
-        return {name: canon(v) for name, v in vars(value).items()}
+    if hasattr(value, "matrices"):  # a HessianStore, whatever else a revision keeps on it
+        return {name: canon(getattr(value, name)) for name in ("n", "p", "Q", "matrices")}
     return value
 
 
@@ -233,12 +252,15 @@ def difference(a, b, path=""):
 
 
 def compare(layer, problems, base_out, head_out):
-    """Exit 1 naming the first call of the layer whose outputs differ, and its problem."""
-    for k, (a, b) in enumerate(zip(base_out, head_out)):
-        where = difference(canon(a), canon(b))
-        if where is not None:
-            sys.exit(f"{layer}: call {k} ({problems[k]}) differs at output{where}:\n"
-                     f"  base {a!r}\n  head {b!r}")
+    """None if every call of the layer has equal outputs on both sides; else a report
+    naming how many calls differ, the first of them, its problem and its first field."""
+    differ = [(k, where) for k, (a, b) in enumerate(zip(base_out, head_out))
+              if (where := difference(canon(a), canon(b))) is not None]
+    if not differ:
+        return None
+    k, where = differ[0]
+    return (f"{layer}: {len(differ)} of {len(base_out)} calls differ; the first, call {k} "
+            f"({problems[k]}), at output{where}:\n  base {base_out[k]!r}\n  head {head_out[k]!r}")
 
 
 def main(argv=None):
@@ -265,18 +287,21 @@ def main(argv=None):
         plays = {side: replays(package, calls) for side, package in sides.items()}
 
     times = {layer: {"base": [], "head": []} for layer in LAYERS}
+    reports = []
     for r in range(2 * rounds):
         order = ("base", "head") if r % 2 == 0 else ("head", "base")
         for layer in LAYERS:
             seconds, outputs = play(*(plays[side][layer] for side in order))
             for side, t in zip(order, seconds):
                 times[layer][side].append(t)
-            if r == 0:  # base went first
-                compare(layer, [call[0] for call in calls[layer]], *outputs)
+            if r == 0 and (report := compare(  # base went first
+                    layer, [call[0] for call in calls[layer]], *outputs)) is not None:
+                reports.append(report)
 
     print(f"base {'working tree' if args.smoke else args.rev}, head working tree; "
           f"{rounds} round pairs, {starts} starts per method and problem; "
-          "outputs equal bit for bit")
+          + (f"outputs differ in {len(reports)} layers" if reports
+             else "outputs equal bit for bit"))
     print(f"{'layer':28} {'calls':>6} {'base us':>9} {'head us':>9}  head/base [min, max]")
     for layer in LAYERS:
         calls_n = len(plays["head"][layer][1])
@@ -287,6 +312,8 @@ def main(argv=None):
         print(f"{layer:28} {calls_n:6d} {statistics.median(t['base']) / calls_n * 1e6:9.1f} "
               f"{statistics.median(t['head']) / calls_n * 1e6:9.1f}  "
               f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
+    if reports:
+        sys.exit("\n".join(reports))
 
 
 if __name__ == "__main__":

@@ -56,3 +56,20 @@ def test_one_ulp_or_a_signed_zero_is_a_difference_and_millis_is_not():
                                0.0, 0, millis=1.0)
     assert ab.difference(ab.canon(rec), ab.canon(solver.IterateRecord(
         **{**vars(rec), "millis": 2.0}))) is None
+
+
+def test_a_store_compares_by_its_matrices_and_shape_alone():
+    """A revision's store may carry more attributes; only n, p, Q and matrices are outputs."""
+    store, older = direction.HessianStore(2, 3, 2), direction.HessianStore(2, 3, 2)
+    older.applied = 5                       # as stores before the counters were dropped
+    assert ab.difference(ab.canon(store), ab.canon(older)) is None
+    older.matrices[2, 1, 0, 0] = np.nextafter(1.0, 2.0)
+    assert ab.difference(ab.canon(store), ab.canon(older)) == ".matrices"
+
+
+def test_differing_calls_are_counted_and_the_first_named():
+    base = [np.zeros(2), np.ones(2), np.ones(2), 1.0]
+    head = [np.zeros(2), np.array([1.0, -0.0]), np.ones(2), np.nextafter(1.0, 0.0)]
+    report = ab.compare("demo", ["ex1", "ex2", "ex3", "ex4"], base, head)
+    assert report.splitlines()[0] == "demo: 2 of 4 calls differ; the first, call 1 (ex2), at output.:"
+    assert ab.compare("demo", ["ex1"], base[:1], head[:1]) is None
