@@ -54,7 +54,8 @@ class HessianStore:
         self.n = n
         self.p = p
         self.Q = Q
-        self.matrices = np.broadcast_to(np.eye(n), (p, Q, n, n)).copy()
+        self.matrices = np.zeros((p, Q, n, n))
+        self.matrices.reshape(p * Q, n * n)[:, ::n + 1] = 1.0   # every diagonal, one write
 
     def spd_check(self) -> bool:
         """True iff every matrix is symmetric (to 1e-12) and admits a Cholesky factor."""
