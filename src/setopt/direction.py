@@ -26,8 +26,10 @@ problems; numpy's eigh, the reference's formula, takes every other face.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -340,6 +342,12 @@ def _ascend(lam, gs, Hs, dual_point):
     return lam, np.array(point[0]), max(point[1]), point[3]
 
 
+@functools.cache
+def _row_dtype(nbytes):
+    """The np.void dtype of a row of nbytes, built once per width: it costs more than the view."""
+    return np.dtype((np.void, nbytes))
+
+
 def solve_minmax(gs, Hs):
     """Solve min_u max_t [g_t'u + 1/2 u'H_t u] for SPD H_t.
 
@@ -356,13 +364,13 @@ def solve_minmax(gs, Hs):
     Hs2 = np.asarray(Hs, dtype=float).reshape(T, n * n)
     # a term's exact repeats merge into its first index; idx lists those, ascending
     rows = np.concatenate((gs, Hs2), axis=1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    keys = rows.view(_row_dtype(rows.itemsize * rows.shape[1])).ravel().tolist()
     first = dict(zip(reversed(keys), range(T - 1, -1, -1)))
     idx = sorted(first.values())
     if n <= 2:  # closed forms on Python floats
         dual_point, merged = (_dual_point_1, _dual_point_2)[n - 1], rows.take(idx, 0).tolist()
         gs, Hs2 = [r[:n] for r in merged], [r[n:] for r in merged]
-        norms = [sum(x * x for x in g) for g in gs]        # g'g, rounded as einsum does
+        norms = [sum(map(operator.mul, g, g)) for g in gs]    # g'g, rounded as einsum does
         start = norms.index(min(norms))
     else:
         dual_point, gs, Hs2 = _dual_point_n, gs.take(idx, 0), Hs2.take(idx, 0)
