@@ -108,6 +108,12 @@ def weakly_minimal_elements(c: ConeSpec, values) -> tuple:
     return tuple(((~dominated).nonzero()[0] + 1).tolist())
 
 
+def _closeness(values, idx):
+    """[k, l]: the images idx[k] and idx[l] differ by at most TOL_GROUP in the infinity norm."""
+    sub = np.ascontiguousarray(values[idx].T)
+    return np.abs(sub[:, :, None] - sub[:, None, :]).max(axis=0) <= TOL_GROUP
+
+
 def analyze(c: ConeSpec, values) -> MinimalStructure:
     """Minimal indices of the image set, their classes of equal value and varsigma.
 
@@ -121,14 +127,15 @@ def analyze(c: ConeSpec, values) -> MinimalStructure:
     matrix over the k minimal images, squared until it stops growing, is
     their closure, and each row's first member is its class's smallest.
     Classes are ordered by smallest member index.  When every class is a
-    singleton the matrix is never squared.
+    singleton the matrix is never squared, and for one minimal index it is
+    not built.
     """
     values, AV = _order_values(c, values)
     idx = _minimal(AV)
     minimal = tuple((idx + 1).tolist())
-    sub = np.ascontiguousarray(values[idx].T)
-    reach = np.abs(sub[:, :, None] - sub[:, None, :]).max(axis=0) <= TOL_GROUP
-    if np.count_nonzero(reach) == len(minimal):       # the diagonal only
+    if len(minimal) == 1:
+        classes = (minimal,)
+    elif np.count_nonzero(reach := _closeness(values, idx)) == len(minimal):  # the diagonal
         classes = tuple(zip(minimal))
     else:
         while np.count_nonzero(grown := reach @ reach) > np.count_nonzero(reach):
