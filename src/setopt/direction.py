@@ -113,7 +113,8 @@ def bfgs_update(store: HessianStore, s, y_all) -> UpdateReport:
     An update is applied only when s'y >= C_CURV * ||s|| * ||y|| with s'y > 0;
     otherwise the matrix is left unchanged.  Applied updates satisfy the
     secant equation B_new s = y exactly.  All (i, q) pairs are tested and
-    updated in one batched step; a breakdown leaves the store untouched.
+    updated in one batched step, in the store's own matrices when every pair
+    passes; a breakdown leaves the store untouched.
     """
     s = np.asarray(s, dtype=float).ravel()
     y_all = np.asarray(y_all, dtype=float)
@@ -124,10 +125,11 @@ def bfgs_update(store: HessianStore, s, y_all) -> UpdateReport:
     y_norm = np.sqrt(_dots(y_all, y_all))
     apply = ~((sy <= 0.0) | (sy < C_CURV * s_norm * y_norm))
     idx = apply.ravel().nonzero()[0]                       # into the p*Q matrices
-    # a view, so the write below reaches the store: HessianStore allocates its
+    # a view, so the writes below reach the store: HessianStore allocates its
     # matrices C-contiguous and only ever writes into them in place
     matrices = store.matrices.reshape(-1, store.n, store.n)
-    B = matrices.take(idx, axis=0)                         # (k, n, n)
+    every = idx.size == apply.size
+    B = matrices if every else matrices.take(idx, axis=0)  # (k, n, n)
     Bs = B @ s
     sBs = _dots(Bs, s)
     if (sBs <= 0.0).any():
@@ -135,15 +137,18 @@ def bfgs_update(store: HessianStore, s, y_all) -> UpdateReport:
         i, q = divmod(int(idx[t]), store.Q)
         raise NumericalBreakdown(
             f"s'Bs = {sBs[t]:g} <= 0 for component ({i + 1},{q + 1}); store corrupted")
-    y = y_all.reshape(-1, store.n).take(idx, axis=0)
+    y, sy = y_all.reshape(-1, store.n), sy.ravel()
+    if not every:
+        y, sy = y.take(idx, axis=0), sy.take(idx)
     # B - Bs Bs'/sBs + y y'/sy, one operation at a time in place
     BsBs = Bs[:, :, None] * Bs[:, None, :]
     BsBs /= sBs[:, None, None]
     B -= BsBs
     yy = y[:, :, None] * y[:, None, :]
-    yy /= sy.ravel().take(idx)[:, None, None]
+    yy /= sy[:, None, None]
     B += yy
-    matrices[idx] = B
+    if not every:
+        matrices[idx] = B
     return UpdateReport(mask=apply)
 
 
