@@ -273,21 +273,20 @@ def _face_step(S, point):
         dependent = m <= DEPENDENT * m
         c = 1.0 if dependent else r / m
         return ([c, -c] if dependent and r < 0.0 else [-c, c]), dependent
-    v = np.asarray(v)  # the lists of an n <= 2 dual point become arrays
     r = np.array([theta[k] - theta[i] for k in S[1:]])
     # overflow gives inf or nan, as on Python floats, and a nan counts as dependent
     with np.errstate(all="ignore"):
-        D = v.take(S[1:], 0) - v[i]
+        D = np.array([[a - b for a, b in zip(v[k], v[i])] for k in S[1:]])  # the face's rows
         try:
-            w, Q = np.linalg.eigh(D @ np.reshape(Hinv, (n, n)) @ D.T)
+            w, Q = np.linalg.eigh(D @ np.asarray(Hinv).reshape(n, n) @ D.T)
         except np.linalg.LinAlgError as exc:  # a non-finite curvature matrix
             raise NumericalBreakdown("face curvature matrix has no eigendecomposition") from exc
         dependent = not w[0] > DEPENDENT * w[-1]
         c = Q[:, 0] if dependent else Q @ (Q.T @ r / w)
-        d = np.concatenate([[-c.sum()], c])
+        d = [-float(c.sum()), *c.tolist()]
         if dependent and np.array([theta[s] for s in S]) @ d < 0.0:
-            d = -d
-    return d.tolist(), dependent
+            d = [-x for x in d]
+    return d, dependent
 
 
 def _ascend(lam, gs, Hs, dual_point):
