@@ -5,6 +5,7 @@ direction ``e`` (``A e > 0`` componentwise).  All order tests and the
 scalarizing functional reduce to arithmetic on ``A`` and the cached ``A e``.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,13 @@ class ConeSpec:
     @property
     def Q(self) -> int:
         return self.A.shape[0]
+
+    @functools.cached_property
+    def A_scaled(self) -> np.ndarray:
+        """A / Ae row by row: row q of the gradient map of every h^{i,q}, built once."""
+        A_scaled = self.A / self.Ae[:, None]
+        A_scaled.setflags(write=False)
+        return A_scaled
 
     @property
     def lipschitz(self) -> float:

@@ -405,13 +405,14 @@ def solve_subproblem(grads, store: Optional[HessianStore], ms: MinimalStructure
     _, Q, n = grads.shape
     T = ms.w * Q
     best = None
+    if store is None:  # every H_t = I, the rows of one stack for every selector
+        Hs = np.zeros((T, n * n))
+        Hs[:, ::n + 1] = 1.0
     # every class a singleton, the common case: I(x) is the one selector
     for a in [ms.minimal_indices] if count == 1 else itertools.product(*ms.classes):
         sel = np.array(a) - 1
         gs = grads.take(sel, 0).reshape(T, n)
-        if store is None:
-            Hs = np.eye(n)[None].repeat(T, axis=0)
-        else:
+        if store is not None:
             Hs = store.matrices.take(sel, 0).reshape(T, n, n)
         u, phi, _, gap, _ = solve_minmax(gs, Hs)
         if best is None or phi < best.phi:

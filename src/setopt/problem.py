@@ -94,7 +94,7 @@ class ScalarizedComponents:
 
 def scalarized_gradients(c: ConeSpec, J) -> np.ndarray:
     """Map Jacobians (p, m, n) to the (p, Q, n) gradients of every h^{i,q}."""
-    return (c.A / c.Ae[:, None]) @ J
+    return c.A_scaled @ J
 
 
 # --- built-in families -----------------------------------------------------
