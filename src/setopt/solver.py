@@ -148,7 +148,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
     x = np.asarray(x0, dtype=float).ravel().copy()
     if x.shape[0] != ps.n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {ps.n}")
-    if not np.isfinite(x).all():
+    if not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be finite, got {x}")
     c = ps.cone
     qn = cfg.method == "quasi_newton"
@@ -168,7 +168,7 @@ def run(ps: ProblemSpec, x0, cfg: SolverConfig) -> IterateTrace:
             rec = IterateRecord(
                 k=k, x=x.copy(), w=ms.w,
                 partition_count=ms.partition_count(), a=sol.a,
-                u=sol.u, u_norm=u_norm, phi=sol.phi, t=0.0,
+                u=sol.u.copy(), u_norm=u_norm, phi=sol.phi, t=0.0,
                 backtracks=0, varsigma=ms.varsigma, gap=sol.gap, bfgs_skips=0, millis=0.0)
 
             if u_norm < cfg.eps_stop:
