@@ -125,8 +125,6 @@ def bfgs_update(store: HessianStore, s, y_all) -> UpdateReport:
     y_norm = np.sqrt(_dots(y_all, y_all))
     apply = ~((sy <= 0.0) | (sy < C_CURV * s_norm * y_norm))
     idx = apply.ravel().nonzero()[0]                       # into the p*Q matrices
-    if not idx.size:
-        return UpdateReport(mask=apply)
     # a view, so the writes below reach the store: HessianStore allocates its
     # matrices C-contiguous and only ever writes into them in place
     matrices = store.matrices.reshape(-1, store.n, store.n)
