@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bfgs_ref
 import minmax_ref
 from setopt import bench, direction, oracle, problem, setorder, solver
 from setopt.errors import (EmptyInput, NumericalBreakdown, PartitionTooLarge, SetoptError,
@@ -18,6 +19,10 @@ def test_init_store():
     assert store.matrices.shape == (3, 2, 2, 2)
     assert np.array_equal(store.matrices[1, 1], np.eye(2))
     assert store.spd_check()
+    for n in (1, 2, 3):  # the bytes of the broadcast identity stack, positive zeros included
+        store = direction.HessianStore(n=n, p=4, Q=3)
+        assert store.matrices.flags.c_contiguous
+        assert store.matrices.tobytes() == np.broadcast_to(np.eye(n), (4, 3, n, n)).copy().tobytes()
 
 
 def test_bfgs_fixed_point():
@@ -125,14 +130,43 @@ def test_bfgs_breakdown_names_first_component_like_reference():
         store.matrices[1, 1] = -np.eye(2)
     s = np.array([1.0, 0.5])
     y_all = np.broadcast_to(s, (3, 2, 2)).copy()           # s'y > 0 everywhere
+    before = fast.matrices.copy()
     with pytest.raises(NumericalBreakdown, match=r"\(2,2\)"):
         direction.bfgs_update(fast, s, y_all)
+    # every pair passes, so the update runs in the store's own matrices: none is written
+    assert fast.matrices.tobytes() == before.tobytes()
     with pytest.raises(NumericalBreakdown, match=r"\(2,2\)"):
         _reference_bfgs(ref, s, y_all)
     with pytest.raises(NumericalBreakdown, match="zero step"):
         direction.bfgs_update(fast, np.zeros(2), y_all)
     with pytest.raises(NumericalBreakdown, match="zero step"):
         _reference_bfgs(ref, np.zeros(2), y_all)
+
+
+@pytest.mark.parametrize("passing", ["none", "some", "every"])
+@pytest.mark.parametrize("n, p, Q", [(1, 4, 2), (2, 7, 3), (3, 3, 4)])
+def test_bfgs_equals_the_take_and_write_back_update_bit_for_bit(passing, n, p, Q):
+    """The update in the store's own matrices, when every pair passes, rounds as the
+    copy-and-write-back update of tests/bfgs_ref.py does; so do the other paths."""
+    rng = np.random.default_rng(n * 1000 + p * 10 + Q)
+    fast, ref = _twin_stores(n, p, Q, rng)
+    for _ in range(10):
+        s = rng.standard_normal(n)
+        y_all = rng.standard_normal((p, Q, n))
+        sign = np.sign(y_all @ s)[..., None]              # y_all * sign has s'y > 0
+        if passing == "none":
+            sign = -sign
+        elif passing == "some":  # at random, the first pair passing and the last not
+            flip = rng.choice([-1.0, 1.0], (p, Q, 1))
+            flip[0, 0], flip[-1, -1] = 1.0, -1.0
+            sign = sign * flip
+        y_all *= sign
+        rep = direction.bfgs_update(fast, s, y_all)
+        rep_ref = bfgs_ref.bfgs_update(ref, s, y_all)
+        assert np.array_equal(rep.mask, rep_ref.mask)
+        assert {"none": not rep.mask.any(), "every": rep.mask.all(),
+                "some": 0 < rep.mask.sum() < rep.mask.size}[passing]
+        assert fast.matrices.tobytes() == ref.matrices.tobytes()
 
 
 def test_solve_minmax_single_term():

@@ -173,7 +173,7 @@ def _assert_matches_reference(c, vals, tol_group=1e-8):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, len(ACCEPTANCE_CONES) - 1),
-       st.sampled_from(["random", "grid", "duplicates", "chain", "chain+random"]),
+       st.sampled_from(["random", "grid", "duplicates", "chain", "chain+random", "single"]),
        st.integers(1, 80), st.sampled_from([1e-8, 0.25]), st.integers(0, 2**32 - 1))
 def test_analyze_matches_reference(which, kind, p, tol_group, seed):
     c = ACCEPTANCE_CONES[which]
@@ -186,9 +186,11 @@ def test_analyze_matches_reference(which, kind, p, tol_group, seed):
         vals = rng.uniform(-3.0, 3.0, (max(1, p // 4), c.m))[rng.integers(0, max(1, p // 4), p)]
     elif kind == "chain":
         vals = _chain(rng, c.m, p, tol_group)
-    else:
+    elif kind == "chain+random":
         vals = np.concatenate([_chain(rng, c.m, p, tol_group),
                                rng.uniform(-3.0, 3.0, (p, c.m))])
+    else:                                         # one minimal image, the rest above it along e
+        vals = rng.uniform(-3.0, 3.0, c.m) + 0.5 * rng.permutation(p)[:, None] * c.e
     _assert_matches_reference(c, vals[rng.permutation(len(vals))], tol_group)
 
 
