@@ -10,9 +10,9 @@ solver.run, from K starts per method on the seven builtins and on
 perfbench's large_p_spec(200), captures the inputs of every
 problem.eval_F, problem.eval_jacobians, setorder.analyze,
 direction.solve_subproblem, direction.solve_minmax, solver.armijo_backtrack
-and direction.bfgs_update call.  eval_F's calls include the Armijo trials.  Each side then
-replays the captured calls, layer by layer, and the whole starts, on its own
-types.  bfgs_update writes into its store, so each of its calls first copies
+and direction.bfgs_update call; eval_F's include the Armijo trials.  Each
+side then replays the captured calls, layer by layer, and the whole starts,
+on its own types.  bfgs_update writes into its store, so each of its calls first copies
 the captured matrices into a store of its own, inside the timed call, and
 returns the report with that store.  Within a round the two sides take turns
 call by call, the side that goes first swaps from round to round, and the

@@ -71,5 +71,6 @@ def test_differing_calls_are_counted_and_the_first_named():
     base = [np.zeros(2), np.ones(2), np.ones(2), 1.0]
     head = [np.zeros(2), np.array([1.0, -0.0]), np.ones(2), np.nextafter(1.0, 0.0)]
     report = ab.compare("demo", ["ex1", "ex2", "ex3", "ex4"], base, head)
-    assert report.splitlines()[0] == "demo: 2 of 4 calls differ; the first, call 1 (ex2), at output.:"
+    assert report.splitlines()[0] == (
+        "demo: 2 of 4 calls differ; the first, call 1 (ex2), at output.:")
     assert ab.compare("demo", ["ex1"], base[:1], head[:1]) is None

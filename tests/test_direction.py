@@ -22,7 +22,8 @@ def test_init_store():
     for n in (1, 2, 3):  # the bytes of the broadcast identity stack, positive zeros included
         store = direction.HessianStore(n=n, p=4, Q=3)
         assert store.matrices.flags.c_contiguous
-        assert store.matrices.tobytes() == np.broadcast_to(np.eye(n), (4, 3, n, n)).copy().tobytes()
+        eye = np.broadcast_to(np.eye(n), (4, 3, n, n)).copy()
+        assert store.matrices.tobytes() == eye.tobytes()
 
 
 def test_bfgs_fixed_point():
