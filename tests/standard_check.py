@@ -44,6 +44,17 @@ the calls of `direction._face_step` per (n, face size) over the runs of the
 counts lines: face steps of 2 terms at n <= 2 take the closed form, and all
 others numpy's eigh.  It is left out of `standard_counts.txt`.
 
+After the total come the wide groups, `rosen5.prob` and `rosen10.prob`,
+extended Rosenbrock families at n = 5 and 10 on which the two methods end
+differently.  They run from the first 5 of each seed's starts, which keeps
+the count pin fast (`sd` runs all 100 iterations there), and print the same
+three lines per (problem, method), then their own faces and total lines,
+
+    wide faces <n>:<size> <steps> ...
+    wide total <runs> runs <iterations> iterations
+
+so that the output of the groups above stays as it was when they were fixed.
+
 The counts and evals lines are what the ROADMAP's re-base protocol compares
 between two commits; the digests show whether any bit of a trace moved.  The
 counts and evals lines, and the expr line without its digest, are committed
@@ -82,6 +93,7 @@ from workloads import large_p_spec  # noqa: E402
 
 SEEDS = (3, 5, 7)
 STARTS = 15
+WIDE_STARTS = 5
 METHODS = (("qnm", "quasi_newton"), ("sd", "steepest_descent"))
 EXPR_FAMILIES = 1000
 EXPR_POINTS = 2
@@ -96,6 +108,11 @@ def problems():
     yield "ex3-n3", problem.load(str(ROOT / "tests" / "ex3_n3.prob"))
     yield "ex6-p8", problem.load(str(ROOT / "tests" / "ex6_p8.prob"))
     yield "selector-moves", problem.load(str(ROOT / "tests" / "selector_moves.prob"))
+
+
+def wide_problems():
+    for name in ("rosen5", "rosen10"):
+        yield name, problem.load(str(ROOT / "tests" / f"{name}.prob"))
 
 
 def _feed(h, value):
@@ -183,7 +200,7 @@ def expr_line():
             f" errors {counts['errors']} {h.hexdigest()}")
 
 
-def group(name, ps, key, method):
+def group(name, ps, key, method, starts=STARTS):
     """The counts, evals and digest lines, the iteration total and the face steps per
     (n, face size) of one (problem, method)."""
     calls, faces, face_step = {"F": 0, "J": 0}, collections.Counter(), direction._face_step
@@ -204,7 +221,7 @@ def group(name, ps, key, method):
     counts, h, iterations, backtracks = [], hashlib.sha256(), 0, 0
     with mock.patch.object(direction, "_face_step", counted_step):
         for seed in SEEDS:
-            for k in range(STARTS):
+            for k in range(starts):
                 trace = solver.run(ps, bench.sample_start(ps, seed, k), cfg)
                 counts.append(f"{trace.status[0]}{trace.iterations}")
                 digest(h, trace)
@@ -217,28 +234,46 @@ def group(name, ps, key, method):
 
 def count_lines():
     """The counts and evals lines, two per (problem, method), as main prints
-    them, then the expr line without its digest."""
-    return [line for name, ps in problems() for key, method in METHODS
-            for line in group(name, ps, key, method)[:2]] + [expr_line().rsplit(" ", 1)[0]]
+    them: those of `problems()`, the expr line without its digest, then those
+    of `wide_problems()`."""
+    def lines(named, starts):
+        return [line for name, ps in named for key, method in METHODS
+                for line in group(name, ps, key, method, starts)[:2]]
+
+    return (lines(problems(), STARTS) + [expr_line().rsplit(" ", 1)[0]]
+            + lines(wide_problems(), WIDE_STARTS))
 
 
-def main():
+def print_groups(named, starts):
+    """Print each (problem, method)'s three lines, and a builtin's stats line:
+    the runs, the iterations and the face steps per (n, face size) of all."""
     runs = iterations = 0
     faces = collections.Counter()
-    for name, ps in problems():
+    for name, ps in named:
         for key, method in METHODS:
-            counts, evals, digest_line, group_iterations, group_faces = group(name, ps, key, method)
+            counts, evals, digest_line, group_iterations, group_faces = group(
+                name, ps, key, method, starts)
             print(counts)
             print(evals)
             print(digest_line, flush=True)
-            runs += len(SEEDS) * STARTS
+            runs += len(SEEDS) * starts
             iterations += group_iterations
             faces += group_faces
         if name in problem.BUILTIN_NAMES:
             print(f"{name} stats {stats_hash(ps, 1)} {stats_hash(ps, 2)}", flush=True)
+    return runs, iterations, faces
+
+
+def print_totals(prefix, runs, iterations, faces):
+    print(prefix + "faces " + " ".join(f"{n}:{size} {faces[n, size]}" for n, size in sorted(faces)))
+    print(f"{prefix}total {runs} runs {iterations} iterations", flush=True)
+
+
+def main():
+    totals = print_groups(problems(), STARTS)
     print(expr_line(), flush=True)
-    print("faces " + " ".join(f"{n}:{size} {faces[n, size]}" for n, size in sorted(faces)))
-    print(f"total {runs} runs {iterations} iterations")
+    print_totals("", *totals)
+    print_totals("wide ", *print_groups(wide_problems(), WIDE_STARTS))
 
 
 if __name__ == "__main__":
