@@ -368,7 +368,7 @@ def _npow(a, b):
 
 _RUNTIME = {
     "_Fail": _Fail, "_nexp": _nexp, "_npow": _npow,
-    "_empty": np.empty, "_nan": math.nan, "_inf": math.inf,
+    "_empty": np.empty, "_zeros": np.zeros, "_nan": math.nan, "_inf": math.inf,
     "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
     "_log": math.log, "_sqrt": math.sqrt, "_copysign": math.copysign,
     "_isfinite": math.isfinite, "_floor": math.floor,
@@ -599,28 +599,28 @@ class _Emitter:
             return self.guarded(f"{a.code} ** {b.code}", node, "OverflowError")
         return self.finite(node, self.let(f"_npow({a.code}, {b.code})", _N), a, b)
 
-    # gradients: None (zero), or a list of n operands
+    # gradients: a map from column to operand, an absent column a structural
+    # zero; the empty map is the zero gradient
 
     def g_neg(self, g):
-        return g and [self.neg(c) for c in g]
+        return {j: self.neg(c) for j, c in g.items()}
 
-    def g_plus(self, a, b):
-        if a is None or b is None:
-            return b if a is None else a
-        return [self.arith("+", x, y) for x, y in zip(a, b)]
+    def g_plus(self, a, b, op="+"):
+        """a + b, or a - b for op "-": a column of one map alone is its operand,
+        negated if it is b's under "-"."""
+        out = dict(a)
+        for j, c in b.items():
+            out[j] = self.arith(op, a[j], c) if j in a else self.neg(c) if op == "-" else c
+        return out
 
     def g_minus(self, a, b):
-        if b is None:
-            return a
-        if a is None:
-            return self.g_neg(b)
-        return [self.arith("-", x, y) for x, y in zip(a, b)]
+        return self.g_plus(a, b, "-")
 
     def g_scale(self, v, g):
-        return g and [self.arith("*", v, c) for c in g]
+        return {j: self.arith("*", v, c) for j, c in g.items()}
 
     def g_over(self, g, d):
-        return g and [self.arith("/", c, d) for c in g]
+        return {j: self.arith("/", c, d) for j, c in g.items()}
 
     # nodes
 
@@ -645,11 +645,11 @@ class _Emitter:
             (a, _), = args
             self.check(self.negate(_V(f"_isfinite({a.code})", _S)), node,
                        "floor of a non-finite value")
-            return self.let(f"float(_floor({a.code}))", _S), None
+            return self.let(f"float(_floor({a.code}))", _S), {}
         if key == "mod":
             (a, _), (b, _) = args
             self.check(self.compare(b, "==", 0.0), node, "mod by zero")
-            return self.let(f"{a.code} % {b.code}", _S), None
+            return self.let(f"{a.code} % {b.code}", _S), {}
         (a, g), = args
         return getattr(self, "f_" + key)(node, a, g)
 
@@ -657,8 +657,8 @@ class _Emitter:
         (a, ag), (b, bg) = left, right
         self.check(self.compare(b, "==", 0.0), node, "division by zero")
         value = self.arith("/", a, b)
-        if ag is None and bg is None:     # no derivative to overflow
-            return value, None
+        if not ag and not bg:            # no derivative to overflow
+            return value, {}
         numerator = self.g_minus(self.g_scale(b, ag), self.g_scale(a, bg))
         d = self.arith("*", b, b)
         self.check(self.compare(d, "==", 0.0), node, "overflow")     # b*b underflowed
@@ -676,9 +676,9 @@ class _Emitter:
             # operand differently
             a = self.let(f"_nwhere({self.either(zero_neg, neg_frac).code}, 1.0, {a.code})", _N)
         value = self.power(node, a, b)
-        if ag is None and bg is None:
-            return value, None
-        if bg is not None:             # the exponent reads x: the log rule
+        if not ag and not bg:
+            return value, {}
+        if bg:                           # the exponent reads x: the log rule
             self.check(self.compare(a, "<=", 0.0), node,
                        "non-constant exponent needs a positive base")
             pos = self.select(self.compare(a, ">", 0.0), a, _ONE)
@@ -720,16 +720,16 @@ class _Emitter:
 
     def f_sqrt(self, node, a, g):
         self.check(self.compare(a, "<", 0.0), node, "sqrt of a negative value")
-        if g is None:
-            return self.call("sqrt", a), None
+        if not g:
+            return self.call("sqrt", a), {}
         self.check(self.compare(a, "==", 0.0), node, "sqrt derivative at zero")
         s = self.call("sqrt", a)
         return s, self.g_over(g, self.arith("*", _const(2.0), s))
 
     def f_abs(self, node, a, g):
         value = self.let(f"abs({a.code})", a.kind)
-        if g is None:
-            return value, None
+        if not g:
+            return value, {}
         kink = self.compare(a, "==", 0.0)
         sign = self.let(f"_{'n' if self.lanes else ''}copysign(1.0, {a.code})",
                         _N if self.lanes else _S)
@@ -777,9 +777,9 @@ class _Family:
                 for node in _postorder(root):
                     if isinstance(node, Const):
                         results[id(node)] = (_V(repr(node.value), _S) if math.isfinite(node.value)
-                                             else _const(node.value)), None
+                                             else _const(node.value)), {}
                     elif isinstance(node, Param):
-                        results[id(node)] = _V("i", _S), None
+                        results[id(node)] = _V("i", _S), {}
                     else:
                         args = [results[id(ch)] for ch in _children(node)]
                         results[id(node)] = em.node(node, args)
@@ -825,11 +825,10 @@ class _Family:
             for node in order:
                 d = deps[id(node)]
                 if id(node) in fold_roots:                # where the walk meets it
-                    results[id(node)] = self._folded(em, *folded[id(node)]), None
+                    results[id(node)] = self._folded(em, *folded[id(node)]), {}
                 elif isinstance(node, Var):
                     results[id(node)] = _V(f"x{node.index - 1}", _S), (
-                        [_ONE if j == node.index - 1 else _ZERO for j in range(n)]
-                        if jacobians else None)
+                        {node.index - 1: _ONE} if jacobians else {})
                 elif d & _X:
                     em.lanes = d == _XI
                     args = [results[id(ch)] for ch in _children(node)]
@@ -892,14 +891,13 @@ class _Family:
             for c, (value, _) in enumerate(outputs):
                 em.put([f"out[:, {c}] = {value.code}"])
             return
-        em.put([f"J = _empty(({p}, {m}, {n}))"])
+        em.put([f"J = _zeros(({p}, {m}, {n}))"])
         for c, (_, g) in enumerate(outputs):
-            if g is None:
-                em.put([f"J[:, {c}] = 0.0"])
-            elif all(a.kind in (_C, _S) for a in g):
-                em.put([f"J[:, {c}] = ({''.join(f'{a.code}, ' for a in g)})"])
+            if len(g) == n > 1 and all(a.kind in (_C, _S) for a in g.values()):
+                # every column a float: one write of them all
+                em.put([f"J[:, {c}] = ({''.join(f'{g[j].code}, ' for j in range(n))})"])
             else:
-                em.put([f"J[:, {c}, {j}] = {a.code}" for j, a in enumerate(g)])
+                em.put([f"J[:, {c}, {j}] = {a.code}" for j, a in sorted(g.items())])
 
 
 def generate(asts, n: int, index, filename=None):

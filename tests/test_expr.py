@@ -1,3 +1,4 @@
+import linecache
 import math
 import warnings
 
@@ -7,7 +8,7 @@ from expr_walk import walk_dual, walk_eval
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from setopt import expr
+from setopt import expr, problem
 from setopt.errors import (DomainError, LexError, ParseError,
                            UnknownIdentifier, VariableOutOfRange)
 
@@ -316,3 +317,43 @@ def test_long_unary_chain_is_evaluated():
     ast = expr.parse("-" * 600 + "x1", 1)
     assert expr.eval(ast, [2.0], 1) == 2.0
     assert list(expr.eval_dual(ast, [2.0], np.arange(1, 3)).derivatives[:, 0]) == [1.0, 1.0]
+
+
+# --- generated Jacobians: a gradient holds only the columns it reads -------
+
+def test_a_structural_zero_is_positive_zero():
+    """The columns an output does not read are +0.0, not -1 * 0.0."""
+    J = expr.eval_dual(expr.parse("-x3", 3), [1.0, 2.0, 3.0], 1).derivatives
+    assert list(J) == [0.0, 0.0, -1.0]
+    assert not np.signbit(J[:2]).any()
+
+
+def test_a_generated_jacobian_grows_linearly_in_n():
+    """quad20, the ROADMAP's convex family at n = 20, m = 2: each output reads
+    every column once, so its Jacobian takes O(n) statements, not O(n^2)."""
+    n = 20
+    a = [100 ** ((k - 1) / (n - 1)) for k in range(1, n + 1)]
+    srcs = [" + ".join(f"{a[k]!r}*(x{k + 1} - 0.1*i)^2" for k in range(n)),
+            " + ".join(f"{a[n - 1 - k]!r}*(x{k + 1} + 0.05*i^2)^2" for k in range(n))]
+    _, jacobians = expr.generate([expr.parse(s, n) for s in srcs], n, np.arange(1, 5), "quad20")
+    assert len(linecache.cache["<quad20: jacobians>"][2]) < 1000
+    x = np.linspace(-1.0, 1.0, n)
+    i = np.arange(1, 5)[:, None]
+    assert np.array_equal(jacobians(x), np.stack([2 * np.array(a) * (x - 0.1 * i),
+                                                  2 * np.array(a[::-1]) * (x + 0.05 * i**2)],
+                                                 axis=1))
+
+
+def test_a_nonfinite_operand_does_not_touch_unread_columns(tmp_path):
+    """(x1*x2)*x3 at x1 = x2 = 1e200: x1*x2 overflows to inf, which scales only
+    the column x3 of the gradient, not an inf * 0.0 = nan in the others.  The
+    row stays non-finite, so eval_jacobians types the same error: a
+    non-finite operand always scales a column the gradient reads."""
+    _, jacobians = expr.generate([expr.parse("(x1*x2)*x3", 3)], 3, [1])
+    J = jacobians(np.array([1e200, 1e200, 1.0]))
+    assert J.tolist() == [[[1e200, 1e200, math.inf]]]
+    path = tmp_path / "overflow.prob"
+    path.write_text("[meta]\nname=overflow\nn=3\nm=1\np=1\n[box]\n-1 1\n-1 1\n-1 1\n"
+                    "[functions]\n(x1*x2)*x3\n")
+    with pytest.raises(DomainError, match=r"^the Jacobian of f\^1 is not finite"):
+        problem.eval_jacobians(problem.load(str(path)), [1e200, 1e200, 1.0])
