@@ -5,10 +5,11 @@
 
 Unpacks `git archive <rev> src` into a temporary directory and loads it and
 the working tree's src/setopt side by side in one process, as the packages
-`ab_base` and `ab_head`, with BLAS pinned to one thread.  The working tree's
-solver.run, from K starts per method on the seven builtins and on
-perfbench's large_p_spec(200), captures the inputs of every
-problem.eval_F, problem.eval_jacobians, setorder.analyze,
+`ab_base` and `ab_head`, with BLAS pinned to one thread.  Each side loads
+the seven builtins' problem files with its own problem.load, which generates
+their evaluators.  The working tree's solver.run, from K starts per method
+on the seven builtins and on perfbench's large_p_spec(200), captures the
+inputs of every problem.eval_F, problem.eval_jacobians, setorder.analyze,
 direction.solve_subproblem, direction.solve_minmax, solver.armijo_backtrack
 and direction.bfgs_update call; eval_F's include the Armijo trials.  Each
 side then replays the captured calls, layer by layer, and the whole starts,
@@ -22,9 +23,11 @@ each side first, and a ratio is taken over a pair.
 
 In the first round every call's outputs are compared bit for bit on both
 sides (IterateRecord.millis aside; a HessianStore by n, p, Q and its
-matrices).  Per layer the script prints the calls, each side's median time
-per call, and the median over the round pairs of the head/base time ratio
-with its range (paired runs after Kalibera & Jones 2013).  After the table
+matrices; a loaded problem by the bytes of its F and J at its captured
+starts).  Per layer the script prints the calls, each side's median time per
+call, and the median over the round pairs of the head/base time ratio with a
+bootstrap 95% interval of that median (paired runs after Kalibera & Jones
+2013).  After the table
 it names, for each layer whose outputs differ, the first call and field that
 differ and how many calls differ, and then exits 1.
 
@@ -43,6 +46,7 @@ if __name__ == "__main__":  # before numpy loads its BLAS
         os.environ[var] = "1"
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import dataclasses  # noqa: E402
 import gc  # noqa: E402
 import importlib.util  # noqa: E402
@@ -62,12 +66,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import large_p_spec  # noqa: E402
 
-LAYERS = ("problem.eval_F", "problem.eval_jacobians", "setorder.analyze",
+LAYERS = ("problem.load", "problem.eval_F", "problem.eval_jacobians", "setorder.analyze",
           "direction.solve_subproblem", "direction.solve_minmax", "solver.armijo_backtrack",
           "direction.bfgs_update", "solver.run")
 BUILTINS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex7")
 METHODS = ("quasi_newton", "steepest_descent")
 SEED = 5
+RESAMPLES = 10000
 
 
 def load_package(src, name):
@@ -109,6 +114,7 @@ def capture(head, specs, starts):
                  direction.bfgs_update)
     (eval_F, eval_jacobians, analyze, solve_subproblem, solve_minmax, armijo_backtrack,
      bfgs_update) = originals
+    calls["problem.load"] = [(name, head.problem.builtin_file(name)) for name in BUILTINS]
     run = None  # (problem, method) of the start in progress
 
     def eval_F_(ps, x):
@@ -180,6 +186,7 @@ def replays(side, calls):
         return side.direction.bfgs_update(fresh, s, y_all), fresh
 
     return {
+        "problem.load": (side.problem.load, [(path,) for _, path in calls["problem.load"]]),
         "problem.eval_F": (side.problem.eval_F, [
             (specs[name], x) for name, x in calls["problem.eval_F"]]),
         "problem.eval_jacobians": (side.problem.eval_jacobians, [
@@ -219,6 +226,45 @@ def play(first, second):
     finally:
         gc.enable()
     return seconds, outputs
+
+
+def attempt(fn, *args):
+    """fn(*args), or the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared like a result
+        return exc
+
+
+def evaluations(calls, specs):
+    """problem.load's outputs as what they compute: each loaded spec's F and J
+    at its problem's captured starts (its functions are new objects on each side)."""
+    starts = collections.defaultdict(list)
+    for name, method, x0 in calls["solver.run"]:
+        if method == METHODS[0]:    # the starts are the same for each method
+            starts[name].append(x0)
+    return [ps if isinstance(ps, BaseException) else
+            [(attempt(ps.values_fn, x), attempt(ps.jacobians_fn, x)) for x in starts[name]]
+            for (name, _), ps in zip(calls["problem.load"], specs)]
+
+
+def interval(ratios, resamples=RESAMPLES):
+    """A percentile bootstrap 95% interval of the median of the ratios, from a fixed seed."""
+    rng = np.random.default_rng(0)
+    medians = np.median(rng.choice(ratios, size=(resamples, len(ratios))), axis=1)
+    low, high = np.quantile(medians, [0.025, 0.975])
+    return float(low), float(high)
+
+
+def row(layer, calls_n, base, head):
+    """A layer's line of the table from each side's seconds per round: a round and the
+    next, in the other order, make a pair, whose ratio cancels the gain of going second."""
+    ratios = [(h0 + h1) / (b0 + b1)
+              for b0, b1, h0, h1 in zip(base[::2], base[1::2], head[::2], head[1::2])]
+    low, high = interval(ratios)
+    return (f"{layer:28} {calls_n:6d} {statistics.median(base) / calls_n * 1e6:9.1f} "
+            f"{statistics.median(head) / calls_n * 1e6:9.1f}  "
+            f"{statistics.median(ratios):.3f} [{low:.3f}, {high:.3f}]")
 
 
 def canon(value):
@@ -294,24 +340,20 @@ def main(argv=None):
             seconds, outputs = play(*(plays[side][layer] for side in order))
             for side, t in zip(order, seconds):
                 times[layer][side].append(t)
-            if r == 0 and (report := compare(  # base went first
-                    layer, [call[0] for call in calls[layer]], *outputs)) is not None:
-                reports.append(report)
+            if r == 0:  # base went first
+                if layer == "problem.load":
+                    outputs = [evaluations(calls, specs) for specs in outputs]
+                report = compare(layer, [call[0] for call in calls[layer]], *outputs)
+                if report is not None:
+                    reports.append(report)
 
     print(f"base {'working tree' if args.smoke else args.rev}, head working tree; "
           f"{rounds} round pairs, {starts} starts per method and problem; "
           + (f"outputs differ in {len(reports)} layers" if reports
              else "outputs equal bit for bit"))
-    print(f"{'layer':28} {'calls':>6} {'base us':>9} {'head us':>9}  head/base [min, max]")
+    print(f"{'layer':28} {'calls':>6} {'base us':>9} {'head us':>9}  head/base [95% interval]")
     for layer in LAYERS:
-        calls_n = len(plays["head"][layer][1])
-        t = times[layer]
-        # a round and the next, in the other order, cancel the gain of going second
-        ratios = [(h0 + h1) / (b0 + b1) for b0, b1, h0, h1 in zip(
-            t["base"][::2], t["base"][1::2], t["head"][::2], t["head"][1::2])]
-        print(f"{layer:28} {calls_n:6d} {statistics.median(t['base']) / calls_n * 1e6:9.1f} "
-              f"{statistics.median(t['head']) / calls_n * 1e6:9.1f}  "
-              f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
+        print(row(layer, len(plays["head"][layer][1]), times[layer]["base"], times[layer]["head"]))
     if reports:
         sys.exit("\n".join(reports))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import ab
-from setopt import direction, solver
+from setopt import direction, problem, solver
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,3 +74,36 @@ def test_differing_calls_are_counted_and_the_first_named():
     assert report.splitlines()[0] == (
         "demo: 2 of 4 calls differ; the first, call 1 (ex2), at output.:")
     assert ab.compare("demo", ["ex1"], base[:1], head[:1]) is None
+
+
+def test_a_loaded_problem_compares_by_its_values_and_jacobians(tmp_path):
+    """problem.load's outputs are the specs' F and J at their problem's starts, one
+    per start whatever the methods: a signed zero of J is a difference."""
+    specs = []
+    for k, f in enumerate(("-x2", "-(x1 - x1) - x2")):     # J[0, 0, 0] +0.0 and -0.0
+        path = tmp_path / f"f{k}.prob"
+        path.write_text(f"[meta]\nname=t\nn=2\nm=1\np=1\n[box]\n-1 1\n-1 1\n[functions]\n{f}\n")
+        specs.append(problem.load(str(path)))
+    x0 = np.array([0.5, 1.0])
+    calls = {"problem.load": [("t", "t.prob")],
+             "solver.run": [("t", method, x0) for method in ab.METHODS]}
+    (base,), (head,) = ab.evaluations(calls, specs[:1]), ab.evaluations(calls, specs[1:])
+    assert len(base) == 1 and np.array_equal(base[0][0], head[0][0])
+    assert ab.compare("problem.load", ["t"], [base], ab.evaluations(calls, specs[:1])) is None
+    assert ab.compare("problem.load", ["t"], [base], [head]).splitlines()[0] == (
+        "problem.load: 1 of 1 calls differ; the first, call 0 (t), at output[0][1]:")
+
+
+def test_the_interval_is_a_bootstrap_of_the_median_ratio():
+    """On canned ratios: equal ratios give a point, and the 95% interval of the
+    median holds the median, inside the ratios' range, the same on each call."""
+    assert ab.interval([0.9] * 15) == (0.9, 0.9)
+    ratios = [0.80, 0.84, 0.86, 0.88, 0.89, 0.90, 0.91, 0.92, 0.93, 0.95, 0.97, 1.00, 1.02,
+              1.05, 1.30]
+    low, high = ab.interval(ratios)
+    assert min(ratios) < low <= np.median(ratios) <= high < max(ratios)
+    assert ab.interval(ratios) == (low, high)
+    # a layer's row: a pair of rounds is one ratio, whichever side went first
+    base, head = [2e-3, 2e-3] * 15, [1e-3, 1e-3] * 15
+    assert ab.row("demo", 10, base, head).split() == [
+        "demo", "10", "200.0", "100.0", "0.500", "[0.500,", "0.500]"]
