@@ -27,9 +27,8 @@ matrices; a loaded problem by the bytes of its F and J at its captured
 starts).  Per layer the script prints the calls, each side's median time per
 call, and the median over the round pairs of the head/base time ratio with a
 bootstrap 95% interval of that median (paired runs after Kalibera & Jones
-2013).  After the table
-it names, for each layer whose outputs differ, the first call and field that
-differ and how many calls differ, and then exits 1.
+2013).  After the table it names, for each layer whose outputs differ, the
+first call and field that differ and how many calls differ, and then exits 1.
 
 A revision whose problem.builtin_file reads the package named "setopt"
 resolves it to the working tree's src, so both sides read the same problem
@@ -248,10 +247,10 @@ def evaluations(calls, specs):
             for (name, _), ps in zip(calls["problem.load"], specs)]
 
 
-def interval(ratios, resamples=RESAMPLES):
+def interval(ratios):
     """A percentile bootstrap 95% interval of the median of the ratios, from a fixed seed."""
     rng = np.random.default_rng(0)
-    medians = np.median(rng.choice(ratios, size=(resamples, len(ratios))), axis=1)
+    medians = np.median(rng.choice(ratios, size=(RESAMPLES, len(ratios))), axis=1)
     low, high = np.quantile(medians, [0.025, 0.975])
     return float(low), float(high)
 
