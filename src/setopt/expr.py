@@ -610,11 +610,11 @@ class _Emitter:
         negated if it is b's under "-"."""
         out = dict(a)
         for j, c in b.items():
-            out[j] = self.arith(op, a[j], c) if j in a else self.neg(c) if op == "-" else c
+            if j in a:
+                out[j] = self.arith(op, a[j], c)
+            else:
+                out[j] = self.neg(c) if op == "-" else c
         return out
-
-    def g_minus(self, a, b):
-        return self.g_plus(a, b, "-")
 
     def g_scale(self, v, g):
         return {j: self.arith("*", v, c) for j, c in g.items()}
@@ -634,7 +634,7 @@ class _Emitter:
             if node.op == "+":
                 return self.arith("+", a, b), self.g_plus(ag, bg)
             if node.op == "-":
-                return self.arith("-", a, b), self.g_minus(ag, bg)
+                return self.arith("-", a, b), self.g_plus(ag, bg, "-")
             return self.arith("*", a, b), self.g_plus(self.g_scale(a, bg), self.g_scale(b, ag))
         key = node.op if isinstance(node, BinOp) else node.name
         if key == "/":
@@ -659,7 +659,7 @@ class _Emitter:
         value = self.arith("/", a, b)
         if not ag and not bg:            # no derivative to overflow
             return value, {}
-        numerator = self.g_minus(self.g_scale(b, ag), self.g_scale(a, bg))
+        numerator = self.g_plus(self.g_scale(b, ag), self.g_scale(a, bg), "-")
         d = self.arith("*", b, b)
         self.check(self.compare(d, "==", 0.0), node, "overflow")     # b*b underflowed
         return value, self.g_over(numerator, d)
@@ -893,11 +893,7 @@ class _Family:
             return
         em.put([f"J = _zeros(({p}, {m}, {n}))"])
         for c, (_, g) in enumerate(outputs):
-            if len(g) == n > 1 and all(a.kind in (_C, _S) for a in g.values()):
-                # every column a float: one write of them all
-                em.put([f"J[:, {c}] = ({''.join(f'{g[j].code}, ' for j in range(n))})"])
-            else:
-                em.put([f"J[:, {c}, {j}] = {a.code}" for j, a in sorted(g.items())])
+            em.put([f"J[:, {c}, {j}] = {a.code}" for j, a in sorted(g.items())])
 
 
 def generate(asts, n: int, index, filename=None):
